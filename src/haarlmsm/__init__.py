@@ -74,11 +74,9 @@ from .stable_rng import (
     StableLaw,
     build_levy_grid,
     generate_coefficients,
-    load_pyramid,
     make_rng,
     prefix_sums,
     sample_sas,
-    save_pyramid,
     zeta_from_levy,
 )
 
@@ -107,8 +105,6 @@ __all__ = [
     "zeta_from_levy",
     "generate_coefficients",
     "prefix_sums",
-    "save_pyramid",
-    "load_pyramid",
     "EvalDomain",
     "FieldSample",
     "x1_partial",

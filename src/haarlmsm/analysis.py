@@ -336,26 +336,19 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int,
 
 def _x1_row_on_dyadic(row: np.ndarray, j: int, v: float, L: int,
                       params: KernelParams) -> np.ndarray:
-    """Scale-j row sum at every u = m / 2**L, via FFT convolutions.
+    """Scale-j row sum at every u = m / 2**L, via one FFT convolution.
 
-    On the dyadic grid the kernel arguments 2**j u - k live on a lattice,
-    so each residue class of m is one convolution of the coefficient row
-    with a kernel value table.
+    The kernel arguments 2**j u - k = (m - k R) / R live on the lattice of
+    step 1/R, R = 2**max(L - j, 0), so the row zero-stuffed by R convolved
+    with a kernel table at that step gives the sum at every m / (R 2**j);
+    every 2**max(j - L, 0)-th value is a grid point.
     """
-    n = row.shape[0]
-    if L >= j:
-        R = 1 << (L - j)
-        out = np.empty((1 << L) + 1)
-        for r in range(R):
-            xs = np.arange(n + 1, dtype=float) + r / R
-            cv = fftconvolve(row, theta(xs, v, params))
-            a_max = ((1 << L) - r) // R
-            out[r::R] = cv[: a_max + 1]
-        return out
-    g = 1 << (j - L)
-    xs = np.arange(n + 1, dtype=float)
-    cv = fftconvolve(row, theta(xs, v, params))
-    return cv[::g][: (1 << L) + 1]
+    R = 1 << max(L - j, 0)
+    n = row.shape[0] * R
+    stuffed = np.zeros(n)
+    stuffed[::R] = row
+    cv = fftconvolve(stuffed, theta(np.arange(n + 1) / R, v, params))
+    return cv[::1 << max(j - L, 0)][: (1 << L) + 1]
 
 
 def _x1_depth_diff_norm(pyr: CoefficientPyramid, J_a: int, J_b: int,

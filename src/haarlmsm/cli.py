@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -34,7 +32,14 @@ from .analysis import (
     x2_theoretical_scale,
 )
 from .errors import ConfigError, HaarLmsmError
-from .lmsm import hurst_preset, read_path_csv, synthesize_path, write_path_csv
+from .lmsm import (
+    PROFILE_PARAMS,
+    hurst_preset,
+    read_path_csv,
+    synthesize_path,
+    write_path_csv,
+    write_text_atomic,
+)
 from .series import EvalDomain, WHICH, evaluate_field
 from .stable_rng import MODES, generate_coefficients, prefix_sums
 
@@ -106,23 +111,13 @@ def _config_echo(config: RunConfig) -> dict:
     return {k: d[k] for k in keep if d[k] is not None}
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def parse_hurst_spec(spec: str):
     """Build an exponent profile from a 'kind:params' string.
 
     constant:V | linear:START,SLOPE | sine:AMPLITUDE,OFFSET[,CYCLES]
     | logistic:LOW,HEIGHT[,RATE,CENTER] | table:t0,h0,t1,h1,...
+    Positional values map onto the parameter names of
+    ``lmsm.PROFILE_PARAMS``; trailing ones with defaults may be left out.
     """
     kind, _, rest = spec.partition(":")
     kind = kind.strip()
@@ -130,40 +125,21 @@ def parse_hurst_spec(spec: str):
         vals = [float(x) for x in rest.split(",")] if rest.strip() else []
     except ValueError:
         raise ConfigError(f"bad numeric value in hurst spec {spec!r}")
-    if kind == "constant":
-        _need_n(spec, vals, 1, 1)
-        return hurst_preset("constant", {"value": vals[0]})
-    if kind == "linear":
-        _need_n(spec, vals, 2, 2)
-        return hurst_preset("linear", {"start": vals[0], "slope": vals[1]})
-    if kind == "sine":
-        _need_n(spec, vals, 2, 3)
-        params = {"amplitude": vals[0], "offset": vals[1]}
-        if len(vals) == 3:
-            params["cycles"] = vals[2]
-        return hurst_preset("sine", params)
-    if kind == "logistic":
-        _need_n(spec, vals, 2, 4)
-        params = {"low": vals[0], "height": vals[1]}
-        if len(vals) >= 3:
-            params["rate"] = vals[2]
-        if len(vals) == 4:
-            params["center"] = vals[3]
-        return hurst_preset("logistic", params)
     if kind in ("table", "custom-table"):
         if len(vals) < 4 or len(vals) % 2:
             raise ConfigError(
                 f"table hurst spec needs t,h pairs, got {spec!r}")
         knots = list(zip(vals[0::2], vals[1::2]))
         return hurst_preset("custom-table", {"knots": knots})
-    raise ConfigError(f"unknown hurst kind {kind!r} in {spec!r}")
-
-
-def _need_n(spec, vals, lo, hi):
+    if kind not in PROFILE_PARAMS:
+        raise ConfigError(f"unknown hurst kind {kind!r} in {spec!r}")
+    names, defaults = PROFILE_PARAMS[kind]
+    lo, hi = len(names) - len(defaults), len(names)
     if not lo <= len(vals) <= hi:
         raise ConfigError(
             f"hurst spec {spec!r} takes {lo}..{hi} parameters, "
             f"got {len(vals)}")
+    return hurst_preset(kind, dict(zip(names, vals)))
 
 
 def read_config_file(path: str) -> dict:
@@ -228,6 +204,8 @@ def render_path_svg(sample) -> str:
         raise ConfigError("no data rows to render")
     series = [np.asarray(getattr(sample, name), dtype=float)
               for name, _ in _SERIES_STYLE]
+    if not all(np.isfinite(col).all() for col in [t] + series):
+        raise ConfigError("cannot render non-finite (NaN or inf) values")
     width, height = 920.0, 560.0
     ml, mr, mt, mb = 70.0, 24.0, 44.0, 52.0
     pw, ph = width - ml - mr, height - mt - mb
@@ -338,7 +316,7 @@ def _run_simulate(config: RunConfig) -> int:
     sample.config["cli"] = _config_echo(config)
     csv_path, svg_path = _out_paths(config, "path")
     write_path_csv(sample, csv_path)
-    _write_text_atomic(svg_path, render_path_svg(sample))
+    write_text_atomic(svg_path, render_path_svg(sample))
     print(f"wrote {csv_path} and {svg_path} ({n} points)")
     return 0
 
@@ -371,7 +349,7 @@ def _run_field(config: RunConfig) -> int:
         row = ",".join(repr(float(x)) for x in sample.values[i])
         lines.append(f"{float(u)!r},{row}")
     csv_path, _ = _out_paths(config, "field")
-    _write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     print(f"wrote {csv_path} "
           f"({config.u_points}x{len(v_values)} {which} values at J={J})")
     return 0
@@ -399,7 +377,7 @@ def _run_converge(config: RunConfig) -> int:
         cells += [repr(float(x)) for x in report.norms[p]]
         lines.append(",".join(cells))
     csv_path, _ = _out_paths(config, "converge")
-    _write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     print(f"convergence study {report.which}: alpha={config.alpha} "
           f"v={config.v} J={config.Jmin}..{config.Jmax} "
           f"replicates={config.replicates} seed={config.seed}")
@@ -458,7 +436,7 @@ def _run_scale_check(config: RunConfig) -> int:
         lines.append(f"{float(u)!r},{float(v)!r},{J},{float(est)!r},"
                      f"{float(tgt)!r},{float(dev)!r}")
     csv_path, _ = _out_paths(config, "scale-check")
-    _write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_text_atomic(csv_path, "\n".join(lines) + "\n")
     print(f"wrote {csv_path}")
     return 0
 
@@ -467,14 +445,12 @@ def _run_render(config: RunConfig) -> int:
     if not config.input:
         raise ConfigError("render needs an input CSV path")
     sample = read_path_csv(config.input)
-    if np.asarray(sample.t_grid).size == 0:
-        raise ConfigError(f"{config.input} has no data rows")
     stem = config.input[:-4] if config.input.endswith(".csv") \
         else config.input
     svg_path = config.out or (stem + ".svg")
     if not svg_path.endswith(".svg"):
         svg_path += ".svg"
-    _write_text_atomic(svg_path, render_path_svg(sample))
+    write_text_atomic(svg_path, render_path_svg(sample))
     print(f"wrote {svg_path}")
     return 0
 

@@ -7,17 +7,22 @@ difference in x (``big_theta``) is much better localized and is what the
 summation-by-parts series evaluators consume; the x-derivatives of both are
 needed for decay diagnostics.
 
-All four functions are piecewise powers of x, x - 1/2, x - 1, x - 3/2 and
-x - 2.  For large x the closed forms subtract terms of size x^q that agree to
-roughly q*log2(x) bits, so beyond ``KernelParams.switch_x`` the bracket is
-evaluated through a binomial tail series in 1/(2x) whose surviving terms all
-share one sign (the first three moments of the difference weights vanish, so
-no cancelling head remains).  The series terms shrink by about a factor x, so
-a handful of terms reaches full double precision.
+All four functions are one stencil sum, sum_l w_l (x - l/2)_+^e, with the
+weights (1, -2, 1) for the theta pair or ``D5`` for the big_theta pair, at
+exponent q = 1 + v - 1/alpha (then divided by q) or p = v - 1/alpha for the
+derivatives.  For large x the closed form subtracts terms of size x^e that
+agree to roughly e*log2(x) bits, so beyond ``KernelParams.switch_x`` one
+shared core sums the binomial tail series x^e sum_n C(e,n) (-1/(2x))^n m_n
+over the stencil's integer moments m_n = sum_l w_l l^n.  The leading
+moments vanish, so no cancelling head remains and every term has one sign;
+the terms shrink like (l_max/(2x))^n, so each call fixes its term count
+from its smallest tail argument.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +33,9 @@ from .errors import ParameterError
 # Weights of the five-term form of big_theta over offsets l/2, l = 0..4.
 D5 = (1.0, -2.0, 0.0, 2.0, -1.0)
 
-_MAX_TAIL_TERMS = 220
+_MIN_SWITCH_X = 4.0
+# a tail term below this fraction of the sum is under half an ulp of it
+_TAIL_TOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class KernelParams:
     def __post_init__(self):
         if not 1.0 < self.alpha < 2.0:
             raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
-        if not self.switch_x >= 4.0:
+        if not self.switch_x >= _MIN_SWITCH_X:
             raise ParameterError(
                 f"switch_x must be at least 4, got {self.switch_x}")
 
@@ -83,65 +90,86 @@ def truncated_power(s, kappa):
     return out
 
 
-def _tail3(x, e):
-    """Sum_{n>=2} C(e,n) (-1/(2x))^n (2^n - 2), elementwise in x.
+_Stencil = namedtuple("_Stencil", "terms l_max n0 k moments")
 
-    This is the bracket (1 - 2b)^e - 2(1 - b)^e + 1 at b = 1/(2x) with the
-    n = 0, 1 terms cancelled analytically.  Every surviving term has the
-    sign of (e - 1), so the running sum is monotone and the relative
-    stopping test is safe.
+
+def _term_count(k: float, l_max: int, x_min: float) -> int:
+    """Tail terms past the leading one that take k (l_max / (2 x_min))^n
+    under _TAIL_TOL."""
+    return math.ceil(math.log(_TAIL_TOL / k)
+                     / (math.log(0.5 * l_max) - math.log(x_min)))
+
+
+def _stencil(terms) -> _Stencil:
+    """Tail-series data of the weights w_l at offsets l/2.
+
+    ``terms`` lists the nonzero (l, w_l) in the order the closed form adds
+    them; n0 is the first n with m_n != 0.  Each tail term obeys
+    |term_n / term_n0| <= k (l_max b)^(n - n0), as |C(e,n+1) / C(e,n)| <= 1
+    for e > -1 and |m_n| <= sum_l |w_l| l_max^n.  The float moments are
+    summed from the largest offset down, powers by repeated products, up to
+    the count the slowest tail needs.
     """
-    b = 0.5 / x
-    coef = e * (e - 1.0) / 2.0 * b * b
-    pow2 = 4.0
-    total = coef * (pow2 - 2.0)
-    n = 2
-    while n < _MAX_TAIL_TERMS:
-        coef = coef * (e - n) / (n + 1.0) * (-b)
-        pow2 *= 2.0
-        n += 1
-        term = coef * (pow2 - 2.0)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
+    l_max = max(l for l, _ in terms)
+    exact = [sum(w * l ** n for l, w in terms) for n in range(len(terms))]
+    n0 = next(n for n, m in enumerate(exact) if m)
+    k = sum(abs(w) for _, w in terms) * l_max ** n0 / abs(exact[n0])
+    moments, pows = [], {l: 1.0 for l, _ in terms}
+    for _ in range(n0 + 1 + _term_count(k, l_max, _MIN_SWITCH_X)):
+        m = 0.0
+        for l, w in sorted(terms, reverse=True):
+            m += w * pows[l]
+            pows[l] *= l
+        moments.append(m)
+    return _Stencil(terms, l_max, n0, k, tuple(moments))
+
+
+# the closed form's rounding follows its summation order: (1, -2, 1) is
+# added from offset 1 down, D5 from offset 0 up
+_THETA = _stencil(((2, 1.0), (1, -2.0), (0, 1.0)))
+_BIG_THETA = _stencil(tuple((l, w) for l, w in enumerate(D5) if w))
+
+
+def _tail(t, e, st: _Stencil):
+    """sum_{n>=n0} C(e,n) (-b)^n m_n at b = 1/(2t), summed forward in n.
+
+    This is the bracket sum_l w_l (1 - l b)^e with the vanishing moments
+    cancelled analytically, so no cancelling head remains.
+    """
+    b = 0.5 / t
+    c0 = e
+    for i in range(1, st.n0):
+        c0 = c0 * (e - i)
+    c0 = c0 / math.factorial(st.n0)
+    # (-b)**3 and a chain of products round differently; each stencil keeps
+    # its own form of the leading term so kernel values stay bit-stable
+    coef = c0 * b * b if st.n0 == 2 else c0 * (-b) ** st.n0
+    total = coef * st.moments[st.n0]
+    nb = -b
+    for n in range(st.n0, st.n0 + _term_count(st.k, st.l_max, t.min())):
+        coef = coef * (e - n) / (n + 1.0) * nb
+        total = total + coef * st.moments[n + 1]
     return total
 
 
-def _tail5(x, e):
-    """Sum_{n>=3} C(e,n) (-1/(2x))^n (2*3^n - 4^n - 2), elementwise in x.
-
-    Same idea as _tail3 for the five-term difference weights, whose first
-    three moments vanish, so the series starts at n = 3.
-    """
-    b = 0.5 / x
-    coef = e * (e - 1.0) * (e - 2.0) / 6.0 * (-b) ** 3
-    pow3, pow4 = 27.0, 64.0
-    total = coef * (2.0 * pow3 - pow4 - 2.0)
-    n = 3
-    while n < _MAX_TAIL_TERMS:
-        coef = coef * (e - n) / (n + 1.0) * (-b)
-        pow3 *= 3.0
-        pow4 *= 4.0
-        n += 1
-        term = coef * (2.0 * pow3 - pow4 - 2.0)
-        total = total + term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    return total
-
-
-def _piecewise(x, params, direct, tail):
-    """Zero for x <= 0, closed form up to switch_x, tail series beyond."""
+def _stencil_sum(x, e, st: _Stencil, switch_x: float):
+    """sum_l w_l (x - l/2)_+^e: zero for x <= 0, closed form up to switch_x,
+    x^e times the tail series beyond.  Elementwise; scalar in, float out."""
     scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
     xa = np.asarray(x, dtype=float)
     flat = np.atleast_1d(xa).ravel()
     out = np.zeros(flat.shape)
-    lo = (flat > 0.0) & (flat <= params.switch_x)
-    hi = flat > params.switch_x
+    lo = (flat > 0.0) & (flat <= switch_x)
+    hi = flat > switch_x
     if lo.any():
-        out[lo] = direct(flat[lo])
+        t = flat[lo]
+        acc = 0.0
+        for l, w in st.terms:
+            acc = acc + w * truncated_power(t - 0.5 * l, e)
+        out[lo] = acc
     if hi.any():
-        out[hi] = tail(flat[hi])
+        t = flat[hi]
+        out[hi] = np.power(t, e) * _tail(t, e, st)
     out = out.reshape(xa.shape)
     return float(out) if scalar else out
 
@@ -154,16 +182,7 @@ def theta(x, v, params: KernelParams):
     """
     _check_v(v, params.alpha)
     q = 1.0 + v - 1.0 / params.alpha
-
-    def direct(t):
-        return (truncated_power(t - 1.0, q)
-                - 2.0 * truncated_power(t - 0.5, q)
-                + truncated_power(t, q)) / q
-
-    def tail(t):
-        return np.power(t, q) * _tail3(t, q) / q
-
-    return _piecewise(x, params, direct, tail)
+    return _stencil_sum(x, q, _THETA, params.switch_x) / q
 
 
 def big_theta(x, v, params: KernelParams):
@@ -174,52 +193,20 @@ def big_theta(x, v, params: KernelParams):
     """
     _check_v(v, params.alpha)
     q = 1.0 + v - 1.0 / params.alpha
-
-    def direct(t):
-        acc = truncated_power(t, q)
-        for l, d in enumerate(D5[1:], start=1):
-            if d:
-                acc = acc + d * truncated_power(t - 0.5 * l, q)
-        return acc / q
-
-    def tail(t):
-        return np.power(t, q) * _tail5(t, q) / q
-
-    return _piecewise(x, params, direct, tail)
+    return _stencil_sum(x, q, _BIG_THETA, params.switch_x) / q
 
 
 def dtheta_dx(x, v, params: KernelParams):
     """x-derivative of theta; right-limit convention at the kink points."""
     _check_v(v, params.alpha)
-    p = v - 1.0 / params.alpha
-
-    def direct(t):
-        return (truncated_power(t - 1.0, p)
-                - 2.0 * truncated_power(t - 0.5, p)
-                + truncated_power(t, p))
-
-    def tail(t):
-        return np.power(t, p) * _tail3(t, p)
-
-    return _piecewise(x, params, direct, tail)
+    return _stencil_sum(x, v - 1.0 / params.alpha, _THETA, params.switch_x)
 
 
 def dbig_theta_dx(x, v, params: KernelParams):
     """x-derivative of big_theta; right-limit convention at the kinks."""
     _check_v(v, params.alpha)
-    p = v - 1.0 / params.alpha
-
-    def direct(t):
-        acc = truncated_power(t, p)
-        for l, d in enumerate(D5[1:], start=1):
-            if d:
-                acc = acc + d * truncated_power(t - 0.5 * l, p)
-        return acc
-
-    def tail(t):
-        return np.power(t, p) * _tail5(t, p)
-
-    return _piecewise(x, params, direct, tail)
+    return _stencil_sum(x, v - 1.0 / params.alpha, _BIG_THETA,
+                        params.switch_x)
 
 
 def theta_quadrature_oracle(x: float, v: float, alpha: float) -> float:

@@ -30,7 +30,16 @@ from .stable_rng import generate_coefficients, prefix_sums
 EPS_MARGIN = 1e-6
 _DENSE = 2 ** 12 + 1
 
-HURST_KINDS = ("constant", "linear", "sine", "logistic", "custom-table")
+# profile kind -> (parameter names in positional order, defaults of the
+# trailing ones)
+PROFILE_PARAMS = {
+    "constant": (("value",), {}),
+    "linear": (("start", "slope"), {}),
+    "sine": (("amplitude", "offset", "cycles"), {"cycles": 2.0}),
+    "logistic": (("low", "height", "rate", "center"),
+                 {"rate": 100.0, "center": 0.5}),
+    "custom-table": (("knots",), {}),
+}
 
 
 @dataclass(eq=False)
@@ -54,7 +63,8 @@ class HurstFunction:
         return float(out[0]) if scalar else out
 
 
-def _need(parameters: dict, name: str, keys: tuple, defaults: dict):
+def _need(parameters: dict, name: str):
+    keys, defaults = PROFILE_PARAMS[name]
     unknown = set(parameters) - set(keys)
     if unknown:
         raise ParameterError(
@@ -78,26 +88,24 @@ def hurst_preset(name: str, parameters: Optional[dict] = None) -> HurstFunction:
     """
     parameters = dict(parameters or {})
     if name == "constant":
-        p = _need(parameters, name, ("value",), {})
+        p = _need(parameters, name)
         v = float(p["value"])
         return HurstFunction("constant", lambda t: np.full_like(t, v),
                              (v, v), p)
     if name == "linear":
-        p = _need(parameters, name, ("start", "slope"), {})
+        p = _need(parameters, name)
         s, m = float(p["start"]), float(p["slope"])
         ends = (s, s + m)
         return HurstFunction("linear", lambda t: s + m * t,
                              (min(ends), max(ends)), p)
     if name == "sine":
-        p = _need(parameters, name, ("amplitude", "offset", "cycles"),
-                  {"cycles": 2.0})
+        p = _need(parameters, name)
         a, o, c = float(p["amplitude"]), float(p["offset"]), float(p["cycles"])
         return HurstFunction(
             "sine", lambda t: o + a * np.sin(2.0 * np.pi * c * t),
             (o - abs(a), o + abs(a)), p)
     if name == "logistic":
-        p = _need(parameters, name, ("low", "height", "rate", "center"),
-                  {"rate": 100.0, "center": 0.5})
+        p = _need(parameters, name)
         lo, h = float(p["low"]), float(p["height"])
         r, c = float(p["rate"]), float(p["center"])
 
@@ -107,7 +115,7 @@ def hurst_preset(name: str, parameters: Optional[dict] = None) -> HurstFunction:
         ends = (float(f(np.array([0.0]))[0]), float(f(np.array([1.0]))[0]))
         return HurstFunction("logistic", f, (min(ends), max(ends)), p)
     if name in ("custom-table", "table"):
-        p = _need(parameters, "custom-table", ("knots",), {})
+        p = _need(parameters, "custom-table")
         knots = [(float(a), float(b)) for a, b in p["knots"]]
         if len(knots) < 2:
             raise ParameterError("custom-table needs at least 2 knots")
@@ -121,7 +129,7 @@ def hurst_preset(name: str, parameters: Optional[dict] = None) -> HurstFunction:
             (float(hs.min()), float(hs.max())),
             {"knots": [[a, b] for a, b in knots]})
     raise ParameterError(
-        f"unknown profile {name!r}; choose from {HURST_KINDS}")
+        f"unknown profile {name!r}; choose from {tuple(PROFILE_PARAMS)}")
 
 
 def validate_params(alpha: float, H: HurstFunction, *,
@@ -274,19 +282,25 @@ def path_to_csv(sample: PathSample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_path_csv(sample: PathSample, path) -> None:
-    """Atomic write of path_to_csv output."""
+def write_text_atomic(path, text: str) -> None:
+    """Write text through a temp file in the same directory plus a rename,
+    so readers never see a partial file.  Newlines are written as given."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(path_to_csv(sample))
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_path_csv(sample: PathSample, path) -> None:
+    """Atomic write of path_to_csv output."""
+    write_text_atomic(path, path_to_csv(sample))
 
 
 def read_path_csv(path) -> PathSample:

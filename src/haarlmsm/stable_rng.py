@@ -15,20 +15,14 @@ independent of evaluation order.
 
 from __future__ import annotations
 
-import os
-import struct
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ParameterError, ResolutionError
+from .errors import ParameterError, ResolutionError
 
 MODES = ("consistent", "independent")
-
-_MAGIC = b"HLMS1"
-_NO_SEED = 0xFFFFFFFFFFFFFFFF
 
 SeedLike = Union[int, np.random.Generator]
 
@@ -166,8 +160,22 @@ def zeta_from_levy(grid: LevyGrid, j: int, k: int) -> float:
     return float(coef * (v[i0] - 2.0 * v[imid] + v[i1]))
 
 
+class _Rows:
+    """Row lookup by scale, shared by the pyramid and its prefix sums."""
+
+    def hf_row(self, j: int) -> np.ndarray:
+        if not 0 <= j < self.J_hf:
+            raise ParameterError(f"no coarse-side row {j} (J_hf = {self.J_hf})")
+        return self.hf[j]
+
+    def lf_row(self, j: int) -> np.ndarray:
+        if not -self.J_lf < j < self.J_lf:
+            raise ParameterError(f"no far-past row {j} (J_lf = {self.J_lf})")
+        return self.lf[j + self.J_lf - 1]
+
+
 @dataclass(eq=False)
-class CoefficientPyramid:
+class CoefficientPyramid(_Rows):
     """Detail coefficients for both halves of the series.
 
     ``hf[j]`` holds the unit-scale coefficients at positions k = 0..2**j - 1
@@ -187,16 +195,6 @@ class CoefficientPyramid:
     seed: Optional[int] = None
     hf_grid: Optional[LevyGrid] = None
     lf_grid: Optional[LevyGrid] = None
-
-    def hf_row(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.J_hf:
-            raise ParameterError(f"no coarse-side row {j} (J_hf = {self.J_hf})")
-        return self.hf[j]
-
-    def lf_row(self, j: int) -> np.ndarray:
-        if not -self.J_lf < j < self.J_lf:
-            raise ParameterError(f"no far-past row {j} (J_lf = {self.J_lf})")
-        return self.lf[j + self.J_lf - 1]
 
     @property
     def n_entries(self) -> int:
@@ -287,7 +285,7 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
 
 
 @dataclass(eq=False)
-class PrefixSums:
+class PrefixSums(_Rows):
     """Running sums of each coefficient row, ready for summation by parts.
 
     Coarse-side row j holds lambda_k = sum of the first k + 1 coefficients;
@@ -301,16 +299,6 @@ class PrefixSums:
     hf: list
     lf: list
 
-    def hf_row(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.J_hf:
-            raise ParameterError(f"no coarse-side row {j} (J_hf = {self.J_hf})")
-        return self.hf[j]
-
-    def lf_row(self, j: int) -> np.ndarray:
-        if not -self.J_lf < j < self.J_lf:
-            raise ParameterError(f"no far-past row {j} (J_lf = {self.J_lf})")
-        return self.lf[j + self.J_lf - 1]
-
 
 def prefix_sums(pyramid: CoefficientPyramid) -> PrefixSums:
     """Cumulative sums of every row of the pyramid."""
@@ -318,66 +306,3 @@ def prefix_sums(pyramid: CoefficientPyramid) -> PrefixSums:
                       J_lf=pyramid.J_lf,
                       hf=[np.cumsum(r) for r in pyramid.hf],
                       lf=[np.cumsum(r) for r in pyramid.lf])
-
-
-def save_pyramid(pyramid: CoefficientPyramid, path) -> None:
-    """Write the pyramid to a small binary container (atomic replace).
-
-    Little-endian layout: magic, alpha, J_hf, J_lf, mode byte, seed (or a
-    sentinel when the pyramid was built from a live generator), z1, then
-    each row as a length-prefixed float64 block, coarse-side rows first.
-    """
-    header = _MAGIC + struct.pack(
-        "<diiBQd", pyramid.alpha, pyramid.J_hf, pyramid.J_lf,
-        MODES.index(pyramid.mode),
-        _NO_SEED if pyramid.seed is None else pyramid.seed,
-        pyramid.z1)
-    path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            for row in list(pyramid.hf) + list(pyramid.lf):
-                fh.write(struct.pack("<Q", row.shape[0]))
-                fh.write(np.ascontiguousarray(row, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def load_pyramid(path) -> CoefficientPyramid:
-    """Read a container written by save_pyramid; ConfigError on a bad file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise ConfigError(f"{path} is not a coefficient container")
-    off = len(_MAGIC)
-    try:
-        alpha, J_hf, J_lf, mode_b, seed_raw, z1 = struct.unpack_from(
-            "<diiBQd", blob, off)
-        off += struct.calcsize("<diiBQd")
-        if mode_b >= len(MODES):
-            raise ConfigError(f"unknown mode byte {mode_b} in {path}")
-        rows = []
-        expect = [1 << j for j in range(J_hf)] + \
-            [1 << (J_lf - abs(j)) for j in range(1 - J_lf, J_lf)]
-        for want in expect:
-            (n,) = struct.unpack_from("<Q", blob, off)
-            off += 8
-            if n != want:
-                raise ConfigError(
-                    f"row of length {n} where {want} expected in {path}")
-            row = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
-            off += 8 * n
-            rows.append(row)
-    except ConfigError:
-        raise
-    except (struct.error, ValueError) as exc:
-        raise ConfigError(f"truncated container {path}: {exc}") from exc
-    return CoefficientPyramid(
-        alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=MODES[mode_b], z1=z1,
-        hf=rows[:J_hf], lf=rows[J_hf:],
-        seed=None if seed_raw == _NO_SEED else seed_raw)

@@ -187,6 +187,13 @@ def test_render_edge_cases(tmp_path, capsys):
     assert svg.count("<circle") == 3
     assert "<polyline" not in svg
 
+    nan = tmp_path / "nan.csv"
+    nan.write_text('# config: {"alpha": 1.5}\nt,y1,y2,y\n'
+                   '0.0,1.0,2.0,3.0\n0.5,nan,2.0,nan\n')
+    assert main(["render", str(nan)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "nan.svg").exists()
+
     assert main(["render", str(tmp_path / "missing.csv")]) == 4
     assert capsys.readouterr().err.startswith("error: io:")
     assert main(["render"]) == 2

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +121,44 @@ def test_tail_series_agrees_with_direct():
             b = f(xs, v, late)
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
             assert np.max(rel) < 1e-9, (f.__name__, v)
+
+
+def _stencil_50_digits(x, e, weights, divide):
+    """sum_l w_l (x - l/2)_+^e (divided by e for the theta pair) to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd, ed = Decimal(float(x)), Decimal(float(e))
+        acc = Decimal(0)
+        for l, w in enumerate(weights):
+            s = xd - Decimal(l) / 2
+            if w and s > 0:
+                acc += Decimal(w) * s ** ed
+        return float(acc / ed if divide else acc)
+
+
+def test_kernels_match_high_precision_closed_form():
+    """All four kernels against the closed form in 50-digit decimal.
+
+    The tail series must hold full double precision everywhere beyond
+    switch_x, including just past it in a call whose other arguments are
+    huge, since the term count is fixed per call from the smallest one.
+    """
+    cases = ((theta, (1.0, -2.0, 1.0), True), (big_theta, D5, True),
+             (dtheta_dx, (1.0, -2.0, 1.0), False), (dbig_theta_dx, D5, False))
+    near = 1.0 + np.array([1e-12, 1e-6, 1e-2])
+    xs = np.concatenate([np.geomspace(1e-3, 1e6, 64), 4.0 * near, 8.0 * near])
+    for alpha in (1.05, 1.5, 1.95):
+        for v in (1.0 / alpha + 0.01, 0.75, 0.99):
+            for f, weights, divide in cases:
+                e = (1.0 + v - 1.0 / alpha) if divide else v - 1.0 / alpha
+                want = np.array([_stencil_50_digits(x, e, weights, divide)
+                                 for x in xs])
+                for switch_x in (4.0, 8.0):
+                    got = f(xs, v, KernelParams(alpha, switch_x))
+                    rel = np.abs(got - want) / np.abs(want)
+                    tail = xs > switch_x
+                    assert np.max(rel[tail]) <= 4e-15, (f.__name__, alpha, v)
+                    assert np.max(rel[~tail]) <= 1e-10, (f.__name__, alpha, v)
 
 
 def test_large_x_power_law():

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from haarlmsm.errors import ConfigError, ParameterError, ResolutionError
+from haarlmsm.errors import ParameterError, ResolutionError
 from haarlmsm.stable_rng import (
     CoefficientPyramid,
     StableLaw,
     build_levy_grid,
     generate_coefficients,
-    load_pyramid,
     make_rng,
     prefix_sums,
     sample_sas,
-    save_pyramid,
     zeta_from_levy,
 )
 
@@ -216,35 +214,3 @@ def test_prefix_law_through_pyramid():
         vals[i] = ps.hf_row(4)[15]
     est = np.mean(np.abs(vals)) / M1_15
     assert est / 16 ** (1 / 1.5) == pytest.approx(1.0, abs=0.2)
-
-
-def test_container_roundtrip(tmp_path):
-    pyr = generate_coefficients(1.5, 4, 3, "consistent", 71)
-    path = tmp_path / "coeffs.bin"
-    save_pyramid(pyr, path)
-    back = load_pyramid(path)
-    assert back.alpha == pyr.alpha
-    assert back.J_hf == 4 and back.J_lf == 3
-    assert back.mode == "consistent"
-    assert back.seed == 71
-    assert back.z1 == pyr.z1
-    for ra, rb in zip(pyr.hf + pyr.lf, back.hf + back.lf):
-        assert np.array_equal(ra, rb)
-
-    anon = generate_coefficients(1.5, 2, 2, "independent", make_rng(5))
-    save_pyramid(anon, path)
-    assert load_pyramid(path).seed is None
-
-
-def test_container_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"not a container at all")
-    with pytest.raises(ConfigError):
-        load_pyramid(bad)
-    good = tmp_path / "good.bin"
-    save_pyramid(generate_coefficients(1.5, 3, 2, "independent", 72), good)
-    blob = good.read_bytes()
-    trunc = tmp_path / "trunc.bin"
-    trunc.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ConfigError):
-        load_pyramid(trunc)
