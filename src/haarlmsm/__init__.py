@@ -23,7 +23,6 @@ from .analysis import (
     growth_scan,
     mc_x1_samples,
     mc_x2_samples,
-    sup_norm_diff,
     truncated_scale_hf,
     truncated_scale_lf,
     x1_theoretical_scale,
@@ -59,8 +58,6 @@ from .lmsm import (
     write_path_csv,
 )
 from .series import (
-    EvalDomain,
-    FieldSample,
     evaluate_field,
     x1_partial,
     x2_minus_partial,
@@ -105,8 +102,6 @@ __all__ = [
     "zeta_from_levy",
     "generate_coefficients",
     "prefix_sums",
-    "EvalDomain",
-    "FieldSample",
     "x1_partial",
     "x2_plus_partial",
     "x2_minus_partial",
@@ -123,7 +118,6 @@ __all__ = [
     "read_path_csv",
     "first_abs_moment",
     "estimate_scale",
-    "sup_norm_diff",
     "x1_theoretical_scale",
     "x2_theoretical_scale",
     "truncated_scale_hf",

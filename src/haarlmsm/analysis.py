@@ -50,8 +50,8 @@ from scipy.special import gamma as _gamma
 
 from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, theta, truncated_power
-from .series import FieldSample
 from .stable_rng import (
+    MAX_VALUES,
     CoefficientPyramid,
     PrefixSums,
     StableLaw,
@@ -62,6 +62,11 @@ from .stable_rng import (
 )
 
 DEFAULT_ETA = 0.05
+
+# Monte Carlo replicates drawn per stable-draw block; fixed, because every
+# seed's stream depends on them
+_MC_HF_CHUNK = 1024
+_MC_LF_CHUNK = 4096
 
 
 # ---------------------------------------------------------------- scales --
@@ -82,18 +87,6 @@ def estimate_scale(samples, alpha: float) -> float:
             f"need at least 1000 samples for a scale estimate, got "
             f"{samples.size}")
     return float(np.mean(np.abs(samples)) / first_abs_moment(alpha))
-
-
-def sup_norm_diff(a, b) -> float:
-    """Largest absolute difference between two fields (or plain arrays)."""
-    av = a.values if isinstance(a, FieldSample) else np.asarray(a, dtype=float)
-    bv = b.values if isinstance(b, FieldSample) else np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ParameterError(
-            f"shape mismatch {av.shape} vs {bv.shape}")
-    if av.size == 0:
-        return 0.0
-    return float(np.max(np.abs(av - bv)))
 
 
 def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
@@ -149,6 +142,17 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
 
 
 # ------------------------------------------------ truncated-sum rewriting --
+
+def _check_depth(J, j_min: int, per_level: int) -> None:
+    """Refuse a depth below j_min, or one whose largest array, of about
+    per_level * 2**J float64 values, would exceed MAX_VALUES."""
+    if not (isinstance(J, (int, np.integer)) and J >= j_min):
+        raise ParameterError(f"J must be an integer >= {j_min}, got {J}")
+    if per_level << int(J) > MAX_VALUES:
+        raise ParameterError(
+            f"depth J = {J} needs an array of about {per_level << int(J)} "
+            f"values, over the budget of {MAX_VALUES}")
+
 
 def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
     """Averages of s -> (u - s)_+**p over the 2**J dyadic cells of [0, 1].
@@ -233,8 +237,9 @@ def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
 
 def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
-    """Exact stable scale of the depth-J recent-scales truncation."""
+    """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
     _check_scale_args(u, v, alpha)
+    _check_depth(J, 0, 1)
     if mode == "consistent":
         w = _hf_cell_averages(u, v, alpha, J)
         return float(np.sum(np.abs(w) ** alpha) * 2.0 ** (-J)) ** (1.0 / alpha)
@@ -252,8 +257,10 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
 
 def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
-    """Exact stable scale of the depth-J far-past truncation."""
+    """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
     _check_scale_args(u, v, alpha)
+    # the union is built from three points per far-past coefficient
+    _check_depth(J, 1, 9)
     params = KernelParams(alpha)
     if mode == "consistent":
         union = _lf_union(J)
@@ -271,16 +278,18 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
 
 # ----------------------------------------------------- Monte Carlo drivers --
 
-def mc_x1_samples(pairs, alpha: float, J: int, n: int, seed: int,
-                  chunk: int = 1024) -> np.ndarray:
+def mc_x1_samples(pairs, alpha: float, J: int, n: int,
+                  seed: int) -> np.ndarray:
     """Replicates of the consistent-mode depth-J recent-scales truncation.
 
     Returns an (n, len(pairs)) array; column order follows ``pairs`` (a
     sequence of (u, v)).  All columns share one standard-stable draw
-    matrix, so estimates across pairs use common random numbers.
+    matrix, so estimates across pairs use common random numbers.  J must
+    be >= 0.
     """
     if n < 1:
         raise ParameterError("n must be positive")
+    _check_depth(J, 0, _MC_HF_CHUNK)
     cols = []
     for u, v in pairs:
         w = _hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
@@ -291,15 +300,14 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int, seed: int,
     out = np.empty((n, W.shape[1]))
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_MC_HF_CHUNK, n - done)
         S = sample_sas(law, gen, size=(m, W.shape[0]))
         out[done:done + m] = S @ W
         done += m
     return out
 
 
-def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int,
-                  chunk: int = 4096) -> dict:
+def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     """Replicates of consistent-mode far-past truncations at several depths.
 
     Returns {J: (n, len(pairs)) array}.  All depths and pairs share one
@@ -311,6 +319,8 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int,
         raise ParameterError("J_list must hold integers >= 1")
     if n < 1:
         raise ParameterError("n must be positive")
+    # the union grid has 3 * 2**J - 2 gaps
+    _check_depth(J_list[-1], 1, 3 * _MC_LF_CHUNK)
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])
     root = union.gaps ** (1.0 / alpha)
@@ -324,7 +334,7 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int,
     out = {J: np.empty((n, len(pairs))) for J in J_list}
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_MC_LF_CHUNK, n - done)
         S = sample_sas(law, gen, size=(m, union.gaps.shape[0]))
         for J in J_list:
             out[J][done:done + m] = S @ W[J]

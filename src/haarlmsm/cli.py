@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,10 +41,8 @@ from .lmsm import (
     write_path_csv,
     write_text_atomic,
 )
-from .series import EvalDomain, WHICH, evaluate_field
-from .stable_rng import MODES, generate_coefficients, prefix_sums
-
-COMMANDS = ("simulate", "field", "converge", "scale-check", "render")
+from .series import WHICH, evaluate_field
+from .stable_rng import MAX_VALUES, MODES, generate_coefficients, prefix_sums
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
 # and the boundary flag for profiles that graze the admissible band
@@ -71,43 +70,49 @@ class RunConfig:
     J_lf: int = 6
     seed: int = 0
     mode: str = "consistent"
-    method: str = "abel"
     n_points: int = None
     allow_boundary: bool = False
     preset: str = None
-    # field
     which: str = None
     J: int = None
     u_points: int = 65
     v_values: str = "0.7,0.75,0.8"
-    # converge
     v: float = 0.75
     Jmin: int = 6
     Jmax: int = 14
     replicates: int = 16
-    # scale-check
     n_samples: int = 20000
-    # render
     input: str = None
     out: str = None
 
 
-# output paths stay out of the echo so identical runs aimed at different
-# destinations still produce byte-identical files
-_ECHO_FIELDS = {
-    "simulate": ("alpha", "hurst", "J_hf", "J_lf", "seed", "mode", "method",
+# Each command and the settings it reads, each one a flag, a --config key
+# and part of the echoed header.  Output paths stay out of the echo so
+# identical runs aimed at different destinations still produce
+# byte-identical files
+TAKES = {
+    "simulate": ("alpha", "hurst", "J_hf", "J_lf", "seed", "mode",
                  "n_points", "allow_boundary", "preset"),
     "field": ("alpha", "which", "J", "J_hf", "J_lf", "u_points", "v_values",
-              "seed", "mode", "method"),
+              "seed", "mode"),
     "converge": ("alpha", "which", "v", "Jmin", "Jmax", "replicates", "seed"),
     "scale-check": ("alpha", "which", "J", "n_samples", "seed", "mode"),
     "render": (),
 }
 
+_TYPES = get_type_hints(RunConfig)
+_HURST_HELP = "kind:params, e.g. constant:0.75 or logistic:0.65,0.25"
+
+
+def _choices(command: str) -> dict:
+    """Allowed values of the settings that name one of a fixed set."""
+    return {"mode": MODES, "preset": tuple(sorted(PRESETS)),
+            "which": WHICH if command == "field" else ("hf", "lf")}
+
 
 def _config_echo(config: RunConfig) -> dict:
     d = asdict(config)
-    keep = ("command",) + _ECHO_FIELDS[config.command]
+    keep = ("command",) + TAKES[config.command]
     return {k: d[k] for k in keep if d[k] is not None}
 
 
@@ -145,7 +150,6 @@ def parse_hurst_spec(spec: str):
 def read_config_file(path: str) -> dict:
     """Flat key=value file; blank lines and # comments ignored."""
     out = {}
-    field_types = {f.name: f.type for f in fields(RunConfig)}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -161,17 +165,15 @@ def read_config_file(path: str) -> dict:
         if not sep or not key:
             raise ConfigError(
                 f"{path}:{i}: expected key=value, got {line!r}")
-        if key not in field_types or key in ("command", "preset"):
+        if key not in _TYPES or key in ("command", "preset"):
             raise ConfigError(f"{path}:{i}: unknown config key {key!r}")
         out[key] = _coerce(key, value, i, path)
     return out
 
 
 def _coerce(key, value, lineno, path):
-    int_keys = {"J_hf", "J_lf", "seed", "n_points", "J", "u_points",
-                "Jmin", "Jmax", "replicates", "n_samples"}
-    float_keys = {"alpha", "v"}
-    if key == "allow_boundary":
+    kind = _TYPES[key]
+    if kind is bool:
         low = value.lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -179,13 +181,9 @@ def _coerce(key, value, lineno, path):
             return False
         raise ConfigError(f"{path}:{lineno}: bad boolean {value!r}")
     try:
-        if key in int_keys:
-            return int(value)
-        if key in float_keys:
-            return float(value)
+        return kind(value)
     except ValueError:
         raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}")
-    return value
 
 
 # ------------------------------------------------------------- rendering --
@@ -304,14 +302,16 @@ def _out_paths(config: RunConfig, fallback: str):
 
 
 def _run_simulate(config: RunConfig) -> int:
+    """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
-    n = config.n_points or ((1 << config.J_hf) + 1)
-    if n < 1:
-        raise ConfigError(f"n_points must be positive, got {n}")
+    # a J_hf below 1 is refused where the pyramid is drawn
+    n = config.n_points or ((1 << max(config.J_hf, 0)) + 1)
+    if not 1 <= n <= MAX_VALUES:
+        raise ConfigError(f"n_points must lie in 1..{MAX_VALUES}, got {n}")
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
         config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
-        seed=config.seed, mode=config.mode, method=config.method,
+        seed=config.seed, mode=config.mode,
         allow_boundary=config.allow_boundary)
     sample.config["cli"] = _config_echo(config)
     csv_path, svg_path = _out_paths(config, "path")
@@ -322,9 +322,8 @@ def _run_simulate(config: RunConfig) -> int:
 
 
 def _run_field(config: RunConfig) -> int:
+    """Evaluate a (u, v) field to CSV."""
     which = config.which or "total"
-    if which not in WHICH:
-        raise ConfigError(f"which must be one of {WHICH}, got {which!r}")
     try:
         v_values = sorted(float(x) for x in config.v_values.split(","))
     except ValueError:
@@ -335,18 +334,16 @@ def _run_field(config: RunConfig) -> int:
         J = config.J
     else:
         J = config.J_hf if which == "hf" else config.J_lf
-    domain = EvalDomain(
-        u_grid=np.linspace(0.0, 1.0, config.u_points),
-        v_grid=np.array(v_values), a=v_values[0], b=v_values[-1])
+    u_grid = np.linspace(0.0, 1.0, config.u_points)
     pyr = generate_coefficients(
         config.alpha, max(J, config.J_hf, 1), max(J, config.J_lf, 2),
         config.mode, config.seed)
     ps = prefix_sums(pyr)
-    sample = evaluate_field(domain, pyr, ps, J, which, config.method)
+    values = evaluate_field(u_grid, v_values, pyr, ps, J, which)
     lines = ["# config: " + json.dumps(_config_echo(config), sort_keys=True)]
     lines.append("u," + ",".join(repr(float(v)) for v in v_values))
-    for i, u in enumerate(domain.u_grid):
-        row = ",".join(repr(float(x)) for x in sample.values[i])
+    for u, vals in zip(u_grid, values):
+        row = ",".join(repr(float(x)) for x in vals)
         lines.append(f"{float(u)!r},{row}")
     csv_path, _ = _out_paths(config, "field")
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
@@ -356,6 +353,7 @@ def _run_field(config: RunConfig) -> int:
 
 
 def _run_converge(config: RunConfig) -> int:
+    """Truncation-rate study."""
     J_list = list(range(config.Jmin, config.Jmax + 1))
     report = convergence_study(
         config.which or "hf", config.alpha, (config.v, config.v), J_list,
@@ -394,11 +392,8 @@ def _run_converge(config: RunConfig) -> int:
 
 
 def _run_scale_check(config: RunConfig) -> int:
+    """Marginal scale against theory."""
     which = config.which or "hf"
-    if which not in ("hf", "lf"):
-        raise ConfigError(f"which must be 'hf' or 'lf', got {which!r}")
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     J = config.J if config.J is not None else (14 if which == "hf" else 9)
     pairs = SCALE_CHECK_PAIRS
     theory = {}
@@ -442,6 +437,7 @@ def _run_scale_check(config: RunConfig) -> int:
 
 
 def _run_render(config: RunConfig) -> int:
+    """Path CSV to SVG."""
     if not config.input:
         raise ConfigError("render needs an input CSV path")
     sample = read_path_csv(config.input)
@@ -456,19 +452,19 @@ def _run_render(config: RunConfig) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a validated RunConfig; returns the process exit status."""
-    if config.command not in COMMANDS:
+    """Dispatch a RunConfig checked by build_config; returns the status."""
+    if config.command not in TAKES:
         raise ConfigError(f"unknown command {config.command!r}")
-    if config.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
-    handler = {
-        "simulate": _run_simulate,
-        "field": _run_field,
-        "converge": _run_converge,
-        "scale-check": _run_scale_check,
-        "render": _run_render,
-    }[config.command]
-    return handler(config)
+    return _HANDLERS[config.command](config)
+
+
+_HANDLERS = {
+    "simulate": _run_simulate,
+    "field": _run_field,
+    "converge": _run_converge,
+    "scale-check": _run_scale_check,
+    "render": _run_render,
+}
 
 
 # ------------------------------------------------------------ arg parsing --
@@ -479,78 +475,52 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sample-path synthesis and validation for linear "
                     "(multi)fractional stable motion.")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
+    for command, takes in TAKES.items():
+        p = sub.add_parser(command, help=_HANDLERS[command].__doc__)
+        if command == "render":
+            p.add_argument("input", nargs="?", default=None)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mode", choices=MODES, default=None)
         p.add_argument("--out", default=None)
-
-    p_sim = sub.add_parser("simulate", help="synthesize one path to CSV+SVG")
-    add_common(p_sim)
-    p_sim.add_argument("--preset", choices=sorted(PRESETS))
-    p_sim.add_argument("--hurst", default=None,
-                       help="kind:params, e.g. constant:0.75 or "
-                            "logistic:0.65,0.25")
-    p_sim.add_argument("--J-hf", dest="J_hf", type=int, default=None)
-    p_sim.add_argument("--J-lf", dest="J_lf", type=int, default=None)
-    p_sim.add_argument("--n-points", dest="n_points", type=int, default=None)
-    p_sim.add_argument("--method", choices=("naive", "abel"), default=None)
-    p_sim.add_argument("--allow-boundary", dest="allow_boundary",
-                       action="store_true", default=None)
-
-    p_field = sub.add_parser("field", help="evaluate a (u, v) field to CSV")
-    add_common(p_field)
-    p_field.add_argument("--which", choices=WHICH, default=None)
-    p_field.add_argument("--J", type=int, default=None)
-    p_field.add_argument("--u-points", dest="u_points", type=int,
-                         default=None)
-    p_field.add_argument("--v-values", dest="v_values", default=None)
-    p_field.add_argument("--method", choices=("naive", "abel"), default=None)
-
-    p_conv = sub.add_parser("converge", help="truncation-rate study")
-    add_common(p_conv)
-    p_conv.add_argument("--which", choices=("hf", "lf"), default=None)
-    p_conv.add_argument("--v", type=float, default=None)
-    p_conv.add_argument("--Jmin", type=int, default=None)
-    p_conv.add_argument("--Jmax", type=int, default=None)
-    p_conv.add_argument("--replicates", type=int, default=None)
-
-    p_scale = sub.add_parser("scale-check",
-                             help="marginal scale against theory")
-    add_common(p_scale)
-    p_scale.add_argument("--which", choices=("hf", "lf"), default=None)
-    p_scale.add_argument("--J", type=int, default=None)
-    p_scale.add_argument("--n-samples", dest="n_samples", type=int,
-                         default=None)
-
-    p_render = sub.add_parser("render", help="path CSV to SVG")
-    p_render.add_argument("input", nargs="?", default=None)
-    p_render.add_argument("--out", default=None)
-    p_render.add_argument("--config", help="flat key=value config file")
+        choices = _choices(command)
+        for name in takes:
+            flag = "--" + name.replace("_", "-")
+            if _TYPES[name] is bool:
+                p.add_argument(flag, dest=name, action="store_true",
+                               default=None)
+                continue
+            help_text = _HURST_HELP if name == "hurst" else None
+            if name in choices:
+                help_text = "one of " + ", ".join(choices[name])
+            p.add_argument(flag, dest=name, type=_TYPES[name], default=None,
+                           help=help_text)
     return parser
 
 
 def build_config(argv) -> RunConfig:
+    """Resolve defaults, preset, --config file and flags, later winning,
+    then refuse a setting outside its fixed set of names."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if not ns.command:
         parser.print_usage(sys.stderr)
         raise ConfigError("a command is required")
     config = RunConfig(command=ns.command)
-    preset = getattr(ns, "preset", None)
-    if preset:
-        config.preset = preset
-        for key, value in PRESETS[preset].items():
-            setattr(config, key, value)
-    if getattr(ns, "config", None):
+    # an unknown preset name is refused below with the other choices
+    for key, value in PRESETS.get(getattr(ns, "preset", None), {}).items():
+        setattr(config, key, value)
+    if ns.config:
         for key, value in read_config_file(ns.config).items():
             setattr(config, key, value)
     for f in fields(RunConfig):
         value = getattr(ns, f.name, None)
-        if value is not None and f.name not in ("command", "preset"):
+        if value is not None:
             setattr(config, f.name, value)
+    takes = TAKES[config.command]
+    for key, allowed in _choices(config.command).items():
+        value = getattr(config, key)
+        if key in takes and value is not None and value not in allowed:
+            raise ConfigError(
+                f"{key} must be one of {allowed}, got {value!r}")
     return config
 
 

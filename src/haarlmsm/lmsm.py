@@ -139,7 +139,8 @@ def validate_params(alpha: float, H: HurstFunction, *,
 
     Returns the list of violations (empty when clean).  Unless
     ``allow_boundary`` is set, any violation raises ParameterError with all
-    of them listed.
+    of them listed.  A non-finite declared bound or sampled value raises
+    even then, because clipping cannot repair it.
     """
     if not 1.0 < alpha < 2.0:
         raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
@@ -147,14 +148,18 @@ def validate_params(alpha: float, H: HurstFunction, *,
     hi = 1.0 - eps
     msgs = []
     dlo, dhi = H.declared_bounds
+    t = np.linspace(0.0, 1.0, _DENSE)
+    vals = H(t)
+    non_finite = not np.all(np.isfinite(np.r_[dlo, dhi, vals]))
+    if non_finite:
+        msgs.append(f"declared bounds ({dlo:.6g}, {dhi:.6g}) or sampled "
+                    f"values are not finite")
     if dlo < lo:
         msgs.append(f"declared lower bound {dlo:.6g} is below "
                     f"1/alpha + margin = {lo:.6g}")
     if dhi > hi:
         msgs.append(f"declared upper bound {dhi:.6g} is above "
                     f"1 - margin = {hi:.6g}")
-    t = np.linspace(0.0, 1.0, _DENSE)
-    vals = H(t)
     i_min = int(np.argmin(vals))
     i_max = int(np.argmax(vals))
     if vals[i_min] < lo:
@@ -163,7 +168,7 @@ def validate_params(alpha: float, H: HurstFunction, *,
     if vals[i_max] > hi:
         msgs.append(f"sampled value {vals[i_max]:.6g} at t = {t[i_max]:.4f} "
                     f"is above 1 - margin = {hi:.6g}")
-    if msgs and not allow_boundary:
+    if msgs and (non_finite or not allow_boundary):
         raise ParameterError(
             "regularity profile leaves the admissible band:\n  "
             + "\n  ".join(msgs))
@@ -214,10 +219,9 @@ class PathSample:
 
 def synthesize_path(alpha: float, H, t_grid=None, J_hf: int = 12,
                     J_lf: int = 6, seed: int = 0, mode: str = "consistent",
-                    method: str = "abel", *, allow_boundary: bool = False,
+                    *, allow_boundary: bool = False,
                     pyramid_J_hf: Optional[int] = None,
-                    pyramid_J_lf: Optional[int] = None,
-                    max_entries: int = 2 ** 26) -> PathSample:
+                    pyramid_J_lf: Optional[int] = None) -> PathSample:
     """Synthesize one path on t_grid (default: 2**J_hf + 1 uniform points).
 
     ``H`` may be a HurstFunction or a plain number (constant profile).  The
@@ -244,19 +248,18 @@ def synthesize_path(alpha: float, H, t_grid=None, J_hf: int = 12,
         raise DepthError(
             f"pyramid depths ({p_hf}, {p_lf}) must cover evaluation depths "
             f"({J_hf}, {J_lf})")
-    pyr = generate_coefficients(alpha, p_hf, p_lf, mode, seed,
-                                max_entries=max_entries)
+    pyr = generate_coefficients(alpha, p_hf, p_lf, mode, seed)
     ps = prefix_sums(pyr)
     vs = H(t_grid)
     y1 = np.empty(t_grid.shape)
     y2 = np.empty(t_grid.shape)
     for i, (t, v) in enumerate(zip(t_grid, vs)):
-        y1[i] = x1_partial(t, v, pyr, ps, J_hf, method)
-        y2[i] = x2_partial(t, v, pyr, ps, J_lf, method)
+        y1[i] = x1_partial(t, v, pyr, ps, J_hf)
+        y2[i] = x2_partial(t, v, pyr, ps, J_lf)
     config = {
         "alpha": alpha, "J_hf": J_hf, "J_lf": J_lf,
         "pyramid_J_hf": p_hf, "pyramid_J_lf": p_lf,
-        "seed": pyr.seed, "mode": mode, "method": method,
+        "seed": pyr.seed, "mode": mode,
         "hurst": {"kind": H.kind, "params": H.params,
                   "declared_bounds": list(H.declared_bounds)},
         "clamped": bool(violations),

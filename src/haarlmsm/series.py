@@ -14,12 +14,13 @@ rather than fluctuating term by term) multiply the kernel's first
 difference, which decays one power faster.  The two routes agree to
 near machine precision on any finite row; the rearranged one is the useful
 form when rows get long, since its summands decay fast enough to truncate.
+Path synthesis and ``evaluate_field`` always take the ``abel`` route; the
+``naive`` route stays as its term-by-term check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,50 +30,6 @@ from .stable_rng import CoefficientPyramid, PrefixSums
 
 METHODS = ("naive", "abel")
 WHICH = ("hf", "lf_plus", "lf_minus", "lf", "total")
-
-
-@dataclass(eq=False)
-class EvalDomain:
-    """Evaluation grid: positions u in [0, 1] crossed with exponents v.
-
-    ``a`` and ``b`` bound the exponent range; every entry of v_grid must lie
-    in [a, b].  The lower bound must stay above 1/alpha of whatever pyramid
-    the domain is evaluated against, which is checked at evaluation time.
-    """
-
-    u_grid: np.ndarray
-    v_grid: np.ndarray
-    a: float
-    b: float
-
-    def __post_init__(self):
-        self.u_grid = np.atleast_1d(np.asarray(self.u_grid, dtype=float))
-        self.v_grid = np.atleast_1d(np.asarray(self.v_grid, dtype=float))
-        if not (np.all(np.isfinite(self.u_grid))
-                and np.all(np.isfinite(self.v_grid))):
-            raise ParameterError("grids must be finite")
-        if self.u_grid.size and (self.u_grid.min() < 0.0
-                                 or self.u_grid.max() > 1.0):
-            raise ParameterError("u_grid must lie inside [0, 1]")
-        if not 0.0 < self.a <= self.b < 1.0:
-            raise ParameterError(
-                f"need 0 < a <= b < 1, got a={self.a}, b={self.b}")
-        if self.v_grid.size and (self.v_grid.min() < self.a
-                                 or self.v_grid.max() > self.b):
-            raise ParameterError("v_grid must lie inside [a, b]")
-
-
-@dataclass(eq=False)
-class FieldSample:
-    """Values of one series half (or the total) over an evaluation domain.
-
-    ``values[i, j]`` belongs to (u_grid[i], v_grid[j]).
-    """
-
-    domain: EvalDomain
-    values: np.ndarray
-    J: int
-    which: str
 
 
 def _check_uv(u: float, v: float, alpha: float) -> None:
@@ -201,27 +158,23 @@ _DISPATCH = {
 }
 
 
-def evaluate_field(domain: EvalDomain, pyramid: CoefficientPyramid,
-                   prefix: PrefixSums, J: int, which: str,
-                   method: str = "abel") -> FieldSample:
-    """Evaluate one series half (or their sum) over the whole domain grid.
+def evaluate_field(u_grid, v_grid, pyramid: CoefficientPyramid,
+                   prefix: PrefixSums, J: int, which: str) -> np.ndarray:
+    """One series half (or their sum) at every (u, v) of u_grid x v_grid.
 
+    Returns an array with ``values[i, j]`` at (u_grid[i], v_grid[j]).
     ``which = "total"`` evaluates both halves at the same depth J, which must
     then fit both stored depths.
     """
     if which not in WHICH:
         raise ParameterError(f"which must be one of {WHICH}, got {which!r}")
-    if domain.a <= 1.0 / pyramid.alpha:
-        raise ParameterError(
-            f"domain lower exponent bound {domain.a} must exceed "
-            f"1/alpha = {1.0 / pyramid.alpha:.6g}")
-    values = np.empty((domain.u_grid.size, domain.v_grid.size))
-    for iu, u in enumerate(domain.u_grid):
-        for iv, v in enumerate(domain.v_grid):
+    values = np.empty((len(u_grid), len(v_grid)))
+    for iu, u in enumerate(u_grid):
+        for iv, v in enumerate(v_grid):
             if which == "total":
-                val = x1_partial(u, v, pyramid, prefix, J, method) \
-                    + x2_partial(u, v, pyramid, prefix, J, method)
+                val = x1_partial(u, v, pyramid, prefix, J) \
+                    + x2_partial(u, v, pyramid, prefix, J)
             else:
-                val = _DISPATCH[which](u, v, pyramid, prefix, J, method)
+                val = _DISPATCH[which](u, v, pyramid, prefix, J)
             values[iu, iv] = val
-    return FieldSample(domain=domain, values=values, J=J, which=which)
+    return values

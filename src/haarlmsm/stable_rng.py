@@ -24,6 +24,10 @@ from .errors import ParameterError, ResolutionError
 
 MODES = ("consistent", "independent")
 
+# memory guard shared by every routine that sizes an array from a depth or a
+# point count: the most float64 values one array (or one pyramid) may hold
+MAX_VALUES = 2 ** 26
+
 SeedLike = Union[int, np.random.Generator]
 
 
@@ -196,11 +200,6 @@ class CoefficientPyramid(_Rows):
     hf_grid: Optional[LevyGrid] = None
     lf_grid: Optional[LevyGrid] = None
 
-    @property
-    def n_entries(self) -> int:
-        return 1 + sum(r.shape[0] for r in self.hf) \
-            + sum(r.shape[0] for r in self.lf)
-
 
 def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
     coef = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
@@ -210,7 +209,7 @@ def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
 
 
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
-                          rng: SeedLike, *, max_entries: int = 2 ** 26,
+                          rng: SeedLike, *, max_entries: int = MAX_VALUES,
                           keep_grids: bool = False) -> CoefficientPyramid:
     """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
 

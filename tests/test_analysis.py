@@ -12,7 +12,6 @@ from haarlmsm.analysis import (
     growth_scan,
     mc_x1_samples,
     mc_x2_samples,
-    sup_norm_diff,
     truncated_scale_hf,
     truncated_scale_lf,
     x1_theoretical_scale,
@@ -23,7 +22,7 @@ from haarlmsm.analysis import (
 )
 from haarlmsm.errors import ParameterError, StatisticsError
 from haarlmsm.kernels import KernelParams
-from haarlmsm.series import EvalDomain, FieldSample, x1_partial, x2_partial
+from haarlmsm.series import x1_partial, x2_partial
 from haarlmsm.stable_rng import (
     PrefixSums,
     build_levy_grid,
@@ -89,27 +88,6 @@ def test_estimate_scale_on_pyramid_row():
     assert abs(estimate_scale(row, ALPHA) - 1.0) < 0.05
     med_std = 0.9689331817  # median |X| of the standard alpha=1.5 law
     assert abs(np.median(np.abs(row)) / med_std - 1.0) < 0.03
-
-
-def test_sup_norm_diff_basics():
-    a = np.arange(12, dtype=float).reshape(3, 4)
-    assert sup_norm_diff(a, a) == 0.0
-    assert sup_norm_diff(a, a + 0.25) == pytest.approx(0.25)
-    b = a.copy()
-    b[1, 2] += 3.5
-    assert sup_norm_diff(a, b) == pytest.approx(3.5)
-    with pytest.raises(ParameterError):
-        sup_norm_diff(a, np.zeros((2, 2)))
-
-
-def test_sup_norm_diff_accepts_field_samples():
-    dom = EvalDomain(u_grid=np.array([0.0, 0.5]), v_grid=np.array([0.75]),
-                     a=0.7, b=0.8)
-    fa = FieldSample(domain=dom, values=np.array([[1.0], [2.0]]), J=3,
-                     which="hf")
-    fb = FieldSample(domain=dom, values=np.array([[1.0], [2.5]]), J=3,
-                     which="hf")
-    assert sup_norm_diff(fa, fb) == pytest.approx(0.5)
 
 
 def test_x1_scale_closed_form():

@@ -2,13 +2,16 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from haarlmsm.cli import (
     PRESETS,
+    TAKES,
     RunConfig,
+    _build_parser,
     build_config,
     main,
     parse_hurst_spec,
@@ -253,5 +256,83 @@ def test_run_config_defaults():
     config = RunConfig(command="simulate")
     assert config.alpha == 1.5
     assert config.mode == "consistent"
-    assert config.method == "abel"
     assert config.J_hf == 12 and config.J_lf == 6
+
+
+def _subparsers():
+    parser = _build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def test_parser_flags_are_the_takes_table():
+    subs = _subparsers()
+    assert set(subs) == set(TAKES)
+    for command, takes in TAKES.items():
+        got = set()
+        for action in subs[command]._actions:
+            if action.dest != "help":
+                got.update(action.option_strings or [action.dest])
+        want = {"--config", "--out"}
+        want.update("--" + name.replace("_", "-") for name in takes)
+        if command == "render":
+            want.add("input")
+        assert got == want, command
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--mode", "independent"],
+    ["simulate", "--method", "naive"],
+    ["field", "--method", "abel"],
+])
+def test_flags_a_command_does_not_read_are_refused(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_field_takes_its_depth_flags(tmp_path):
+    out = str(tmp_path / "field")
+    assert main(["field", "--which", "lf", "--J", "4", "--J-hf", "5",
+                 "--J-lf", "4", "--u-points", "5", "--out", out]) == 0
+    first = (tmp_path / "field.csv").read_text().splitlines()[0]
+    echoed = json.loads(first[len("# config: "):])
+    assert echoed["J_hf"] == 5 and echoed["J_lf"] == 4
+
+
+@pytest.mark.parametrize("key", ["mode", "which"])
+def test_config_file_choices_are_checked(key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key}=bogus\n")
+    readers = [c for c, takes in TAKES.items() if key in takes]
+    assert len(readers) == 3
+    for command in readers:
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: {key} must be one of")
+    assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scale-check", "--which", "hf", "--J", "-1"],
+    ["scale-check", "--which", "hf", "--J", "40"],
+    ["scale-check", "--which", "lf", "--J", "40"],
+    ["scale-check", "--which", "hf", "--J", "17"],
+    ["scale-check", "--which", "lf", "--J", "13"],
+    ["scale-check", "--which", "hf", "--J", "-3", "--mode", "independent"],
+    ["scale-check", "--which", "lf", "--J", "0", "--mode", "independent"],
+    ["scale-check", "--which", "hf", "--J", "40", "--mode", "independent"],
+    ["scale-check", "--which", "lf", "--J", "40", "--mode", "independent"],
+    ["simulate", "--n-points", "10000000000"],
+    ["simulate", "--J-hf", "-1"],
+])
+def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
+    t0 = time.perf_counter()
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+    assert elapsed < 2.0

@@ -73,6 +73,14 @@ def test_validate_reports_each_violation():
     assert len(msgs) == 4  # declared low/high plus sampled low/high
     with pytest.raises(ParameterError):
         validate_params(2.5, h, allow_boundary=True)
+    # clipping cannot repair NaN, so the boundary flag does not forgive it
+    for h in (hurst_preset("constant", {"value": float("nan")}),
+              hurst_preset("linear", {"start": 0.75, "slope": float("nan")}),
+              hurst_preset("table", {"knots": [[0.0, 0.7], [0.5, np.nan],
+                                               [1.0, 0.8]]})):
+        for allow in (False, True):
+            with pytest.raises(ParameterError, match="not finite"):
+                validate_params(1.5, h, allow_boundary=allow)
 
 
 def test_clamp_restores_band():

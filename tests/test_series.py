@@ -4,7 +4,6 @@ import pytest
 from haarlmsm.errors import DepthError, ParameterError
 from haarlmsm.kernels import KernelParams, theta, truncated_power
 from haarlmsm.series import (
-    EvalDomain,
     evaluate_field,
     x1_partial,
     x2_minus_partial,
@@ -171,39 +170,40 @@ def test_depth_and_argument_errors():
 def test_evaluate_field_matches_scalars():
     pyr = generate_coefficients(ALPHA, 4, 3, "consistent", 86)
     ps = prefix_sums(pyr)
-    dom = EvalDomain(u_grid=np.array([0.0, 0.25, 0.9]),
-                     v_grid=np.array([0.7, 0.8]), a=0.7, b=0.8)
-    fs = evaluate_field(dom, pyr, ps, 3, "hf")
-    assert fs.values.shape == (3, 2)
-    assert fs.which == "hf" and fs.J == 3
-    for iu, u in enumerate(dom.u_grid):
-        for iv, v in enumerate(dom.v_grid):
-            assert fs.values[iu, iv] == x1_partial(u, v, pyr, ps, 3)
-    tot = evaluate_field(dom, pyr, ps, 3, "total")
-    lf = evaluate_field(dom, pyr, ps, 3, "lf")
-    assert np.array_equal(tot.values, fs.values + lf.values)
-    plus = evaluate_field(dom, pyr, ps, 3, "lf_plus")
-    minus = evaluate_field(dom, pyr, ps, 3, "lf_minus")
-    assert np.array_equal(lf.values, plus.values + minus.values)
+    u_grid, v_grid = np.array([0.0, 0.25, 0.9]), np.array([0.7, 0.8])
+    hf = evaluate_field(u_grid, v_grid, pyr, ps, 3, "hf")
+    assert hf.shape == (3, 2)
+    for iu, u in enumerate(u_grid):
+        for iv, v in enumerate(v_grid):
+            assert hf[iu, iv] == x1_partial(u, v, pyr, ps, 3)
+    tot = evaluate_field(u_grid, v_grid, pyr, ps, 3, "total")
+    lf = evaluate_field(u_grid, v_grid, pyr, ps, 3, "lf")
+    assert np.array_equal(tot, hf + lf)
+    plus = evaluate_field(u_grid, v_grid, pyr, ps, 3, "lf_plus")
+    minus = evaluate_field(u_grid, v_grid, pyr, ps, 3, "lf_minus")
+    assert np.array_equal(lf, plus + minus)
 
 
 def test_evaluate_field_validation():
     pyr = generate_coefficients(ALPHA, 3, 3, "independent", 87)
     ps = prefix_sums(pyr)
-    dom = EvalDomain(np.array([0.5]), np.array([0.8]), 0.8, 0.8)
     with pytest.raises(ParameterError):
-        evaluate_field(dom, pyr, ps, 2, "everything")
-    low = EvalDomain(np.array([0.5]), np.array([0.6]), 0.6, 0.8)
+        evaluate_field([0.5], [0.8], pyr, ps, 2, "everything")
     with pytest.raises(ParameterError):
-        evaluate_field(low, pyr, ps, 2, "hf")
+        evaluate_field([0.5], [0.6], pyr, ps, 2, "hf")  # v below 1/alpha
+    for which in ("hf", "lf", "total"):
+        with pytest.raises(ParameterError):
+            evaluate_field([np.nan], [0.8], pyr, ps, 2, which)
+        with pytest.raises(ParameterError):
+            evaluate_field([0.5], [np.nan], pyr, ps, 2, which)
 
 
 def test_domain_validation():
+    pyr = generate_coefficients(ALPHA, 3, 3, "independent", 87)
+    ps = prefix_sums(pyr)
     with pytest.raises(ParameterError):
-        EvalDomain(np.array([0.0, 1.2]), np.array([0.8]), 0.7, 0.9)
+        evaluate_field([0.0, 1.2], [0.8], pyr, ps, 2, "hf")
     with pytest.raises(ParameterError):
-        EvalDomain(np.array([0.5]), np.array([0.8]), 0.9, 0.7)
+        evaluate_field([0.5], [1.0], pyr, ps, 2, "lf")
     with pytest.raises(ParameterError):
-        EvalDomain(np.array([0.5]), np.array([0.95]), 0.7, 0.9)
-    with pytest.raises(ParameterError):
-        EvalDomain(np.array([np.nan]), np.array([0.8]), 0.7, 0.9)
+        evaluate_field([-np.inf], [0.8], pyr, ps, 2, "lf")
