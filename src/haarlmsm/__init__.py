@@ -6,21 +6,16 @@ low-frequency half collecting the coarse and far-past cells.  Both are
 evaluated either term by term or through a summation-by-parts
 rearrangement that consumes coefficient prefix sums.  On top of the
 synthesis sit validation tools: closed-form and quadrature marginal
-scales, truncation-error rate measurement, and a coefficient-growth
-diagnostic.
+scales and truncation-error rate measurement.
 """
 
 __version__ = "0.1.0"
 
 from .analysis import (
     ConvergenceReport,
-    GrowthDiagnostic,
-    GrowthScan,
-    coefficient_growth_diagnostic,
     convergence_study,
     estimate_scale,
     first_abs_moment,
-    growth_scan,
     mc_x1_samples,
     mc_x2_samples,
     truncated_scale_hf,
@@ -126,9 +121,5 @@ __all__ = [
     "mc_x2_samples",
     "ConvergenceReport",
     "convergence_study",
-    "GrowthDiagnostic",
-    "GrowthScan",
-    "coefficient_growth_diagnostic",
-    "growth_scan",
     "__version__",
 ]

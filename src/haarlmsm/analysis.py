@@ -1,4 +1,4 @@
-"""Validation harness: scale identities, convergence rates, diagnostics.
+"""Validation harness: scale identities and convergence rates.
 
 Scale identities.  At a fixed position u the limiting laws of the two
 series halves are symmetric stable with computable scales:
@@ -49,19 +49,18 @@ from scipy.signal import fftconvolve
 from scipy.special import gamma as _gamma
 
 from .errors import ComputeError, ParameterError, StatisticsError
-from .kernels import KernelParams, theta, truncated_power
+from .kernels import KernelParams, check_alpha, theta, truncated_power
+from .series import check_uv
 from .stable_rng import (
     MAX_VALUES,
     CoefficientPyramid,
-    PrefixSums,
     StableLaw,
     generate_coefficients,
     make_rng,
-    prefix_sums,
     sample_sas,
 )
-
-DEFAULT_ETA = 0.05
+# unused here, but perfbench/spans.py patches analysis.prefix_sums
+from .stable_rng import prefix_sums  # noqa: F401
 
 # Monte Carlo replicates drawn per stable-draw block; fixed, because every
 # seed's stream depends on them
@@ -74,8 +73,7 @@ _MC_LF_CHUNK = 4096
 @lru_cache(maxsize=None)
 def first_abs_moment(alpha: float) -> float:
     """E|X| for the unit-scale symmetric stable law: (2/pi) Gamma(1 - 1/alpha)."""
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    check_alpha(alpha)
     return 2.0 / math.pi * float(_gamma(1.0 - 1.0 / alpha))
 
 
@@ -91,20 +89,10 @@ def estimate_scale(samples, alpha: float) -> float:
 
 def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
     """Limiting scale of the recent-scales half: u**v * (alpha*v)**(-1/alpha)."""
-    _check_scale_args(u, v, alpha)
+    check_uv(u, v, alpha)
     if u == 0.0:
         return 0.0
     return u ** v * (alpha * v) ** (-1.0 / alpha)
-
-
-def _check_scale_args(u: float, v: float, alpha: float) -> None:
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    if not 0.0 <= u <= 1.0:
-        raise ParameterError(f"u must lie in [0, 1], got {u}")
-    if not 1.0 / alpha < v < 1.0:
-        raise ParameterError(
-            f"v must lie in (1/alpha, 1), got {v}")
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +104,7 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     at max(1, 10u) and the far piece integrated to infinity; a combined
     error estimate above 1e-8 raises ComputeError.
     """
-    _check_scale_args(u, v, alpha)
+    check_uv(u, v, alpha)
     if u == 0.0:
         return 0.0
     p = v - 1.0 / alpha
@@ -238,7 +226,7 @@ def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
 def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
-    _check_scale_args(u, v, alpha)
+    check_uv(u, v, alpha)
     _check_depth(J, 0, 1)
     if mode == "consistent":
         w = _hf_cell_averages(u, v, alpha, J)
@@ -258,7 +246,7 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
 def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
-    _check_scale_args(u, v, alpha)
+    check_uv(u, v, alpha)
     # the union is built from three points per far-past coefficient
     _check_depth(J, 1, 9)
     params = KernelParams(alpha)
@@ -278,6 +266,34 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
 
 # ----------------------------------------------------- Monte Carlo drivers --
 
+def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
+                   weights: list) -> list:
+    """n replicates of S @ W for every W in weights, one shared draw.
+
+    S holds standard stable draws, one row per replicate and one column per
+    row of each W, drawn chunk rows at a time.  An n whose outputs would
+    hold more than MAX_VALUES values in all is refused before any draw.
+    """
+    if n < 1:
+        raise ParameterError("n must be positive")
+    size = n * sum(W.shape[1] for W in weights)
+    if size > MAX_VALUES:
+        raise ParameterError(
+            f"{n} replicates need {size} output values, over the budget of "
+            f"{MAX_VALUES}")
+    law = StableLaw(alpha)
+    gen = make_rng(seed)
+    out = [np.empty((n, W.shape[1])) for W in weights]
+    done = 0
+    while done < n:
+        m = min(chunk, n - done)
+        S = sample_sas(law, gen, size=(m, weights[0].shape[0]))
+        for o, W in zip(out, weights):
+            o[done:done + m] = S @ W
+        done += m
+    return out
+
+
 def mc_x1_samples(pairs, alpha: float, J: int, n: int,
                   seed: int) -> np.ndarray:
     """Replicates of the consistent-mode depth-J recent-scales truncation.
@@ -287,24 +303,10 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     matrix, so estimates across pairs use common random numbers.  J must
     be >= 0.
     """
-    if n < 1:
-        raise ParameterError("n must be positive")
     _check_depth(J, 0, _MC_HF_CHUNK)
-    cols = []
-    for u, v in pairs:
-        w = _hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
-        cols.append(w)
-    W = np.stack(cols, axis=1)
-    law = StableLaw(alpha)
-    gen = make_rng(seed)
-    out = np.empty((n, W.shape[1]))
-    done = 0
-    while done < n:
-        m = min(_MC_HF_CHUNK, n - done)
-        S = sample_sas(law, gen, size=(m, W.shape[0]))
-        out[done:done + m] = S @ W
-        done += m
-    return out
+    W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
+                  for u, v in pairs], axis=1)
+    return _mc_replicates(alpha, seed, n, _MC_HF_CHUNK, [W])[0]
 
 
 def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
@@ -317,29 +319,15 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     J_list = sorted(int(J) for J in J_list)
     if not J_list or J_list[0] < 1:
         raise ParameterError("J_list must hold integers >= 1")
-    if n < 1:
-        raise ParameterError("n must be positive")
     # the union grid has 3 * 2**J - 2 gaps
     _check_depth(J_list[-1], 1, 3 * _MC_LF_CHUNK)
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])
     root = union.gaps ** (1.0 / alpha)
-    W = {}
-    for J in J_list:
-        cols = [-_lf_cumulative_weights(union, u, v, alpha, J, params) * root
-                for u, v in pairs]
-        W[J] = np.stack(cols, axis=1)
-    law = StableLaw(alpha)
-    gen = make_rng(seed)
-    out = {J: np.empty((n, len(pairs))) for J in J_list}
-    done = 0
-    while done < n:
-        m = min(_MC_LF_CHUNK, n - done)
-        S = sample_sas(law, gen, size=(m, union.gaps.shape[0]))
-        for J in J_list:
-            out[J][done:done + m] = S @ W[J]
-        done += m
-    return out
+    W = [np.stack([-_lf_cumulative_weights(union, u, v, alpha, J, params)
+                   * root for u, v in pairs], axis=1) for J in J_list]
+    return dict(zip(J_list,
+                    _mc_replicates(alpha, seed, n, _MC_LF_CHUNK, W)))
 
 
 # ------------------------------------------------------ convergence study --
@@ -430,8 +418,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     """
     if which not in ("hf", "lf"):
         raise ParameterError(f"which must be 'hf' or 'lf', got {which!r}")
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    check_alpha(alpha)
     if replicates < 8:
         raise StatisticsError(
             f"need at least 8 replicates for median norms, got {replicates}")
@@ -485,91 +472,3 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
         which=which, alpha=alpha, v_grid=v_grid, J_list=J_list, norms=norms,
         medians=medians, fitted_slope=fitted, theoretical_slope=theoretical,
         grid_spec=grid_spec, seeds=seeds, replicates=replicates, flags=flags)
-
-
-# ----------------------------------------------------- growth diagnostics --
-
-@dataclass(eq=False)
-class GrowthDiagnostic:
-    """Largest running coefficient sum after scale/position normalization.
-
-    ``normalized_sup`` is the sup over all rows and positions of
-    |lambda| / [(1+j)^(1/alpha) log^(1/alpha+eta)(3+j) *
-    (1+k)^(1/alpha) log^(1/alpha+eta)(3+k)], with j the row depth (its
-    absolute value for far-past rows) and k the position inside the row.
-    The theory makes this sup an almost surely finite but heavy-tailed
-    random variable, so single large values are expected occasionally.
-    """
-
-    alpha: float
-    eta: float
-    normalized_sup: float
-    argmax_half: str
-    argmax_j: int
-    argmax_k: int
-
-
-@dataclass(eq=False)
-class GrowthScan:
-    """Normalized sups across a sweep of seeds, with a soft record alarm.
-
-    ``alarm`` is set when the running maximum over the sweep last improved
-    in its final quarter.  Under the expected heavy-tailed law this happens
-    in roughly a quarter of healthy scans, so a single alarm flags nothing
-    by itself; alarms that persist across repeated sweeps and depths would
-    point at normalization trouble.
-    """
-
-    alpha: float
-    eta: float
-    seeds: list
-    sups: np.ndarray
-    record_index: int
-    alarm: bool
-
-
-def coefficient_growth_diagnostic(prefix: PrefixSums,
-                                  eta: float = DEFAULT_ETA) -> GrowthDiagnostic:
-    if eta <= 0.0:
-        raise ParameterError(f"eta must be positive, got {eta}")
-    inv = 1.0 / prefix.alpha
-    logp = inv + eta
-
-    def weight(m):
-        return (1.0 + m) ** inv * np.log(3.0 + m) ** logp
-
-    best = -1.0
-    arg = ("hf", 0, 0)
-    for half, j_iter, getter in (
-            ("hf", range(prefix.J_hf), prefix.hf_row),
-            ("lf", range(1 - prefix.J_lf, prefix.J_lf), prefix.lf_row)):
-        for j in j_iter:
-            lam = getter(j)
-            n = lam.shape[0]
-            # hf rows start at position 0, far-past rows at position 1
-            ks = np.arange(n, dtype=float) if half == "hf" \
-                else np.arange(1, n + 1, dtype=float)
-            ratio = np.abs(lam) / (weight(float(abs(j))) * weight(ks))
-            i = int(np.argmax(ratio))
-            if ratio[i] > best:
-                best = float(ratio[i])
-                arg = (half, j, int(ks[i]))
-    return GrowthDiagnostic(alpha=prefix.alpha, eta=eta, normalized_sup=best,
-                            argmax_half=arg[0], argmax_j=arg[1],
-                            argmax_k=arg[2])
-
-
-def growth_scan(alpha: float, J_hf: int, J_lf: int,
-                eta: float = DEFAULT_ETA, n_seeds: int = 32,
-                seed: int = 0) -> GrowthScan:
-    """Sweep seeds and watch whether the normalized sup stops growing."""
-    seeds = [seed + i for i in range(n_seeds)]
-    sups = np.empty(n_seeds)
-    for i, s in enumerate(seeds):
-        pyr = generate_coefficients(alpha, J_hf, J_lf, "consistent", s)
-        sups[i] = coefficient_growth_diagnostic(prefix_sums(pyr),
-                                                eta).normalized_sup
-    record = int(np.argmax(sups))
-    alarm = record >= (3 * n_seeds) // 4
-    return GrowthScan(alpha=alpha, eta=eta, seeds=seeds, sups=sups,
-                      record_index=record, alarm=alarm)

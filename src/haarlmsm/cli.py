@@ -7,8 +7,9 @@ every output file header, so a result can always be traced back to the run
 that made it.  All files are written atomically and all numeric output
 uses '.' as the decimal separator regardless of locale.
 
-Exit codes: 0 success, 2 invalid configuration or input schema, 3 compute
-failure, 4 I/O failure.  Errors print a single line to stderr of the form
+Exit codes: 0 success, 2 invalid configuration, arguments or input schema,
+3 compute failure (including any unexpected exception), 4 I/O failure.
+Errors print a single line to stderr of the form
 ``error: <category>: <detail>``.
 """
 
@@ -469,8 +470,16 @@ _HANDLERS = {
 
 # ------------------------------------------------------------ arg parsing --
 
+class _Parser(argparse.ArgumentParser):
+    """Turns a usage error into a ConfigError, so main() reports it on the
+    one error line; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haarlmsm",
         description="Sample-path synthesis and validation for linear "
                     "(multi)fractional stable motion.")
@@ -499,10 +508,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def build_config(argv) -> RunConfig:
     """Resolve defaults, preset, --config file and flags, later winning,
     then refuse a setting outside its fixed set of names."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     if not ns.command:
-        parser.print_usage(sys.stderr)
         raise ConfigError("a command is required")
     config = RunConfig(command=ns.command)
     # an unknown preset name is refused below with the other choices
@@ -537,6 +544,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"error: compute: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

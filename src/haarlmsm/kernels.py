@@ -38,6 +38,12 @@ _MIN_SWITCH_X = 4.0
 _TAIL_TOL = 1e-17
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a stability index outside the open band (1, 2), NaN included."""
+    if not 1.0 < alpha < 2.0:
+        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+
+
 @dataclass(frozen=True)
 class KernelParams:
     """Stability index and the crossover point of the large-x evaluation.
@@ -53,8 +59,7 @@ class KernelParams:
     switch_x: float = 8.0
 
     def __post_init__(self):
-        if not 1.0 < self.alpha < 2.0:
-            raise ParameterError(f"alpha must lie in (1, 2), got {self.alpha}")
+        check_alpha(self.alpha)
         if not self.switch_x >= _MIN_SWITCH_X:
             raise ParameterError(
                 f"switch_x must be at least 4, got {self.switch_x}")
@@ -217,8 +222,7 @@ def theta_quadrature_oracle(x: float, v: float, alpha: float) -> float:
     moving endpoint where the integrand meets its kink.  Absolute accuracy
     around 1e-10; far too slow for production use.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
+    check_alpha(alpha)
     _check_v(v, alpha)
     x = float(x)
     if x <= 0.0:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DepthError, ParameterError
+from .kernels import check_alpha
 from .series import x1_partial, x2_partial
 from .stable_rng import generate_coefficients, prefix_sums
 
@@ -133,19 +134,17 @@ def hurst_preset(name: str, parameters: Optional[dict] = None) -> HurstFunction:
 
 
 def validate_params(alpha: float, H: HurstFunction, *,
-                    allow_boundary: bool = False,
-                    eps: float = EPS_MARGIN) -> list:
-    """Check that the profile stays strictly inside (1/alpha + eps, 1 - eps).
+                    allow_boundary: bool = False) -> list:
+    """Check the profile stays EPS_MARGIN inside both ends of (1/alpha, 1).
 
     Returns the list of violations (empty when clean).  Unless
     ``allow_boundary`` is set, any violation raises ParameterError with all
-    of them listed.  A non-finite declared bound or sampled value raises
-    even then, because clipping cannot repair it.
+    of them listed on one line.  A non-finite declared bound or sampled
+    value raises even then, because clipping cannot repair it.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
-    lo = 1.0 / alpha + eps
-    hi = 1.0 - eps
+    check_alpha(alpha)
+    lo = 1.0 / alpha + EPS_MARGIN
+    hi = 1.0 - EPS_MARGIN
     msgs = []
     dlo, dhi = H.declared_bounds
     t = np.linspace(0.0, 1.0, _DENSE)
@@ -170,22 +169,22 @@ def validate_params(alpha: float, H: HurstFunction, *,
                     f"is above 1 - margin = {hi:.6g}")
     if msgs and (non_finite or not allow_boundary):
         raise ParameterError(
-            "regularity profile leaves the admissible band:\n  "
-            + "\n  ".join(msgs))
+            "regularity profile leaves the admissible band: "
+            + "; ".join(msgs))
     return msgs
 
 
-def clamp_hurst(H: HurstFunction, alpha: float,
-                eps: float = EPS_MARGIN) -> tuple:
-    """Clip the profile into [1/alpha + eps, 1 - eps].
+def clamp_hurst(H: HurstFunction, alpha: float) -> tuple:
+    """Clip the profile into [1/alpha + EPS_MARGIN, 1 - EPS_MARGIN].
 
     Returns (clipped profile, fraction of a dense sampling that moved).
     """
-    lo = 1.0 / alpha + eps
-    hi = 1.0 - eps
+    lo = 1.0 / alpha + EPS_MARGIN
+    hi = 1.0 - EPS_MARGIN
     if lo >= hi:
         raise ParameterError(
-            f"empty admissible band at alpha = {alpha} with margin {eps}")
+            f"empty admissible band at alpha = {alpha} with margin "
+            f"{EPS_MARGIN}")
     base = H.fn
 
     def f(t):

@@ -25,14 +25,17 @@ import math
 import numpy as np
 
 from .errors import DepthError, ParameterError
-from .kernels import KernelParams, big_theta, theta, truncated_power
+from .kernels import (KernelParams, big_theta, check_alpha, theta,
+                      truncated_power)
 from .stable_rng import CoefficientPyramid, PrefixSums
 
 METHODS = ("naive", "abel")
 WHICH = ("hf", "lf_plus", "lf_minus", "lf", "total")
 
 
-def _check_uv(u: float, v: float, alpha: float) -> None:
+def check_uv(u: float, v: float, alpha: float) -> None:
+    """Refuse alpha outside (1, 2), u outside [0, 1], v outside (1/alpha, 1)."""
+    check_alpha(alpha)
     if not 0.0 <= u <= 1.0:
         raise ParameterError(f"u must lie in [0, 1], got {u}")
     if not 1.0 / alpha < v < 1.0:
@@ -53,7 +56,7 @@ def x1_partial(u: float, v: float, pyramid: CoefficientPyramid,
     (k >= 2**j * u) are skipped, so cost scales with u.
     """
     _check_method(method)
-    _check_uv(u, v, pyramid.alpha)
+    check_uv(u, v, pyramid.alpha)
     if not (isinstance(J, (int, np.integer)) and J >= 0):
         raise ParameterError(f"J must be a nonnegative integer, got {J}")
     if J > pyramid.J_hf:
@@ -124,7 +127,7 @@ def x2_plus_partial(u: float, v: float, pyramid: CoefficientPyramid,
                     prefix: PrefixSums, J: int, method: str = "abel") -> float:
     """Far-past half over nonnegative scales 0..J-1, rows of length 2**(J-j)."""
     _check_method(method)
-    _check_uv(u, v, pyramid.alpha)
+    check_uv(u, v, pyramid.alpha)
     _check_x2_depth(J, pyramid, 1)
     return _x2_rows(u, v, pyramid, prefix, J, range(J), method)
 
@@ -133,7 +136,7 @@ def x2_minus_partial(u: float, v: float, pyramid: CoefficientPyramid,
                      prefix: PrefixSums, J: int, method: str = "abel") -> float:
     """Far-past half over negative scales -1..1-J; needs J >= 2 to be nonempty."""
     _check_method(method)
-    _check_uv(u, v, pyramid.alpha)
+    check_uv(u, v, pyramid.alpha)
     _check_x2_depth(J, pyramid, 2)
     return _x2_rows(u, v, pyramid, prefix, J, range(-1, -J, -1), method)
 
@@ -142,7 +145,7 @@ def x2_partial(u: float, v: float, pyramid: CoefficientPyramid,
                prefix: PrefixSums, J: int, method: str = "abel") -> float:
     """Whole far-past half at depth J (scales |j| <= J - 1)."""
     _check_method(method)
-    _check_uv(u, v, pyramid.alpha)
+    check_uv(u, v, pyramid.alpha)
     _check_x2_depth(J, pyramid, 1)
     total = _x2_rows(u, v, pyramid, prefix, J, range(J), method)
     if J >= 2:

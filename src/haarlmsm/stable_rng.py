@@ -21,6 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ParameterError, ResolutionError
+from .kernels import check_alpha
 
 MODES = ("consistent", "independent")
 
@@ -29,11 +30,6 @@ MODES = ("consistent", "independent")
 MAX_VALUES = 2 ** 26
 
 SeedLike = Union[int, np.random.Generator]
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 1.0 < alpha < 2.0:
-        raise ParameterError(f"alpha must lie in (1, 2), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +41,7 @@ class StableLaw:
     scale: float = 1.0
 
     def __post_init__(self):
-        _check_alpha(self.alpha)
+        check_alpha(self.alpha)
         if not self.scale > 0.0:
             raise ParameterError(f"scale must be positive, got {self.scale}")
 
@@ -110,7 +106,7 @@ def build_levy_grid(alpha: float, t_min: float, t_max: float, level: int,
     2**(-level/alpha); the running sum is then shifted so the value at t = 0
     is exactly zero.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not (isinstance(level, (int, np.integer)) and level >= 0):
         raise ParameterError(f"level must be a nonnegative integer, got {level}")
     if not t_min <= 0.0 <= t_max or t_min == t_max:
@@ -209,17 +205,17 @@ def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
 
 
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
-                          rng: SeedLike, *, max_entries: int = MAX_VALUES,
+                          rng: SeedLike, *,
                           keep_grids: bool = False) -> CoefficientPyramid:
     """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
 
     In consistent mode two pinned grids are sampled (one on [0, 1] at level
     J_hf, one on [-2**J_lf, 0] at level J_lf) and all rows are second
     differences of them.  In independent mode every coefficient is its own
-    standard stable draw.  ``max_entries`` caps the total number of float64
-    values (coefficients plus any grids) as a memory guard.
+    standard stable draw.  The total number of float64 values (coefficients
+    plus any grids) may not pass MAX_VALUES.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
         raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
     if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
@@ -229,10 +225,10 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
     if keep_grids and mode != "consistent":
         raise ParameterError("keep_grids only makes sense in consistent mode")
     need = _pyramid_budget(J_hf, J_lf, mode)
-    if need > max_entries:
+    if need > MAX_VALUES:
         raise ParameterError(
             f"pyramid would hold {need} values, over the budget of "
-            f"{max_entries}; raise max_entries or lower the depths")
+            f"{MAX_VALUES}; lower the depths")
 
     seed_val = None if isinstance(rng, np.random.Generator) else int(rng)
     gen = _as_generator(rng)

@@ -5,11 +5,9 @@ import pytest
 
 from haarlmsm.analysis import (
     ConvergenceReport,
-    coefficient_growth_diagnostic,
     convergence_study,
     estimate_scale,
     first_abs_moment,
-    growth_scan,
     mc_x1_samples,
     mc_x2_samples,
     truncated_scale_hf,
@@ -24,7 +22,6 @@ from haarlmsm.errors import ParameterError, StatisticsError
 from haarlmsm.kernels import KernelParams
 from haarlmsm.series import x1_partial, x2_partial
 from haarlmsm.stable_rng import (
-    PrefixSums,
     build_levy_grid,
     generate_coefficients,
     make_rng,
@@ -268,26 +265,6 @@ def test_lf_rate_measurable_away_from_kink_transient():
     assert rep.fitted_slope == pytest.approx(-0.2250, abs=5e-4)
 
 
-def _zero_prefix():
-    hf = [np.zeros(1 << j) for j in range(3)]
-    lf = [np.zeros(2), np.zeros(4), np.zeros(8), np.zeros(4), np.zeros(2)]
-    # lf rows ordered j = -2..2 for J_lf = 3
-    return PrefixSums(alpha=ALPHA, J_hf=3, J_lf=3, hf=hf,
-                      lf=[lf[0], lf[1], lf[2], lf[3], lf[4]])
-
-
-def test_growth_diagnostic_zero_and_eta_monotone():
-    assert coefficient_growth_diagnostic(_zero_prefix()).normalized_sup == 0.0
-    pyr = generate_coefficients(ALPHA, 5, 3, "consistent", 7)
-    ps = prefix_sums(pyr)
-    d_small = coefficient_growth_diagnostic(ps, eta=0.1)
-    d_large = coefficient_growth_diagnostic(ps, eta=0.5)
-    assert d_large.normalized_sup <= d_small.normalized_sup
-    assert d_small.argmax_half in ("hf", "lf")
-    with pytest.raises(ParameterError):
-        coefficient_growth_diagnostic(ps, eta=0.0)
-
-
 def test_growth_sup_matches_driving_process_surrogate():
     # running sums of one row share their law with the driving process at
     # integer times, so the normalized row sup must match a surrogate
@@ -312,13 +289,3 @@ def test_growth_sup_matches_driving_process_surrogate():
         qa = np.quantile(from_rows, q)
         qb = np.quantile(from_grid, q)
         assert abs(qa / qb - 1.0) < 0.25
-
-
-def test_growth_scan_report():
-    scan = growth_scan(ALPHA, 6, 4, n_seeds=8, seed=3)
-    assert scan.sups.shape == (8,)
-    assert np.all(scan.sups > 0)
-    assert 0 <= scan.record_index < 8
-    assert scan.alarm == (scan.record_index >= 6)
-    again = growth_scan(ALPHA, 6, 4, n_seeds=8, seed=3)
-    assert np.array_equal(scan.sups, again.sups)

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from haarlmsm import cli
 from haarlmsm.cli import (
     PRESETS,
     TAKES,
@@ -279,16 +280,56 @@ def test_parser_flags_are_the_takes_table():
         assert got == want, command
 
 
+def _assert_refused(argv, tmp_path, capsys):
+    """Exit 2 with one ``error: config:`` stderr line and no file written."""
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["converge", "--mode", "independent"],
     ["simulate", "--method", "naive"],
     ["field", "--method", "abel"],
 ])
-def test_flags_a_command_does_not_read_are_refused(argv, tmp_path):
+def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
+    _assert_refused(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--hurst", "constant:nan"],
+    # a profile that breaks both the declared and the sampled lower bound
+    ["simulate", "--hurst", "linear:0.5,0.05"],
+    ["converge", "--Jmin", "x"],
+    ["no-such-command"],
+])
+def test_every_refusal_is_one_line(argv, tmp_path, capsys):
+    _assert_refused(argv, tmp_path, capsys)
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path / "x")])
-    assert exc.value.code == 2
-    assert os.listdir(tmp_path) == []
+        main(["simulate", "-h"])
+    assert exc.value.code == 0
+    assert "--hurst" in capsys.readouterr().out
+
+
+def test_unexpected_exception_is_a_compute_error(monkeypatch, capsys):
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "render", boom)
+    assert main(["render", "any.csv"]) == 3
+    assert capsys.readouterr().err == "error: compute: RuntimeError: boom\n"
+
+    def interrupt(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "render", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["render", "any.csv"])
 
 
 def test_field_takes_its_depth_flags(tmp_path):
@@ -326,13 +367,10 @@ def test_config_file_choices_are_checked(key, tmp_path, capsys):
     ["scale-check", "--which", "lf", "--J", "40", "--mode", "independent"],
     ["simulate", "--n-points", "10000000000"],
     ["simulate", "--J-hf", "-1"],
+    ["scale-check", "--which", "hf", "--n-samples", "10000000000"],
+    ["scale-check", "--which", "lf", "--n-samples", "10000000000"],
 ])
 def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
     t0 = time.perf_counter()
-    rc = main(argv + ["--out", str(tmp_path / "x")])
-    elapsed = time.perf_counter() - t0
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: config:") and err.count("\n") == 1
-    assert os.listdir(tmp_path) == []
-    assert elapsed < 2.0
+    _assert_refused(argv, tmp_path, capsys)
+    assert time.perf_counter() - t0 < 2.0

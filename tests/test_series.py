@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from haarlmsm.errors import DepthError, ParameterError
-from haarlmsm.kernels import KernelParams, theta, truncated_power
+from haarlmsm.kernels import KernelParams, big_theta, theta, truncated_power
 from haarlmsm.series import (
     evaluate_field,
     x1_partial,
@@ -135,6 +136,88 @@ def test_routes_agree_on_random_pyramids():
             c = x2_partial(u, v, pyr, ps, J_lf, "naive")
             d = x2_partial(u, v, pyr, ps, J_lf, "abel")
             assert abs(c - d) <= 1e-10 * max(abs(c), abs(d)) + 1e-11
+
+
+def _summand_mass(fam, u, v, pyr, ps, J):
+    """Larger of the naive and abel routes' sums of |coefficient * kernel|
+    over the terms each route adds up, the scale of their roundoff."""
+    params = KernelParams(pyr.alpha)
+    if fam == "hf":
+        q = 1.0 + v - 1.0 / pyr.alpha
+        naive = abel = abs(truncated_power(u, q) / q * pyr.z1)
+        for j in range(J):
+            x, w = 2.0 ** j * u, 2.0 ** (-j * v)
+            ks = np.arange(1 << j, dtype=float)
+            naive += w * np.sum(np.abs(pyr.hf[j] * theta(x - ks, v, params)))
+            lam = ps.hf[j]
+            abel += w * (abs(lam[-1] * theta(x - ks[-1], v, params))
+                         + np.sum(np.abs(lam[:-1]
+                                         * big_theta(x - ks[:-1], v, params))))
+        return max(naive, abel)
+    scales = range(J) if fam == "lf_plus" else range(-1, -J, -1)
+    naive = abel = 0.0
+    for j in scales:
+        x, n, w = 2.0 ** j * u, 1 << (J - abs(j)), 2.0 ** (-j * v)
+        ks = np.arange(1, n + 1, dtype=float)
+        naive += w * np.sum(np.abs(pyr.lf_row(j)[:n] * (
+            theta(x + ks, v, params) - theta(ks, v, params))))
+        lam = ps.lf_row(j)
+        abel += w * (abs(lam[n - 1] * (theta(x + n, v, params)
+                                       - theta(float(n), v, params)))
+                     + np.sum(np.abs(lam[:n - 1] * (
+                         big_theta(x + ks[1:], v, params)
+                         - big_theta(ks[1:], v, params)))))
+    return max(naive, abel)
+
+
+_FAMILIES = {"hf": x1_partial, "lf_plus": x2_plus_partial,
+             "lf_minus": x2_minus_partial}
+
+
+def _assert_routes_agree(fam, alpha, J, mode, seed, u, v):
+    # criterion 3 of the acceptance gate draws pyramids this way
+    if fam == "hf":
+        pyr = generate_coefficients(alpha, J, 2, mode, seed)
+    else:
+        pyr = generate_coefficients(alpha, 1, max(J, 2), mode, seed)
+    ps = prefix_sums(pyr)
+    a = _FAMILIES[fam](u, v, pyr, ps, J, "naive")
+    b = _FAMILIES[fam](u, v, pyr, ps, J, "abel")
+    assert abs(a - b) <= 1e-10 * _summand_mass(fam, u, v, pyr, ps, J)
+
+
+# Instances of the acceptance gate's criterion 3 sampling, replayed at
+# generator seeds 7 and 8, where naive and abel differ by more than 1e-10
+# relative to the result (up to 1.6e-9): the far-past sums cancel to far
+# below their summands, so only the summands bound the roundoff.
+@pytest.mark.parametrize("alpha,J,mode,seed,u,v", [
+    (1.0666911706126496, 9, "independent", 511651594,
+     0.1772472087498297, 0.9584213998258699),
+    (1.6139657377064869, 7, "consistent", 1041481425,
+     0.34562620757326257, 0.7227644047407664),
+    (1.1728005799742942, 10, "independent", 1634768927,
+     0.5330052462076945, 0.8848545947101567),
+    (1.5462497304851481, 9, "independent", 1931329357,
+     0.49196090638660017, 0.6920382212136996),
+    (1.7962504958698977, 10, "independent", 1648209271,
+     0.5525510672881654, 0.6223238458639624),
+])
+def test_routes_agree_where_the_sum_cancels(alpha, J, mode, seed, u, v):
+    _assert_routes_agree("lf_minus", alpha, J, mode, seed, u, v)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(fam=st.sampled_from(sorted(_FAMILIES)),
+       alpha=st.floats(1.05, 1.95), J=st.integers(1, 10),
+       mode=st.sampled_from(["consistent", "independent"]),
+       seed=st.integers(0, 2 ** 31 - 1), u=st.floats(0.0, 1.0),
+       v_frac=st.floats(0.0, 1.0))
+def test_routes_agree_relative_to_summands(fam, alpha, J, mode, seed, u,
+                                           v_frac):
+    # criterion 3's ranges: v in [1/alpha + 0.01, 0.99], J >= 2 for lf
+    v = 1.0 / alpha + 0.01 + v_frac * (0.98 - 1.0 / alpha)
+    _assert_routes_agree(fam, alpha, max(J, 1 if fam == "hf" else 2), mode,
+                         seed, u, v)
 
 
 def test_x2_depth_one_has_no_negative_scales():
