@@ -19,7 +19,8 @@ fits a dyadic-log slope to the medians.  For the recent-scales half the
 depth-J difference is a single coefficient row, evaluated on a dyadic grid
 through FFT convolutions of the coefficient row with kernel value tables.
 For the far-past half the difference is the set of terms added when the
-depth steps up, summed directly on a fixed uniform grid.
+depth steps up, summed term by term on a fixed uniform grid by the series'
+far-past row code over just the k-range each row gains.
 
 A caveat worth knowing before reading far-past rate numbers at shallow
 depths: the averaged kernel has a one-sided corner at 1 (its slope jumps
@@ -50,10 +51,9 @@ from scipy.special import gamma as _gamma
 
 from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, check_alpha, theta, truncated_power
-from .series import check_uv
+from .series import check_uv, far_past_terms
 from .stable_rng import (
     MAX_VALUES,
-    CoefficientPyramid,
     StableLaw,
     generate_coefficients,
     make_rng,
@@ -234,7 +234,7 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
     if mode == "independent":
         q = 1.0 + v - 1.0 / alpha
         params = KernelParams(alpha)
-        acc = (truncated_power(u, q) / q) ** alpha
+        acc = (u ** q / q) ** alpha
         for j in range(J):
             ks = np.arange(1 << j, dtype=float)
             w = theta(2.0 ** j * u - ks, v, params)
@@ -349,34 +349,6 @@ def _x1_row_on_dyadic(row: np.ndarray, j: int, v: float, L: int,
     return cv[::1 << max(j - L, 0)][: (1 << L) + 1]
 
 
-def _x1_depth_diff_norm(pyr: CoefficientPyramid, J_a: int, J_b: int,
-                        v: float, params: KernelParams) -> float:
-    """Sup over a dyadic grid of the depth J_a -> J_b refinement."""
-    L = min(J_b, 15)
-    acc = np.zeros((1 << L) + 1)
-    for j in range(J_a, J_b):
-        acc += 2.0 ** (-j * v) * _x1_row_on_dyadic(pyr.hf[j], j, v, L, params)
-    return float(np.max(np.abs(acc)))
-
-
-def _x2_added_between(pyr: CoefficientPyramid, K_a: int, K_b: int, v: float,
-                      u_grid: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Terms the far-past sum gains from depth K_a to K_b, on u_grid."""
-    out = np.zeros(u_grid.shape[0])
-    for j in range(1 - K_b, K_b):
-        lo = 1 << (K_a - abs(j)) if abs(j) <= K_a - 1 else 0
-        hi = 1 << (K_b - abs(j))
-        if hi <= lo:
-            continue
-        ks = np.arange(lo + 1, hi + 1, dtype=float)
-        zet = pyr.lf_row(j)[lo:hi]
-        x = 2.0 ** j * u_grid
-        mat = theta(x[None, :] + ks[:, None], v, params) \
-            - theta(ks, v, params)[:, None]
-        out += 2.0 ** (-j * v) * (zet @ mat)
-    return out
-
-
 @dataclass(eq=False)
 class ConvergenceReport:
     """Depth-refinement difference norms and the fitted decay slope.
@@ -452,11 +424,16 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
             best = 0.0
             for v in v_grid:
                 if which == "hf":
-                    nv = _x1_depth_diff_norm(pyr, J, J + 1, v, params)
+                    # row J on the dyadic grid of level min(J + 1, 15)
+                    diff = 2.0 ** (-J * v) * _x1_row_on_dyadic(
+                        pyr.hf[J], J, v, min(J + 1, 15), params)
                 else:
-                    diff = _x2_added_between(pyr, J, J + 1, v, u_grid, params)
-                    nv = float(np.max(np.abs(diff)))
-                best = max(best, nv)
+                    # the terms the depth step J -> J + 1 adds to each row
+                    diff = sum(far_past_terms(
+                        u_grid, v, pyr, j,
+                        1 << (J - abs(j)) if abs(j) < J else 0,
+                        1 << (J + 1 - abs(j))) for j in range(-J, J + 1))
+                best = max(best, float(np.max(np.abs(diff))))
             norms[p, rep] = best
     medians = np.median(norms, axis=1)
     if len(J_list) >= 2:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
@@ -60,6 +61,10 @@ SCALE_CHECK_PAIRS = ((0.25, 0.7), (0.25, 0.8), (0.5, 0.7),
                      (0.5, 0.8), (1.0, 0.7), (1.0, 0.8))
 
 SLOPE_TOLERANCE = 0.15
+
+# kernel table entries one simulate or field run may evaluate (about a
+# minute at the 4e6 entries/s measured on a 2-core host)
+MAX_TABLE_ENTRIES = 2 ** 28
 
 
 @dataclass
@@ -302,13 +307,25 @@ def _out_paths(config: RunConfig, fallback: str):
     return base + ".csv", base + ".svg"
 
 
+def _check_work(command: str, n_points: int, row_length: int) -> None:
+    """Refuse a run whose kernel tables, n_points x the summed length of the
+    series rows it evaluates, would pass MAX_TABLE_ENTRIES."""
+    work = n_points * row_length
+    if work > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"{command} needs about 2**{math.log2(work):.2f} "
+                          f"table entries, over the {MAX_TABLE_ENTRIES} budget")
+
+
 def _run_simulate(config: RunConfig) -> int:
     """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
-    # a J_hf below 1 is refused where the pyramid is drawn
+    # depths below the minimum are refused where the pyramid is drawn
     n = config.n_points or ((1 << max(config.J_hf, 0)) + 1)
     if not 1 <= n <= MAX_VALUES:
         raise ConfigError(f"n_points must lie in 1..{MAX_VALUES}, got {n}")
+    # rows of 2**J_hf and about 3 * 2**J_lf terms in all
+    _check_work("simulate", n, (1 << max(config.J_hf, 0))
+                + 3 * (1 << max(config.J_lf, 0)))
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
         config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
@@ -335,6 +352,9 @@ def _run_field(config: RunConfig) -> int:
         J = config.J
     else:
         J = config.J_hf if which == "hf" else config.J_lf
+    # 2**J recent-scales terms, at most 3 * 2**J far-past ones
+    _check_work("field", config.u_points * len(v_values),
+                {"hf": 1, "total": 4}.get(which, 3) << max(J, 0))
     u_grid = np.linspace(0.0, 1.0, config.u_points)
     pyr = generate_coefficients(
         config.alpha, max(J, config.J_hf, 1), max(J, config.J_lf, 2),

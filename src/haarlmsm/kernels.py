@@ -65,34 +65,31 @@ class KernelParams:
                 f"switch_x must be at least 4, got {self.switch_x}")
 
 
-def _check_v(v: float, alpha: float) -> None:
+def _check_v(v, alpha: float) -> None:
     # The closed forms stay finite for any exponent p = v - 1/alpha in
     # (-1, 1); evaluation is therefore allowed on that widened range even
     # though the series modules restrict v to (1/alpha, 1).
     lo = 1.0 / alpha - 1.0
-    if not lo < v < 1.0:
+    v = np.atleast_1d(v)
+    bad = ~((lo < v) & (v < 1.0))
+    if bad.any():
         raise ParameterError(
-            f"v must lie in (1/alpha - 1, 1) = ({lo:.6g}, 1), got {v}")
+            f"v must lie in (1/alpha - 1, 1) = ({lo:.6g}, 1), got {v[bad][0]}")
 
 
 def truncated_power(s, kappa):
     """Return s**kappa for s > 0 and exactly 0 for s <= 0.
 
-    Total on the real line; scalars in, scalar out, arrays elementwise.
+    Total on the real line (an overflow saturates to inf); scalars in,
+    scalar out, arrays elementwise, kappa a scalar or broadcast against s.
     """
-    if np.isscalar(s) or getattr(s, "ndim", 0) == 0:
-        sv = float(s)
-        if sv <= 0.0:
-            return 0.0
-        # numpy pow saturates to inf instead of raising on overflow
-        with np.errstate(over="ignore", under="ignore"):
-            return float(np.float64(sv) ** np.float64(kappa))
     s = np.asarray(s, dtype=float)
     out = np.zeros(s.shape)
     mask = s > 0.0
-    if mask.any():
-        out[mask] = np.power(s[mask], float(kappa))
-    return out
+    with np.errstate(over="ignore"):
+        out[mask] = np.power(s[mask], kappa if np.ndim(kappa) == 0
+                             else np.broadcast_to(kappa, s.shape)[mask])
+    return float(out) if out.ndim == 0 else out
 
 
 _Stencil = namedtuple("_Stencil", "terms l_max n0 k moments")
@@ -157,26 +154,43 @@ def _tail(t, e, st: _Stencil):
     return total
 
 
-def _stencil_sum(x, e, st: _Stencil, switch_x: float):
-    """sum_l w_l (x - l/2)_+^e: zero for x <= 0, closed form up to switch_x,
-    x^e times the tail series beyond.  Elementwise; scalar in, float out."""
-    scalar = np.isscalar(x) or getattr(x, "ndim", 0) == 0
+def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
+    """sum_l w_l (x - l/2)_+^e at e = q = 1 + v - 1/alpha, divided by q when
+    ``integrated``, else at e = v - 1/alpha: zero for x <= 0, closed form
+    up to switch_x, x^e times the tail series beyond.  Elementwise in x and
+    in a v that broadcasts against it (a scalar v stays one exponent);
+    scalar in, float out; ParameterError for a non-finite x or value."""
+    _check_v(v, params.alpha)
+    e = 1.0 + v - 1.0 / params.alpha if integrated else v - 1.0 / params.alpha
+    div = e if integrated else 1.0
     xa = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(xa).ravel()
+    if np.ndim(e):
+        xa, e = np.broadcast_arrays(xa, e)
+        e = e.ravel()
+    flat = xa.ravel()
     out = np.zeros(flat.shape)
-    lo = (flat > 0.0) & (flat <= switch_x)
-    hi = flat > switch_x
-    if lo.any():
-        t = flat[lo]
-        acc = 0.0
-        for l, w in st.terms:
-            acc = acc + w * truncated_power(t - 0.5 * l, e)
-        out[lo] = acc
-    if hi.any():
-        t = flat[hi]
-        out[hi] = np.power(t, e) * _tail(t, e, st)
-    out = out.reshape(xa.shape)
-    return float(out) if scalar else out
+    lo = (flat > 0.0) & (flat <= params.switch_x)
+    hi = flat > params.switch_x
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lo.any():
+            t = flat[lo]
+            el = e[lo] if np.ndim(e) else e
+            acc = 0.0
+            for l, w in st.terms:
+                acc = acc + w * truncated_power(t - 0.5 * l, el)
+            out[lo] = acc
+        if hi.any():
+            t = flat[hi]
+            eh = e[hi] if np.ndim(e) else e
+            out[hi] = np.power(t, eh) * _tail(t, eh, st)
+    # a NaN or -inf x gives 0, so x is checked too (min and max keep NaN)
+    if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())
+                          and np.isfinite(out).all()):
+        bad = ~(np.isfinite(flat) & np.isfinite(out))
+        raise ParameterError(f"x must be finite and not overflow the "
+                             f"kernel, got {flat[bad][0]}")
+    out = out.reshape(xa.shape) / div
+    return float(out) if out.ndim == 0 else out
 
 
 def theta(x, v, params: KernelParams):
@@ -185,9 +199,7 @@ def theta(x, v, params: KernelParams):
     Vanishes identically for x <= 0 and decays like (p/4) x^(p-1) with
     p = v - 1/alpha as x grows.  Elementwise in x.
     """
-    _check_v(v, params.alpha)
-    q = 1.0 + v - 1.0 / params.alpha
-    return _stencil_sum(x, q, _THETA, params.switch_x) / q
+    return _stencil_sum(x, v, params, _THETA, True)
 
 
 def big_theta(x, v, params: KernelParams):
@@ -196,22 +208,17 @@ def big_theta(x, v, params: KernelParams):
     Decays like p(p-1)/4 * x^(p-2); the extra order of localization is what
     makes the summation-by-parts route worthwhile.
     """
-    _check_v(v, params.alpha)
-    q = 1.0 + v - 1.0 / params.alpha
-    return _stencil_sum(x, q, _BIG_THETA, params.switch_x) / q
+    return _stencil_sum(x, v, params, _BIG_THETA, True)
 
 
 def dtheta_dx(x, v, params: KernelParams):
     """x-derivative of theta; right-limit convention at the kink points."""
-    _check_v(v, params.alpha)
-    return _stencil_sum(x, v - 1.0 / params.alpha, _THETA, params.switch_x)
+    return _stencil_sum(x, v, params, _THETA, False)
 
 
 def dbig_theta_dx(x, v, params: KernelParams):
     """x-derivative of big_theta; right-limit convention at the kinks."""
-    _check_v(v, params.alpha)
-    return _stencil_sum(x, v - 1.0 / params.alpha, _BIG_THETA,
-                        params.switch_x)
+    return _stencil_sum(x, v, params, _BIG_THETA, False)
 
 
 def theta_quadrature_oracle(x: float, v: float, alpha: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DepthError, ParameterError
+from .errors import ConfigError, ParameterError
 from .kernels import check_alpha
 from .series import x1_partial, x2_partial
 from .stable_rng import generate_coefficients, prefix_sums
@@ -218,15 +218,12 @@ class PathSample:
 
 def synthesize_path(alpha: float, H, t_grid=None, J_hf: int = 12,
                     J_lf: int = 6, seed: int = 0, mode: str = "consistent",
-                    *, allow_boundary: bool = False,
-                    pyramid_J_hf: Optional[int] = None,
-                    pyramid_J_lf: Optional[int] = None) -> PathSample:
+                    *, allow_boundary: bool = False) -> PathSample:
     """Synthesize one path on t_grid (default: 2**J_hf + 1 uniform points).
 
     ``H`` may be a HurstFunction or a plain number (constant profile).  The
-    pyramid may be drawn deeper than the evaluation depths via the
-    ``pyramid_*`` overrides, so several truncation depths can share one
-    realization; evaluation deeper than the pyramid raises DepthError.
+    pyramid is drawn at the evaluation depths, and each half is one series
+    call over the whole grid.
     """
     if isinstance(H, (int, float)):
         H = hurst_preset("constant", {"value": float(H)})
@@ -237,27 +234,17 @@ def synthesize_path(alpha: float, H, t_grid=None, J_hf: int = 12,
     if t_grid is None:
         t_grid = np.linspace(0.0, 1.0, 2 ** J_hf + 1)
     t_grid = np.asarray(t_grid, dtype=float)
+    # the series refuse a t outside [0, 1]
     if t_grid.ndim != 1 or t_grid.size == 0:
         raise ParameterError("t_grid must be a nonempty 1-d array")
-    if t_grid.min() < 0.0 or t_grid.max() > 1.0:
-        raise ParameterError("t_grid must lie inside [0, 1]")
-    p_hf = J_hf if pyramid_J_hf is None else pyramid_J_hf
-    p_lf = J_lf if pyramid_J_lf is None else pyramid_J_lf
-    if p_hf < J_hf or p_lf < J_lf:
-        raise DepthError(
-            f"pyramid depths ({p_hf}, {p_lf}) must cover evaluation depths "
-            f"({J_hf}, {J_lf})")
-    pyr = generate_coefficients(alpha, p_hf, p_lf, mode, seed)
+    pyr = generate_coefficients(alpha, J_hf, J_lf, mode, seed)
     ps = prefix_sums(pyr)
     vs = H(t_grid)
-    y1 = np.empty(t_grid.shape)
-    y2 = np.empty(t_grid.shape)
-    for i, (t, v) in enumerate(zip(t_grid, vs)):
-        y1[i] = x1_partial(t, v, pyr, ps, J_hf)
-        y2[i] = x2_partial(t, v, pyr, ps, J_lf)
+    y1 = x1_partial(t_grid, vs, pyr, ps, J_hf)
+    y2 = x2_partial(t_grid, vs, pyr, ps, J_lf)
     config = {
         "alpha": alpha, "J_hf": J_hf, "J_lf": J_lf,
-        "pyramid_J_hf": p_hf, "pyramid_J_lf": p_lf,
+        "pyramid_J_hf": J_hf, "pyramid_J_lf": J_lf,
         "seed": pyr.seed, "mode": mode,
         "hurst": {"kind": H.kind, "params": H.params,
                   "declared_bounds": list(H.declared_bounds)},

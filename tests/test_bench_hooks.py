@@ -25,3 +25,17 @@ def test_every_traced_attribute_resolves():
 
 def test_output_checks_import():
     _load("checks")
+
+
+def test_output_checks_pass_on_tiny_runs(tmp_path):
+    """The benchmark's output checks read config keys and compare routes;
+    a tiny simulate and converge run must satisfy them."""
+    from haarlmsm.cli import main
+    checks = _load("checks")
+    sim, conv = tmp_path / "sim", tmp_path / "conv"
+    assert main(["simulate", "--preset", "fig1-row1", "--J-hf", "5",
+                 "--J-lf", "3", "--out", str(sim)]) == 0
+    assert main(["converge", "--which", "lf", "--Jmin", "2", "--Jmax", "3",
+                 "--replicates", "8", "--out", str(conv)]) == 0
+    assert checks.check_simulate(f"{sim}.csv") == []
+    assert checks.check_converge(f"{conv}.csv") == []

@@ -369,6 +369,8 @@ def test_config_file_choices_are_checked(key, tmp_path, capsys):
     ["simulate", "--J-hf", "-1"],
     ["scale-check", "--which", "hf", "--n-samples", "10000000000"],
     ["scale-check", "--which", "lf", "--n-samples", "10000000000"],
+    ["simulate", "--J-hf", "24"],
+    ["simulate", "--J-hf", "15"],
 ])
 def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
     t0 = time.perf_counter()

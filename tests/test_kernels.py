@@ -186,6 +186,22 @@ def test_parameter_errors():
         theta(1.0, 1.0 / 1.5 - 1.0, params)
     with pytest.raises(ParameterError):
         theta_quadrature_oracle(1.0, 0.8, 2.5)
+    # every element of an array v is checked, NaN included
+    for bad_v in ([0.8, 1.0], [np.nan, 0.8]):
+        with pytest.raises(ParameterError, match="v must lie"):
+            theta(np.ones(2), np.array(bad_v), params)
+    # a non-finite x, or one whose value overflows, is refused by name
+    for f in ALL_FUNCS:
+        for bad_x in (np.nan, np.inf, -np.inf, np.array([1.0, np.nan])):
+            with pytest.raises(ParameterError, match="x must be finite"):
+                f(bad_x, 0.8, params)
+    # x**q with q = 1 + v - 1/alpha near 2 passes the float range at 1e300;
+    # the derivatives' exponent stays below 1 there
+    for f in (theta, big_theta):
+        with pytest.raises(ParameterError, match="x must be finite"):
+            f(np.array([2.0, 1e300]), 0.99, params)
+        with pytest.raises(ParameterError, match="x must be finite"):
+            f(1e300, 0.99, KernelParams(alpha=1.5, switch_x=1e301))
 
 
 def test_scalar_and_array_paths_agree():
@@ -196,3 +212,22 @@ def test_scalar_and_array_paths_agree():
         sca = np.array([f(float(x), 0.8, params) for x in xs])
         assert np.array_equal(arr, sca)
         assert isinstance(f(2.0, 0.8, params), float)
+
+
+def test_array_v_matches_scalar_v():
+    """A v that broadcasts against x gives, element by element, the bits of
+    a call with that v as a scalar, on both branches of the stencil."""
+    rng = np.random.default_rng(5)
+    params = KernelParams(alpha=1.5, switch_x=8.0)
+    x = np.concatenate([rng.uniform(-2.0, 12.0, 300),
+                        rng.uniform(8.0, 1e5, 100)])
+    v = rng.uniform(1.0 / 1.5 - 1.0 + 1e-3, 1.0 - 1e-3, x.size)
+    for f in ALL_FUNCS:
+        got = f(x, v, params)
+        want = np.array([f(xi, vi, params) for xi, vi in zip(x, v)])
+        assert np.array_equal(got, want), f.__name__
+        # a column of v against a row of x broadcasts to a table
+        table = f(x[None, :50], v[:7, None], params)
+        assert table.shape == (7, 50)
+        for i in range(7):
+            assert np.array_equal(table[i], f(x[:50], v[i], params))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haarlmsm.errors import ConfigError, DepthError, ParameterError
+from haarlmsm.errors import ConfigError, ParameterError
 from haarlmsm.lmsm import (
     clamp_hurst,
     hurst_preset,
@@ -126,23 +126,6 @@ def test_synthesis_default_grid():
     s = synthesize_path(1.5, 0.75, J_hf=4, J_lf=2, seed=94)
     assert s.t_grid.shape == (2 ** 4 + 1,)
     assert s.t_grid[0] == 0.0 and s.t_grid[-1] == 1.0
-
-
-def test_deep_pyramid_shares_realization():
-    """Shallow evaluations of a deep pyramid are exact prefixes."""
-    t = np.linspace(0.0, 1.0, 9)
-    deep = synthesize_path(1.5, 0.8, t, J_hf=7, J_lf=4, seed=95,
-                           pyramid_J_hf=7, pyramid_J_lf=4)
-    shallow = synthesize_path(1.5, 0.8, t, J_hf=5, J_lf=3, seed=95,
-                              pyramid_J_hf=7, pyramid_J_lf=4)
-    pyr = generate_coefficients(1.5, 7, 4, "consistent", 95)
-    ps = prefix_sums(pyr)
-    for i, u in enumerate(t):
-        assert shallow.y1[i] == x1_partial(u, 0.8, pyr, ps, 5)
-        assert deep.y1[i] == x1_partial(u, 0.8, pyr, ps, 7)
-    with pytest.raises(DepthError):
-        synthesize_path(1.5, 0.8, t, J_hf=5, J_lf=3, seed=95,
-                        pyramid_J_hf=4)
 
 
 def test_synthesis_rejects_out_of_band_profile():

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from haarlmsm import series
 from haarlmsm.errors import DepthError, ParameterError
 from haarlmsm.kernels import KernelParams, big_theta, theta, truncated_power
 from haarlmsm.series import (
@@ -218,6 +221,81 @@ def test_routes_agree_relative_to_summands(fam, alpha, J, mode, seed, u,
     v = 1.0 / alpha + 0.01 + v_frac * (0.98 - 1.0 / alpha)
     _assert_routes_agree(fam, alpha, max(J, 1 if fam == "hf" else 2), mode,
                          seed, u, v)
+
+
+_ALL = dict(_FAMILIES, lf=x2_partial)
+
+
+def _profile_points(rng, alpha, n, constant):
+    """n + 3 positions including both ends, with v at every point (or one
+    constant v) inside (1/alpha, 1); 1/alpha + 1e-3 is always among them."""
+    lo = 1.0 / alpha + 1e-3
+    u = np.concatenate([[0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, n)])
+    if constant:
+        return u, lo
+    return u, np.concatenate([[lo, rng.uniform(lo, 0.999), lo],
+                              rng.uniform(lo, 0.999, n)])
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(fam=st.sampled_from(sorted(_ALL)), alpha=st.floats(1.05, 1.95),
+       J=st.integers(2, 7), mode=st.sampled_from(["consistent",
+                                                   "independent"]),
+       method=st.sampled_from(["naive", "abel"]),
+       seed=st.integers(0, 2 ** 31 - 1), n=st.integers(0, 12),
+       constant=st.booleans(), entries=st.sampled_from([1, 5, 64, 1 << 18]))
+def test_array_call_matches_point_calls(fam, alpha, J, mode, method, seed, n,
+                                        constant, entries):
+    """An array call gives each point the bits of its own scalar call, for
+    any split of the kernel tables into point blocks."""
+    rng = np.random.default_rng(seed)
+    pyr = generate_coefficients(alpha, J, J, mode, seed)
+    ps = prefix_sums(pyr)
+    u, v = _profile_points(rng, alpha, n, constant)
+    fn = _ALL[fam]
+    with mock.patch.object(series, "_TABLE_ENTRIES", entries):
+        got = fn(u, v, pyr, ps, J, method)
+    assert got.shape == u.shape
+    vs = np.broadcast_to(v, u.shape)
+    for i in range(u.size):
+        one = fn(u[i], vs[i], pyr, ps, J, method)
+        assert isinstance(one, float)
+        assert one == got[i], (i, u[i], vs[i])
+
+
+def _random_pyramid(rng, J):
+    return CoefficientPyramid(
+        alpha=ALPHA, J_hf=J, J_lf=J, mode="independent",
+        z1=float(rng.standard_normal()),
+        hf=[rng.standard_normal(1 << j) for j in range(J)],
+        lf=[rng.standard_normal(1 << (J - abs(j))) for j in range(1 - J, J)])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(fam=st.sampled_from(sorted(_FAMILIES)),
+       method=st.sampled_from(["naive", "abel"]), J=st.integers(2, 6),
+       a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2 ** 31 - 1), constant=st.booleans())
+def test_each_half_is_linear_in_the_pyramid(fam, method, J, a, b, seed,
+                                            constant):
+    """f(a P1 + b P2) = a f(P1) + b f(P2) up to roundoff of the summands."""
+    rng = np.random.default_rng(seed)
+    p1, p2 = _random_pyramid(rng, J), _random_pyramid(rng, J)
+    mix = CoefficientPyramid(
+        alpha=ALPHA, J_hf=J, J_lf=J, mode="independent",
+        z1=a * p1.z1 + b * p2.z1,
+        hf=[a * r1 + b * r2 for r1, r2 in zip(p1.hf, p2.hf)],
+        lf=[a * r1 + b * r2 for r1, r2 in zip(p1.lf, p2.lf)])
+    u, v = _profile_points(rng, ALPHA, 5, constant)
+    fn = _FAMILIES[fam]
+    f1, f2, f = (fn(u, v, p, prefix_sums(p), J, method)
+                 for p in (p1, p2, mix))
+    vs = np.broadcast_to(v, u.shape)
+    for i in range(u.size):
+        scale = sum(abs(c) * _summand_mass(fam, u[i], vs[i], p,
+                                           prefix_sums(p), J)
+                    for c, p in ((a, p1), (b, p2)))
+        assert abs(f[i] - (a * f1[i] + b * f2[i])) <= 1e-12 * scale
 
 
 def test_x2_depth_one_has_no_negative_scales():
