@@ -2,8 +2,9 @@
 
 Scale identities.  At a fixed position u the limiting laws of the two
 series halves are symmetric stable with computable scales:
-``x1_theoretical_scale`` is closed-form, ``x2_theoretical_scale`` comes from
-adaptive quadrature of the defining kernel integral.  The *truncated* sums
+``x1_theoretical_scale`` is closed-form, ``x2_theoretical_scale`` integrates
+the defining kernel integral with one fixed double-exponential (tanh-sinh)
+rule, checked against the same rule at twice the step.  The *truncated* sums
 are also stable for each fixed truncation depth, and in consistent mode
 their exact scales follow from rewriting the sum as a weighted integral of
 the driving process; ``truncated_scale_hf`` / ``truncated_scale_lf`` return
@@ -40,14 +41,10 @@ asymptotic rate already at J = 6.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.signal import fftconvolve
-from scipy.special import gamma as _gamma
 
 from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, check_alpha, theta, truncated_power
@@ -67,6 +64,16 @@ from .stable_rng import prefix_sums  # noqa: F401
 _MC_HF_CHUNK = 1024
 _MC_LF_CHUNK = 4096
 
+# Tanh-sinh rule on (0, 1) (Takahasi & Mori, Publ. RIMS 9, 1974): nodes
+# s = 1 / (1 + exp(-pi sinh t)) at t = k/64, |t| <= 4, with weights
+# (pi/64) cosh t s (1 - s).  s and 1 - s are each formed without a
+# difference, so the nodes reach 6e-38 at the left end, where both
+# integrands of x2_theoretical_scale have their singular derivative.
+_TS_T = np.arange(-256, 257) / 64.0
+_TS_NODES = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_TS_T)))
+_TS_WEIGHTS = (np.pi / 64.0 * np.cosh(_TS_T) * _TS_NODES
+               / (1.0 + np.exp(np.pi * np.sinh(_TS_T))))
+
 
 # ---------------------------------------------------------------- scales --
 
@@ -74,7 +81,7 @@ _MC_LF_CHUNK = 4096
 def first_abs_moment(alpha: float) -> float:
     """E|X| for the unit-scale symmetric stable law: (2/pi) Gamma(1 - 1/alpha)."""
     check_alpha(alpha)
-    return 2.0 / math.pi * float(_gamma(1.0 - 1.0 / alpha))
+    return 2.0 / math.pi * math.gamma(1.0 - 1.0 / alpha)
 
 
 def estimate_scale(samples, alpha: float) -> float:
@@ -97,36 +104,38 @@ def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
 
 @lru_cache(maxsize=None)
 def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
-    """Limiting scale of the far-past half, by quadrature of the kernel.
+    """Limiting scale of the far-past half: u**v * I**(1/alpha).
 
     The alpha-th power of the scale is the integral over r > 0 of
-    ((u + r)**p - r**p)**alpha with p = v - 1/alpha.  The integral is split
-    at max(1, 10u) and the far piece integrated to infinity; a combined
-    error estimate above 1e-8 raises ComputeError.
+    ((u + r)**p - r**p)**alpha, p = v - 1/alpha; r = u s turns it into
+    u**(alpha v) I, I the integral over s > 0 of ((1 + s)**p - s**p)**alpha.
+    The piece of I on (0, 1) is integrated as it stands.  On (1, inf),
+    s = 1/t gives g(0)/(beta + 1) plus the integral over (0, 1) of
+    t**beta (g(t) - g(0)), where g(t) = (expm1(p log1p t) / t)**alpha and
+    beta = alpha (1 - v) - 1.  Both pieces take the tanh-sinh rule
+    ``_TS_NODES``; a non-finite I, or one that differs from the same rule
+    on every other node (twice the step) by more than 1e-12 relative,
+    raises ComputeError.
     """
     check_uv(u, v, alpha)
     if u == 0.0:
         return 0.0
     p = v - 1.0 / alpha
-
-    def f(r):
-        return ((u + r) ** p - r ** p) ** alpha
-
-    cut = max(1.0, 10.0 * u)
-    with warnings.catch_warnings():
-        # the error estimates are gated below; the tail piece routinely
-        # trips the extrapolation-roundoff warning while still meeting them
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        near, err1 = integrate.quad(f, 0.0, cut, points=[u], limit=400,
-                                    epsabs=1e-13, epsrel=1e-12)
-        far, err2 = integrate.quad(f, cut, np.inf, limit=400,
-                                   epsabs=1e-13, epsrel=1e-12)
-    total = near + far
-    if not np.isfinite(total) or err1 + err2 > 1e-8 * max(total, 1e-30):
+    c = alpha * (1.0 - v)  # beta + 1
+    s = _TS_NODES
+    # (1 + s)**p - 1 and s**p - 1, so no difference cancels
+    lead = np.expm1(p * np.log1p(s))
+    g0 = p ** alpha
+    f = ((lead - np.expm1(p * np.log(s))) ** alpha
+         + s ** (c - 1.0) * ((lead / s) ** alpha - g0)) * _TS_WEIGHTS
+    fine = g0 / c + math.fsum(f)
+    coarse = g0 / c + 2.0 * math.fsum(f[::2])
+    if not (math.isfinite(fine) and abs(fine - coarse) <= 1e-12 * fine):
         raise ComputeError(
-            f"far-past scale quadrature failed at (u={u}, v={v}, "
-            f"alpha={alpha}): value {total}, error {err1 + err2}")
-    return total ** (1.0 / alpha)
+            f"far-past scale integral failed at (u={u}, v={v}, "
+            f"alpha={alpha}): value {fine}, step-doubling change "
+            f"{fine - coarse}")
+    return u ** v * fine ** (1.0 / alpha)
 
 
 # ------------------------------------------------ truncated-sum rewriting --
@@ -171,12 +180,8 @@ class _LfUnion:
     row_maps: dict
 
 
-_union_cache: dict = {}
-
-
+@lru_cache(maxsize=4)
 def _lf_union(J: int) -> _LfUnion:
-    if J in _union_cache:
-        return _union_cache[J]
     parts = []
     raw = {}
     for j in range(1 - J, J):
@@ -192,10 +197,8 @@ def _lf_union(J: int) -> _LfUnion:
     for j, (a, m, b) in raw.items():
         row_maps[j] = (np.searchsorted(nums, a), np.searchsorted(nums, m),
                        np.searchsorted(nums, b))
-    out = _LfUnion(J=J, nums=nums, points=points,
-                   gaps=np.diff(points), row_maps=row_maps)
-    _union_cache[J] = out
-    return out
+    return _LfUnion(J=J, nums=nums, points=points,
+                    gaps=np.diff(points), row_maps=row_maps)
 
 
 def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
@@ -345,7 +348,10 @@ def _x1_row_on_dyadic(row: np.ndarray, j: int, v: float, L: int,
     n = row.shape[0] * R
     stuffed = np.zeros(n)
     stuffed[::R] = row
-    cv = fftconvolve(stuffed, theta(np.arange(n + 1) / R, v, params))
+    # the full linear convolution has 2n values, and 2n is a power of two
+    spec = np.fft.rfft(stuffed, 2 * n) \
+        * np.fft.rfft(theta(np.arange(n + 1) / R, v, params), 2 * n)
+    cv = np.fft.irfft(spec, 2 * n)
     return cv[::1 << max(j - L, 0)][: (1 << L) + 1]
 
 

@@ -26,7 +26,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ParameterError
 
@@ -227,8 +226,11 @@ def theta_quadrature_oracle(x: float, v: float, alpha: float) -> float:
     Integrates (x - s)_+^(v - 1/alpha) against the half-cell step (+1 on
     [0, 1/2), -1 on [1/2, 1)) with adaptive quadrature, splitting at the
     moving endpoint where the integrand meets its kink.  Absolute accuracy
-    around 1e-10; far too slow for production use.
+    around 1e-10; far too slow for production use.  It is the package's
+    only use of scipy, imported here so that no command loads scipy.
     """
+    from scipy import integrate
+
     check_alpha(alpha)
     _check_v(v, alpha)
     x = float(x)

@@ -72,8 +72,17 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
     n = 1 if scalar else size
     u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
     w = rng.standard_exponential(size=n)
-    x = (np.sin(a * u) / np.cos(u) ** (1.0 / a)
-         * (np.cos((1.0 - a) * u) / w) ** ((1.0 - a) / a))
+    # the formula above, times the scale, left to right in place
+    x = np.multiply(a, u)
+    np.sin(x, out=x)
+    c = np.cos(u)
+    c **= 1.0 / a
+    x /= c
+    np.multiply(1.0 - a, u, out=u)
+    np.cos(u, out=u)
+    u /= w
+    u **= (1.0 - a) / a
+    x *= u
     x *= law.scale
     return float(x[0]) if scalar else x
 

@@ -48,6 +48,28 @@ X2_SCALE_FROZEN = {
     (1.0, 0.75): 0.208312268271,
 }
 
+# far-past limiting scale at u = 1, frozen from 40-digit mpmath 1.3.0
+# quadrature of the split form of x2_theoretical_scale's docstring (the
+# piece on (0, 1), plus g(0)/(beta + 1) and the t**beta (g(t) - g(0))
+# integral), at v = 1/alpha + 0.002, the band midpoint and 0.998
+X2_SCALE_40_DIGITS = {
+    (1.05, 0.9543809523809523): 0.037832838588486268,
+    (1.05, 0.9761904761904762): 0.81818848143119398,
+    (1.05, 0.998): 16.228260366879927,
+    (1.2, 0.8353333333333334): 0.0091715272466258893,
+    (1.2, 0.9166666666666667): 0.61699223960224738,
+    (1.2, 0.998): 25.153327878508155,
+    (1.5, 0.6686666666666666): 0.0045926271781676149,
+    (1.5, 0.8333333333333333): 0.49624591174722631,
+    (1.5, 0.998): 15.958203809639946,
+    (1.8, 0.5575555555555556): 0.0037849874453936904,
+    (1.8, 0.7777777777777778): 0.46247433276477422,
+    (1.8, 0.998): 10.09830304860269,
+    (1.95, 0.5148205128205129): 0.0036493089675568594,
+    (1.95, 0.7564102564102564): 0.4564649675053951,
+    (1.95, 0.998): 8.3565425723718365,
+}
+
 # exact consistent-mode far-past truncation scales at depths 7, 8, 9
 LF_TRUNCATED_FROZEN = {
     (0.25, 0.7): (0.027888340110, 0.028653036554, 0.029169091332),
@@ -104,6 +126,25 @@ def test_x1_scale_closed_form():
 def test_x2_scale_quadrature_frozen_values():
     for (u, v), ref in X2_SCALE_FROZEN.items():
         assert abs(x2_theoretical_scale(u, v, ALPHA) - ref) < 1e-9
+
+
+def test_x2_scale_matches_40_digit_references():
+    for (alpha, v), ref in X2_SCALE_40_DIGITS.items():
+        assert abs(x2_theoretical_scale(1.0, v, alpha) / ref - 1.0) <= 1e-13
+    # u enters only as the factor u**v
+    for (alpha, v), ref in list(X2_SCALE_40_DIGITS.items())[::4]:
+        got = x2_theoretical_scale(0.37, v, alpha)
+        assert abs(got / (0.37 ** v * ref) - 1.0) <= 1e-13
+
+
+def test_x2_scale_defined_across_the_band():
+    # the step-doubling gate holds, and the scale grows with v, everywhere
+    # from next to 1/alpha to next to 1
+    for alpha in np.linspace(1.01, 1.99, 12):
+        lo = 1.0 / alpha
+        vals = [x2_theoretical_scale(0.5, float(v), float(alpha))
+                for v in lo + (1.0 - lo) * np.linspace(0.001, 0.999, 12)]
+        assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) > 0.0)
 
 
 def test_x2_scale_zero_and_monotone():
@@ -217,8 +258,7 @@ def test_convergence_norms_match_direct_series():
     us = np.arange((1 << 4) + 1) / (1 << 4)
     best = 0.0
     for v in (0.7, 0.75, 0.8):
-        diffs = [x1_partial(u, v, pyr, ps, 4) - x1_partial(u, v, pyr, ps, 3)
-                 for u in us]
+        diffs = x1_partial(us, v, pyr, ps, 4) - x1_partial(us, v, pyr, ps, 3)
         best = max(best, float(np.max(np.abs(diffs))))
     assert rep.norms[0, 0] == pytest.approx(best, rel=1e-9)
 
@@ -232,8 +272,8 @@ def test_convergence_norms_match_direct_series():
     ug = np.linspace(0.0, 1.0, 1025)
     best = 0.0
     for v in (0.7, 0.75, 0.8):
-        diffs = [x2_partial(u, v, pyr2, ps2, 3) - x2_partial(u, v, pyr2, ps2, 2)
-                 for u in ug]
+        diffs = (x2_partial(ug, v, pyr2, ps2, 3)
+                 - x2_partial(ug, v, pyr2, ps2, 2))
         best = max(best, float(np.max(np.abs(diffs))))
     assert rep_lf.norms[0, 0] == pytest.approx(best, rel=1e-9)
 

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import haarlmsm
 from haarlmsm import cli
 from haarlmsm.cli import (
     PRESETS,
@@ -376,3 +379,50 @@ def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
     t0 = time.perf_counter()
     _assert_refused(argv, tmp_path, capsys)
     assert time.perf_counter() - t0 < 2.0
+
+
+# A fresh interpreter imports the package and runs one tiny command, then
+# reports every loaded module whose top-level package is scipy
+_NO_SCIPY_PROBE = """
+import sys
+import haarlmsm
+from haarlmsm import cli
+rc = cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--J-hf", "4", "--J-lf", "3"], id="simulate"),
+    pytest.param(["field", "--which", "total", "--J", "3", "--u-points", "5"],
+                 id="field-total"),
+    pytest.param(["converge", "--which", "hf", "--Jmin", "2", "--Jmax", "3",
+                  "--replicates", "8"], id="converge-hf"),
+    pytest.param(["converge", "--which", "lf", "--Jmin", "2", "--Jmax", "3",
+                  "--replicates", "8"], id="converge-lf"),
+    pytest.param(["scale-check", "--which", "hf", "--J", "3",
+                  "--n-samples", "1000"], id="scale-check-hf"),
+    pytest.param(["scale-check", "--which", "lf", "--J", "2",
+                  "--n-samples", "1000"], id="scale-check-lf"),
+    pytest.param(["scale-check", "--which", "hf", "--J", "3",
+                  "--mode", "independent"], id="scale-check-hf-independent"),
+    pytest.param(["scale-check", "--which", "lf", "--J", "2",
+                  "--mode", "independent"], id="scale-check-lf-independent"),
+    pytest.param(["render"], id="render"),
+])
+def test_commands_load_no_scipy(argv, tmp_path):
+    out = str(tmp_path / "run")
+    if argv == ["render"]:
+        assert main(["simulate", "--J-hf", "4", "--J-lf", "3",
+                     "--out", out]) == 0
+        argv = ["render", out + ".csv"]
+    else:
+        argv = argv + ["--out", out]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(haarlmsm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE, *argv],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

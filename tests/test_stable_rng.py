@@ -43,6 +43,26 @@ def test_sampler_shapes_and_determinism():
     assert m.shape == (3, 4)
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("size", [None, 1000, (40, 25)])
+def test_sampler_matches_one_expression_formula(alpha, size):
+    # the in-place evaluation keeps the formula's operation order, so it
+    # gives the same bits as the formula written as one expression
+    law = StableLaw(alpha, 1.7)
+    gen = make_rng(5)
+    n = 1 if size is None else size
+    u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
+    w = gen.standard_exponential(size=n)
+    want = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+            * 1.7)
+    got = sample_sas(law, make_rng(5), size)
+    if size is None:
+        assert isinstance(got, float) and got == float(want[0])
+    else:
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_sampler_scale_is_linear():
     a = sample_sas(StableLaw(1.5, 1.0), make_rng(21), size=100)
     b = sample_sas(StableLaw(1.5, 2.0), make_rng(21), size=100)
