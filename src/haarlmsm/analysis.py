@@ -21,7 +21,11 @@ depth-J difference is a single coefficient row, evaluated on a dyadic grid
 through FFT convolutions of the coefficient row with kernel value tables.
 For the far-past half the difference is the set of terms added when the
 depth steps up, summed term by term on a fixed uniform grid by the series'
-far-past row code over just the k-range each row gains.
+far-past row code over just the k-range each row gains.  A kernel table
+depends on the grid, the exponent, the depth and the row, never on the
+draw, so every replicate's pyramid is drawn first and each table (or, for
+the recent scales, each kernel spectrum) is built once per (depth, exponent,
+row) and reduced against every replicate's coefficient row.
 
 A caveat worth knowing before reading far-past rate numbers at shallow
 depths: the averaged kernel has a one-sided corner at 1 (its slope jumps
@@ -335,24 +339,28 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
 
 # ------------------------------------------------------ convergence study --
 
-def _x1_row_on_dyadic(row: np.ndarray, j: int, v: float, L: int,
+def _x1_row_on_dyadic(rows: np.ndarray, j: int, v: float, L: int,
                       params: KernelParams) -> np.ndarray:
-    """Scale-j row sum at every u = m / 2**L, via one FFT convolution.
+    """Scale-j row sum at every u = m / 2**L, via one FFT convolution per
+    row of ``rows`` (shape (replicates, 2**j)), one output line per row.
 
     The kernel arguments 2**j u - k = (m - k R) / R live on the lattice of
-    step 1/R, R = 2**max(L - j, 0), so the row zero-stuffed by R convolved
+    step 1/R, R = 2**max(L - j, 0), so each row zero-stuffed by R convolved
     with a kernel table at that step gives the sum at every m / (R 2**j);
-    every 2**max(j - L, 0)-th value is a grid point.
+    every 2**max(j - L, 0)-th value is a grid point.  The table and its
+    transform are computed once for all the rows.
     """
     R = 1 << max(L - j, 0)
-    n = row.shape[0] * R
-    stuffed = np.zeros(n)
-    stuffed[::R] = row
+    n = rows.shape[1] * R
     # the full linear convolution has 2n values, and 2n is a power of two
-    spec = np.fft.rfft(stuffed, 2 * n) \
-        * np.fft.rfft(theta(np.arange(n + 1) / R, v, params), 2 * n)
-    cv = np.fft.irfft(spec, 2 * n)
-    return cv[::1 << max(j - L, 0)][: (1 << L) + 1]
+    kernel_spec = np.fft.rfft(theta(np.arange(n + 1) / R, v, params), 2 * n)
+    out = np.empty((rows.shape[0], (1 << L) + 1))
+    stuffed = np.zeros(n)
+    for o, row in zip(out, rows):
+        stuffed[::R] = row
+        cv = np.fft.irfft(np.fft.rfft(stuffed, 2 * n) * kernel_spec, 2 * n)
+        o[:] = cv[::1 << max(j - L, 0)][: (1 << L) + 1]
+    return out
 
 
 @dataclass(eq=False)
@@ -386,13 +394,19 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
 
     For every J in J_list the study evaluates the difference between the
     depth-(J+1) and depth-J truncations of one realization (the same
-    pyramid, drawn once per replicate at depth max(J_list) + 1) and takes
-    its sup over the evaluation grid.  ``v_range`` is (a, b); norms are
+    pyramid, drawn once per replicate at depth max(J_list) + 1, each from
+    its own Philox stream spawned from ``seed``) and takes its sup over the
+    evaluation grid.  All pyramids are drawn before any kernel work; each
+    kernel table or spectrum is then built once per (depth, exponent, row)
+    and shared by the replicates, which changes no bit of the norms against
+    evaluating each replicate on its own.  ``v_range`` is (a, b); norms are
     maximized over the exponents {a, (a+b)/2, b}.  Fewer than 8 replicates
     raises StatisticsError; a single-entry J_list yields no slope and is
     flagged.  The fitted slope is compared against -(a - 1/alpha) for the
     recent-scales half (its slowest decay sits at the lower exponent) and
-    -(1 - b) for the far past.
+    -(1 - b) for the far past.  A study whose stacked rows, or lines of
+    differences, would hold more than MAX_VALUES values in all is refused
+    before any draw.
     """
     if which not in ("hf", "lf"):
         raise ParameterError(f"which must be 'hf' or 'lf', got {which!r}")
@@ -414,33 +428,47 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     v_grid = np.unique(np.array([a, 0.5 * (a + b), b]))
     params = KernelParams(alpha)
     flags = []
-    norms = np.empty((len(J_list), replicates))
     depth = J_list[-1] + 1
     u_grid = np.linspace(0.0, 1.0, 1025)
+    # each replicate's rows, stacked, and its lines of differences
+    if which == "hf":
+        per_rep = max(sum(1 << J for J in J_list), (1 << min(depth, 15)) + 1)
+    else:
+        per_rep = max(3 * (1 << depth) - 4, u_grid.size)
+    if replicates * per_rep > MAX_VALUES:
+        raise ParameterError(
+            f"{replicates} replicates need arrays of {replicates * per_rep} "
+            f"values, over the budget of {MAX_VALUES}")
     seeds = [[seed, rep] for rep in range(replicates)]
+    norms = np.empty((len(J_list), replicates))
+    stacks = {}
     for rep in range(replicates):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
         gen = np.random.Generator(np.random.Philox(ss))
         if which == "hf":
             pyr = generate_coefficients(alpha, depth, 2, "consistent", gen)
+            rows = {J: pyr.hf[J] for J in J_list}
         else:
             pyr = generate_coefficients(alpha, 1, max(depth, 2),
                                         "consistent", gen)
-        for p, J in enumerate(J_list):
-            best = 0.0
-            for v in v_grid:
-                if which == "hf":
-                    # row J on the dyadic grid of level min(J + 1, 15)
-                    diff = 2.0 ** (-J * v) * _x1_row_on_dyadic(
-                        pyr.hf[J], J, v, min(J + 1, 15), params)
-                else:
-                    # the terms the depth step J -> J + 1 adds to each row
-                    diff = sum(far_past_terms(
-                        u_grid, v, pyr, j,
-                        1 << (J - abs(j)) if abs(j) < J else 0,
-                        1 << (J + 1 - abs(j))) for j in range(-J, J + 1))
-                best = max(best, float(np.max(np.abs(diff))))
-            norms[p, rep] = best
+            rows = {j: pyr.lf_row(j) for j in range(1 - depth, depth)}
+        for key, row in rows.items():
+            stacks.setdefault(key, np.empty((replicates, row.size)))[rep] = row
+    for p, J in enumerate(J_list):
+        best = np.zeros(replicates)
+        for v in v_grid:
+            if which == "hf":
+                # row J on the dyadic grid of level min(J + 1, 15)
+                diff = 2.0 ** (-J * v) * _x1_row_on_dyadic(
+                    stacks[J], J, v, min(J + 1, 15), params)
+            else:
+                # the terms the depth step J -> J + 1 adds to each row
+                diff = sum(far_past_terms(
+                    u_grid, v, stacks[j], j,
+                    1 << (J - abs(j)) if abs(j) < J else 0,
+                    1 << (J + 1 - abs(j)), params) for j in range(-J, J + 1))
+            best = np.maximum(best, np.max(np.abs(diff), axis=1))
+        norms[p] = best
     medians = np.median(norms, axis=1)
     if len(J_list) >= 2:
         fitted = float(np.polyfit(np.array(J_list, dtype=float),

@@ -375,9 +375,18 @@ def _run_field(config: RunConfig) -> int:
 
 def _run_converge(config: RunConfig) -> int:
     """Truncation-rate study."""
+    which = config.which or "hf"
     J_list = list(range(config.Jmin, config.Jmax + 1))
+    # per replicate and depth J: lf reduces tables of 1025 points x the
+    # 3 * 2**J terms the step to J + 1 adds, hf convolves at most 4 * 2**J
+    # values; depths the study refuses are left to it
+    gained = (2 << max(config.Jmax, 0)) - (1 << max(config.Jmin, 0))
+    if which == "lf":
+        _check_work("converge", config.replicates * 1025, 3 * gained)
+    else:
+        _check_work("converge", config.replicates, 4 * gained)
     report = convergence_study(
-        config.which or "hf", config.alpha, (config.v, config.v), J_list,
+        which, config.alpha, (config.v, config.v), J_list,
         config.replicates, config.seed)
     gap = None
     verdict = "NO-SLOPE"

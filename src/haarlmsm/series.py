@@ -67,10 +67,15 @@ def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
 
 def _table_sum(kernel, x, v, offsets, coef, params, anchored=False):
     """sum_k coef_k kernel(x_i + offsets_k, v_i) at every point i, less
-    kernel(offsets_k, v_i) in each term when ``anchored``.  Each block of
-    points is one table reduced row by row, never by a matrix product, so a
-    point's sum has the same bits alone or in any array."""
-    out = np.zeros(x.shape[0])
+    kernel(offsets_k, v_i) in each term when ``anchored``.  ``coef`` is one
+    row of shape (m,), giving one sum per point, or a stack of rows of
+    shape (rows, m), giving one line of sums per row.  Each block of points
+    is one table, built once and reduced row by row against every
+    coefficient row, never by a matrix product, so a point's sum has the
+    same bits alone, in any array, or beside any other rows."""
+    rows = np.atleast_2d(coef)
+    last = rows.shape[0] - 1
+    out = np.zeros((rows.shape[0], x.shape[0]))
     step = max(1, _TABLE_ENTRIES // max(offsets.size, 1))
     anchor = kernel(offsets, v, params) if anchored and v.ndim == 0 else None
     for a in range(0, x.shape[0], step):
@@ -78,18 +83,23 @@ def _table_sum(kernel, x, v, offsets, coef, params, anchored=False):
         table = kernel(x[a:a + step, None] + offsets, vb, params)
         if anchored:
             table -= kernel(offsets, vb, params) if anchor is None else anchor
-        table *= coef
-        out[a:a + step] = table.sum(axis=1)
-    return out
+        for r, row in enumerate(rows):
+            # the last row's product may take the table's place
+            prod = np.multiply(table, row, out=table if r == last else None)
+            out[r, a:a + step] = prod.sum(axis=1)
+    return out if np.ndim(coef) == 2 else out[0]
 
 
-def far_past_terms(u, v, pyramid: CoefficientPyramid, j: int, lo: int,
-                   hi: int) -> np.ndarray:
+def far_past_terms(u, v, rows, j: int, lo: int, hi: int,
+                   params: KernelParams) -> np.ndarray:
     """Terms k = lo+1..hi of far-past row j, summed term by term and
-    weighted by 2**(-j v), at the points that check_uv returns."""
+    weighted by 2**(-j v), at the points that check_uv returns.  ``rows``
+    is row j of one pyramid (one sum per point) or that row of several
+    pyramids stacked, shape (pyramids, n) (one line of sums per pyramid);
+    each kernel table is built once for all of them."""
     ks = np.arange(lo + 1, hi + 1, dtype=float)
-    s = _table_sum(theta, 2.0 ** j * u, v, ks, pyramid.lf_row(j)[lo:hi],
-                   KernelParams(pyramid.alpha), anchored=True)
+    s = _table_sum(theta, 2.0 ** j * u, v, ks, rows[..., lo:hi], params,
+                   anchored=True)
     return np.power(2.0, -j * v) * s
 
 
@@ -129,7 +139,8 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
         for j in range(J) if half == "plus" else range(-1, -J, -1):
             n_row = 1 << (J - abs(j))
             if method == "naive":
-                part = part + far_past_terms(u, v, pyramid, j, 0, n_row)
+                part = part + far_past_terms(u, v, pyramid.lf_row(j), j, 0,
+                                            n_row, params)
                 continue
             x = 2.0 ** j * u
             lam = prefix.lf_row(j)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from haarlmsm import analysis, series
 from haarlmsm.analysis import (
     ConvergenceReport,
     convergence_study,
@@ -17,10 +18,11 @@ from haarlmsm.analysis import (
     _hf_cell_averages,
     _lf_cumulative_weights,
     _lf_union,
+    _x1_row_on_dyadic,
 )
 from haarlmsm.errors import ParameterError, StatisticsError
 from haarlmsm.kernels import KernelParams
-from haarlmsm.series import x1_partial, x2_partial
+from haarlmsm.series import far_past_terms, x1_partial, x2_partial
 from haarlmsm.stable_rng import (
     build_levy_grid,
     generate_coefficients,
@@ -237,6 +239,10 @@ def test_convergence_study_validation():
         convergence_study("hf", ALPHA, (0.75, 0.75), [5, 4], 8, 1)
     with pytest.raises(ParameterError):
         convergence_study("lf", ALPHA, (0.75, 0.75), [0, 1], 8, 1)
+    # the replicates' stacked rows would pass MAX_VALUES: refused undrawn
+    for which in ("hf", "lf"):
+        with pytest.raises(ParameterError, match="replicates need arrays"):
+            convergence_study(which, ALPHA, (0.75, 0.75), [4, 5], 10 ** 12, 1)
 
 
 def test_convergence_study_single_depth_flagged():
@@ -276,6 +282,68 @@ def test_convergence_norms_match_direct_series():
                  - x2_partial(ug, v, pyr2, ps2, 2))
         best = max(best, float(np.max(np.abs(diffs))))
     assert rep_lf.norms[0, 0] == pytest.approx(best, rel=1e-9)
+
+
+def _per_replicate_norms(which, alpha, v_grid, J_list, replicates, seed):
+    """Study norms with each replicate drawn and evaluated on its own: one
+    far-past table or one kernel spectrum per row call and replicate."""
+    params = KernelParams(alpha)
+    depth = J_list[-1] + 1
+    u_grid = np.linspace(0.0, 1.0, 1025)
+    norms = np.empty((len(J_list), replicates))
+    for rep in range(replicates):
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+        if which == "hf":
+            pyr = generate_coefficients(alpha, depth, 2, "consistent", gen)
+        else:
+            pyr = generate_coefficients(alpha, 1, max(depth, 2),
+                                        "consistent", gen)
+        for p, J in enumerate(J_list):
+            best = 0.0
+            for v in v_grid:
+                if which == "hf":
+                    diff = 2.0 ** (-J * v) * _x1_row_on_dyadic(
+                        pyr.hf[J][None], J, v, min(J + 1, 15), params)[0]
+                else:
+                    diff = sum(far_past_terms(
+                        u_grid, v, pyr.lf_row(j), j,
+                        1 << (J - abs(j)) if abs(j) < J else 0,
+                        1 << (J + 1 - abs(j)), params)
+                        for j in range(-J, J + 1))
+                best = max(best, float(np.max(np.abs(diff))))
+            norms[p, rep] = best
+    return norms
+
+
+@pytest.mark.parametrize("which", ["hf", "lf"])
+def test_shared_tables_match_per_replicate_loop(which):
+    rep = convergence_study(which, ALPHA, (0.7, 0.8), [2, 3, 4], 8, 11)
+    oracle = _per_replicate_norms(which, ALPHA, rep.v_grid, [2, 3, 4], 8, 11)
+    assert np.array_equal(rep.norms, oracle)
+
+
+def test_kernel_tables_shared_across_replicates(monkeypatch):
+    # every kernel table (lf) or kernel spectrum (hf) is built once per
+    # depth, exponent and row, so more replicates make no more theta calls
+    calls = [0]
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(series, "theta", counting(series.theta))
+    monkeypatch.setattr(analysis, "theta", counting(analysis.theta))
+    for which in ("hf", "lf"):
+        counts = []
+        for replicates in (8, 16):
+            calls[0] = 0
+            convergence_study(which, ALPHA, (0.7, 0.8), [2, 3, 4],
+                              replicates, 3)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0, (which, counts)
 
 
 def test_convergence_report_fields():

@@ -374,6 +374,8 @@ def test_config_file_choices_are_checked(key, tmp_path, capsys):
     ["scale-check", "--which", "lf", "--n-samples", "10000000000"],
     ["simulate", "--J-hf", "24"],
     ["simulate", "--J-hf", "15"],
+    ["converge", "--which", "lf", "--replicates", "1000000000000"],
+    ["converge", "--which", "lf", "--Jmax", "11", "--replicates", "100000"],
 ])
 def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
     t0 = time.perf_counter()
