@@ -119,12 +119,22 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     beta = alpha (1 - v) - 1.  Both pieces take the tanh-sinh rule
     ``_TS_NODES``; a non-finite I, or one that differs from the same rule
     on every other node (twice the step) by more than 1e-12 relative,
-    raises ComputeError.
+    raises ComputeError.  p is the exact v - 1/alpha rounded once, so its
+    relative error stays at one rounding next to the band edge; a v that
+    does not exceed 1/alpha exactly raises ParameterError.
     """
     check_uv(u, v, alpha)
+    # p correctly rounded: v - 1.0 / alpha would carry the rounding of
+    # 1/alpha, a large share of p next to the band edge.  fractions is
+    # imported here to keep decimal off every command's start-up.
+    from fractions import Fraction
+    p_exact = Fraction(float(v)) - 1 / Fraction(float(alpha))
+    if p_exact <= 0:
+        raise ParameterError(
+            f"v must exceed 1/alpha exactly, got v={v}, alpha={alpha}")
     if u == 0.0:
         return 0.0
-    p = v - 1.0 / alpha
+    p = float(p_exact)
     c = alpha * (1.0 - v)  # beta + 1
     s = _TS_NODES
     # (1 + s)**p - 1 and s**p - 1, so no difference cancels

@@ -71,6 +71,15 @@ X2_SCALE_40_DIGITS = {
     (1.95, 0.7564102564102564): 0.4564649675053951,
     (1.95, 0.998): 8.3565425723718365,
 }
+# the same quadrature next to the band edge, at v = 1/alpha + 2e-7..1e-6,
+# where p = v - 1/alpha formed in floating point is off by up to 2e-10
+X2_SCALE_40_DIGITS_EDGE = {
+    (1.5, 0.6666671666666666): 1.1466160049161138295e-6,
+    (1.2, 0.8333343333333334): 4.5502341411493478554e-6,
+    (1.8, 0.5555557555555556): 3.786981472969910792e-7,
+    (1.05, 0.9523819523809524): 0.000018196968395131366365,
+    (1.95, 0.5128210128205128): 9.1332843965426862674e-7,
+}
 
 # exact consistent-mode far-past truncation scales at depths 7, 8, 9
 LF_TRUNCATED_FROZEN = {
@@ -131,12 +140,17 @@ def test_x2_scale_quadrature_frozen_values():
 
 
 def test_x2_scale_matches_40_digit_references():
-    for (alpha, v), ref in X2_SCALE_40_DIGITS.items():
+    for (alpha, v), ref in {**X2_SCALE_40_DIGITS,
+                            **X2_SCALE_40_DIGITS_EDGE}.items():
         assert abs(x2_theoretical_scale(1.0, v, alpha) / ref - 1.0) <= 1e-13
     # u enters only as the factor u**v
     for (alpha, v), ref in list(X2_SCALE_40_DIGITS.items())[::4]:
         got = x2_theoretical_scale(0.37, v, alpha)
         assert abs(got / (0.37 ** v * ref) - 1.0) <= 1e-13
+    # v above the float32 rounding of 1/alpha, but not above 1/alpha
+    alpha32 = np.float32(1.7)
+    with pytest.raises(ParameterError, match="exactly"):
+        x2_theoretical_scale(1.0, float(1.0 / alpha32) + 1e-9, alpha32)
 
 
 def test_x2_scale_defined_across_the_band():

@@ -39,3 +39,22 @@ def test_output_checks_pass_on_tiny_runs(tmp_path):
                  "--replicates", "8", "--out", str(conv)]) == 0
     assert checks.check_simulate(f"{sim}.csv") == []
     assert checks.check_converge(f"{conv}.csv") == []
+
+
+def test_traced_draw_count_is_exact(monkeypatch):
+    """Split-size draws count once each: the second thread of a large draw
+    must not go through the traced sampler."""
+    from haarlmsm import analysis, stable_rng
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    name = "stable_rng.sample_sas"
+    wrapped = tracer.wrap(name, stable_rng.sample_sas, spans.COUNTERS[name])
+    monkeypatch.setattr(stable_rng, "sample_sas", wrapped)
+    monkeypatch.setattr(analysis, "sample_sas", wrapped)
+    # two chunks of 1024 replicates x 64 columns, each on the split route
+    J, n = 6, 2048
+    assert analysis._MC_HF_CHUNK << J >= stable_rng._SPLIT_MIN
+    analysis.mc_x1_samples([(0.5, 0.75)], 1.5, J, n, 3)
+    stable_rng.build_levy_grid(1.5, 0.0, 1.0, 17, stable_rng.make_rng(4))
+    assert tracer.counts["stable_rng.sample_sas_draws"] == (n << J) + 2 ** 17
+    assert tracer.stats[name][0] == 3

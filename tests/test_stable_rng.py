@@ -1,6 +1,11 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from haarlmsm import stable_rng
 from haarlmsm.errors import ParameterError, ResolutionError
 from haarlmsm.stable_rng import (
     CoefficientPyramid,
@@ -43,24 +48,81 @@ def test_sampler_shapes_and_determinism():
     assert m.shape == (3, 4)
 
 
-@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
-@pytest.mark.parametrize("size", [None, 1000, (40, 25)])
-def test_sampler_matches_one_expression_formula(alpha, size):
-    # the in-place evaluation keeps the formula's operation order, so it
-    # gives the same bits as the formula written as one expression
-    law = StableLaw(alpha, 1.7)
-    gen = make_rng(5)
-    n = 1 if size is None else size
-    u = gen.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    w = gen.standard_exponential(size=n)
-    want = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-            * 1.7)
-    got = sample_sas(law, make_rng(5), size)
-    if size is None:
-        assert isinstance(got, float) and got == float(want[0])
+def _advance(gen, ahead):
+    # ahead doubles, or one float32 draw, which keeps a spare 32-bit half
+    if ahead == "float32":
+        gen.random(dtype=np.float32)
     else:
-        assert got.shape == want.shape and np.array_equal(got, want)
+        gen.random(ahead)
+    return gen
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+@pytest.mark.parametrize("size", [None, 1000, (40, 25),
+                                  stable_rng._SPLIT_MIN + 1, (257, 300)])
+def test_sampler_matches_one_expression_formula(alpha, size, monkeypatch):
+    # the in-place evaluation keeps the formula's operation order, so it
+    # gives the same bits as the formula written as one expression; the
+    # last two sizes take the two-thread route, which must also leave the
+    # generator where the serial draws would, whatever it had buffered
+    law = StableLaw(alpha, 1.7)
+    n = 1 if size is None else size
+    for ahead in (0, 1, 2, 3, "float32"):
+        ref = _advance(make_rng(5), ahead)
+        u = ref.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
+        w = ref.standard_exponential(size=n)
+        want = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
+                * 1.7)
+        threads = threading.active_count()
+        gen = _advance(make_rng(5), ahead)
+        got = sample_sas(law, gen, size)
+        assert threading.active_count() == threads
+        if size is None:
+            assert isinstance(got, float) and got == float(want[0])
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert gen.random() == ref.random()
+        assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
+    if want.size >= stable_rng._SPLIT_MIN:
+        # one usable CPU, for the last generator (a float32 draw ahead):
+        # the serial route, and no thread may start
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        serial = sample_sas(law, _advance(make_rng(5), ahead), size)
+        assert np.array_equal(serial, want)
+
+
+def test_split_draws_from_more_threads_than_cores():
+    # each caller's draw runs on its own pair of threads, with a short
+    # switch interval to interleave them finely
+    law = StableLaw(1.5)
+    size = stable_rng._SPLIT_MIN + 3
+    want = [sample_sas(law, make_rng(seed), size) for seed in range(6)]
+    got = {}
+
+    def draw(seed):
+        got[seed] = sample_sas(law, make_rng(seed), size)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=draw, args=(seed,))
+                   for seed in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert all(np.array_equal(got[seed], want[seed]) for seed in range(6))
 
 
 def test_sampler_scale_is_linear():
@@ -84,6 +146,17 @@ def test_sampler_marginals_other_alpha():
     for t in (0.5, 1.1):
         assert np.mean(np.cos(t * x)) == pytest.approx(
             np.exp(-t ** 1.8), abs=0.012)
+
+
+def test_oversized_draws_refused_before_drawing():
+    gen = make_rng(0)
+    threads = threading.active_count()
+    with pytest.raises(ParameterError, match="over the budget"):
+        build_levy_grid(1.5, -2.0 ** 20, 0.0, 20, gen)
+    with pytest.raises(ParameterError, match="over the budget"):
+        sample_sas(StableLaw(1.5), gen, size=(2 ** 21, 2 ** 21))
+    assert threading.active_count() == threads
+    assert gen.random() == make_rng(0).random()
 
 
 def test_levy_grid_pinned_and_sized():
