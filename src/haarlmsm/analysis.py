@@ -56,6 +56,9 @@ from .series import check_uv, far_past_terms
 from .stable_rng import (
     MAX_VALUES,
     StableLaw,
+    _LfUnion,
+    _lf_union,
+    check_seed,
     generate_coefficients,
     make_rng,
     sample_sas,
@@ -176,43 +179,6 @@ def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, (1 << J) + 1)
     anti = truncated_power(u - t, q) / q
     return (1 << J) * (anti[:-1] - anti[1:])
-
-
-@dataclass(eq=False)
-class _LfUnion:
-    """Sorted union of the grid points the far-past rows touch, at one depth.
-
-    ``nums`` are the points in units of 2**-J (negative integers up to 0),
-    ``gaps`` the consecutive time gaps, and ``row_maps[j]`` the indices of
-    the (left, mid, right) points of each coefficient of row j.
-    """
-
-    J: int
-    nums: np.ndarray
-    points: np.ndarray
-    gaps: np.ndarray
-    row_maps: dict
-
-
-@lru_cache(maxsize=4)
-def _lf_union(J: int) -> _LfUnion:
-    parts = []
-    raw = {}
-    for j in range(1 - J, J):
-        n_row = 1 << (J - abs(j))
-        step = 1 << (J - j)
-        ks = np.arange(1, n_row + 1, dtype=np.int64)
-        left = -ks * step
-        raw[j] = (left, left + step // 2, left + step)
-        parts.extend(raw[j])
-    nums = np.unique(np.concatenate(parts))
-    points = nums * 2.0 ** (-J)
-    row_maps = {}
-    for j, (a, m, b) in raw.items():
-        row_maps[j] = (np.searchsorted(nums, a), np.searchsorted(nums, m),
-                       np.searchsorted(nums, b))
-    return _LfUnion(J=J, nums=nums, points=points,
-                    gaps=np.diff(points), row_maps=row_maps)
 
 
 def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
@@ -421,6 +387,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     if which not in ("hf", "lf"):
         raise ParameterError(f"which must be 'hf' or 'lf', got {which!r}")
     check_alpha(alpha)
+    check_seed(seed)
     if replicates < 8:
         raise StatisticsError(
             f"need at least 8 replicates for median norms, got {replicates}")

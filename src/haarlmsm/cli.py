@@ -320,7 +320,8 @@ def _run_simulate(config: RunConfig) -> int:
     """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
     # depths below the minimum are refused where the pyramid is drawn
-    n = config.n_points or ((1 << max(config.J_hf, 0)) + 1)
+    n = (config.n_points if config.n_points is not None
+         else (1 << max(config.J_hf, 0)) + 1)
     if not 1 <= n <= MAX_VALUES:
         raise ConfigError(f"n_points must lie in 1..{MAX_VALUES}, got {n}")
     # rows of 2**J_hf and about 3 * 2**J_lf terms in all

@@ -59,6 +59,8 @@ class KernelParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        # a numpy float32 alpha would put every 1/alpha in float32
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not self.switch_x >= _MIN_SWITCH_X:
             raise ParameterError(
                 f"switch_x must be at least 4, got {self.switch_x}")

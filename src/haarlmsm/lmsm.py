@@ -302,6 +302,8 @@ def read_path_csv(path) -> PathSample:
         config = json.loads(lines[0][len("# config: "):])
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad config line in {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config line in {path} is not a JSON object")
     if len(lines) < 2 or lines[1] != "t,y1,y2,y":
         raise ConfigError(f"{path} lacks the t,y1,y2,y header")
     rows = [ln for ln in lines[2:] if ln]

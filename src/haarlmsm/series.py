@@ -46,10 +46,11 @@ def check_uv(u, v, alpha: float):
     bad = ~((0.0 <= u1) & (u1 <= 1.0))
     if bad.any():
         raise ParameterError(f"u must lie in [0, 1], got {u1[bad][0]}")
-    bad = ~((1.0 / alpha < v1) & (v1 < 1.0))
+    lo = 1.0 / float(alpha)
+    bad = ~((lo < v1) & (v1 < 1.0))
     if bad.any():
         raise ParameterError(
-            f"v must lie in (1/alpha, 1) = ({1.0 / alpha:.6g}, 1), got "
+            f"v must lie in (1/alpha, 1) = ({lo:.6g}, 1), got "
             f"{v1[bad][0]}")
     return (np.broadcast_to(u1, v.shape) if v.ndim else u1), v, \
         u.ndim == 0 and v.ndim == 0

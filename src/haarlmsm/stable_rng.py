@@ -4,9 +4,11 @@ Randomness enters the synthesis in exactly one of two ways.  In
 ``consistent`` mode a single stable process is sampled on a dyadic grid and
 every detail coefficient is read off that one realization through second
 differences, so refining the truncation depth never changes coefficients
-already drawn.  In ``independent`` mode each coefficient is an independent
-standard draw, which is cheaper and matches the coefficients' marginal law
-but not their joint law across scales.
+already drawn.  The far-past coefficients read it at the points of
+``_lf_union``, the one far-past grid, from which ``analysis`` also takes its
+exact scales and Monte Carlo weights.  In ``independent`` mode each
+coefficient is an independent standard draw, which is cheaper and matches
+the coefficients' marginal law but not their joint law across scales.
 
 All generators are counter-based (Philox) and every grid or row gets its own
 spawned stream, so results are reproducible from a single integer seed and
@@ -21,6 +23,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -60,15 +63,24 @@ class StableLaw:
             raise ParameterError(f"scale must be positive, got {self.scale}")
 
 
+def check_seed(seed) -> int:
+    """Refuse a seed that is not a non-negative integer; return it as int."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator from an integer seed."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """Counter-based generator from a non-negative integer seed."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
 def _as_generator(seed: SeedLike) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    return make_rng(int(seed))
+    return make_rng(seed)
 
 
 def _cms(a: float, scale: float, u, w, x, c) -> None:
@@ -316,7 +328,10 @@ class CoefficientPyramid(_Rows):
     for j = 0..J_hf - 1.  ``lf[i]`` holds scale j = i - J_lf + 1 (so j runs
     ascending from 1 - J_lf to J_lf - 1) at negative positions -1..-N with
     N = 2**(J_lf - |j|); entry index i maps to position -(i + 1).  ``z1`` is
-    the process value at t = 1 that feeds the leading term.
+    the process value at t = 1 that feeds the leading term.  In consistent
+    mode ``hf_values`` and ``lf_values`` hold the process values the rows
+    read, at i / 2**J_hf (i = 0..2**J_hf) and at the ``_lf_union(J_lf)``
+    points; both are None in independent mode.
     """
 
     alpha: float
@@ -327,8 +342,48 @@ class CoefficientPyramid(_Rows):
     hf: list = field(default_factory=list)
     lf: list = field(default_factory=list)
     seed: Optional[int] = None
-    hf_grid: Optional[LevyGrid] = None
-    lf_grid: Optional[LevyGrid] = None
+    hf_values: Optional[np.ndarray] = None
+    lf_values: Optional[np.ndarray] = None
+
+
+@dataclass(eq=False)
+class _LfUnion:
+    """Sorted union of the grid points the far-past rows read, at one depth.
+
+    ``nums`` are the points in units of 2**-J (integers from -4**J to 0),
+    ``gaps`` the consecutive time gaps, and ``row_maps[j]`` the indices of
+    the (left, mid, right) points of each coefficient of row j.
+    """
+
+    J: int
+    nums: np.ndarray
+    gaps: np.ndarray
+    row_maps: dict
+
+
+@lru_cache(maxsize=4)
+def _lf_union(J: int) -> _LfUnion:
+    raw = {}
+    for j in range(1 - J, J):
+        step = 1 << (J - j)
+        left = -np.arange(1, (1 << (J - abs(j))) + 1, dtype=np.int64) * step
+        raw[j] = (left, left + step // 2, left + step)
+    # Row j >= 0 reads the multiples of 2**(J-j-1) in [-4**(J-j), 0], row
+    # j < 0 a subset of row 0's: past 0 and -1, the union in [-4**(i+1),
+    # -4**i) is the multiples of 2**i (sorting cost simulate 15 ms, 0.5 MB).
+    nums = -np.concatenate([np.arange(2)] + [
+        np.arange(4 ** i + 2 ** i, 4 ** (i + 1) + 1, 2 ** i)
+        for i in range(J)])[::-1]
+    row_maps = {j: tuple(np.searchsorted(nums, p) for p in abm)
+                for j, abm in raw.items()}
+    return _LfUnion(J=J, nums=nums, gaps=np.diff(nums * 2.0 ** (-J)),
+                    row_maps=row_maps)
+
+
+def _second_differences(values, alpha: float, j: int, points) -> np.ndarray:
+    """-2**(j/alpha) (Z(a) - 2 Z(m) + Z(b)) for the indices (a, m, b)."""
+    a, m, b = points
+    return -(2.0 ** (j / alpha)) * (values[a] - 2.0 * values[m] + values[b])
 
 
 def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
@@ -339,15 +394,15 @@ def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
 
 
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
-                          rng: SeedLike, *,
-                          keep_grids: bool = False) -> CoefficientPyramid:
+                          rng: SeedLike) -> CoefficientPyramid:
     """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
 
     In consistent mode two pinned grids are sampled (one on [0, 1] at level
     J_hf, one on [-2**J_lf, 0] at level J_lf) and all rows are second
-    differences of them.  In independent mode every coefficient is its own
-    standard stable draw.  The total number of float64 values (coefficients
-    plus any grids) may not pass MAX_VALUES.
+    differences of them, the far-past rows at the ``_lf_union(J_lf)``
+    points; only the values read are kept.  In independent mode every
+    coefficient is its own standard stable draw.  The total number of
+    float64 values (coefficients plus any grids) may not pass MAX_VALUES.
     """
     check_alpha(alpha)
     if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
@@ -356,8 +411,6 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
         raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    if keep_grids and mode != "consistent":
-        raise ParameterError("keep_grids only makes sense in consistent mode")
     need = _pyramid_budget(J_hf, J_lf, mode)
     if need > MAX_VALUES:
         raise ParameterError(
@@ -370,35 +423,24 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
 
     if mode == "consistent":
         g_hf, g_lf = gen.spawn(2)
-        hf_grid = build_levy_grid(alpha, 0.0, 1.0, J_hf, g_hf)
-        lf_grid = build_levy_grid(alpha, -float(2 ** J_lf), 0.0, J_lf, g_lf)
-        v = hf_grid.values
+        hf_values = build_levy_grid(alpha, 0.0, 1.0, J_hf, g_hf).values
+        union = _lf_union(J_lf)
+        # the far-past grid's index 0 is the union's first point, -4**J_lf
+        lf_values = build_levy_grid(alpha, -float(2 ** J_lf), 0.0, J_lf,
+                                    g_lf).values[union.nums - union.nums[0]]
         hf_rows = []
         for j in range(J_hf):
             step = 1 << (J_hf - j)
-            half = step >> 1
-            z0 = v[0:-1:step]
-            zm = v[half::step][: 1 << j]
-            z1v = v[step::step]
-            coef = -(2.0 ** (j / alpha))
-            hf_rows.append(coef * (z0 - 2.0 * zm + z1v))
-        z1 = float(v[-1])
-        w = lf_grid.values
-        base = 1 << (2 * J_lf)
-        lf_rows = []
-        for j in lf_j_range:
-            n_row = 1 << (J_lf - abs(j))
-            step = 1 << (J_lf - j)
-            ks = np.arange(1, n_row + 1, dtype=np.int64)
-            i0 = base - ks * step
-            coef = -(2.0 ** (j / alpha))
-            lf_rows.append(coef * (w[i0] - 2.0 * w[i0 + (step >> 1)]
-                                   + w[i0 + step]))
+            hf_rows.append(_second_differences(
+                hf_values, alpha, j, (slice(0, -1, step),
+                                      slice(step >> 1, None, step),
+                                      slice(step, None, step))))
         return CoefficientPyramid(
-            alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=mode, z1=z1,
-            hf=hf_rows, lf=lf_rows, seed=seed_val,
-            hf_grid=hf_grid if keep_grids else None,
-            lf_grid=lf_grid if keep_grids else None)
+            alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=mode,
+            z1=float(hf_values[-1]), hf=hf_rows,
+            lf=[_second_differences(lf_values, alpha, j, union.row_maps[j])
+                for j in lf_j_range],
+            seed=seed_val, hf_values=hf_values, lf_values=lf_values)
 
     n_lf_rows = 2 * J_lf - 1
     children = gen.spawn(1 + J_hf + n_lf_rows)

@@ -17,7 +17,6 @@ from haarlmsm.analysis import (
     x2_theoretical_scale,
     _hf_cell_averages,
     _lf_cumulative_weights,
-    _lf_union,
     _x1_row_on_dyadic,
 )
 from haarlmsm.errors import ParameterError, StatisticsError
@@ -30,6 +29,7 @@ from haarlmsm.stable_rng import (
     prefix_sums,
     sample_sas,
     StableLaw,
+    _lf_union,
 )
 
 ALPHA = 1.5
@@ -147,9 +147,10 @@ def test_x2_scale_matches_40_digit_references():
     for (alpha, v), ref in list(X2_SCALE_40_DIGITS.items())[::4]:
         got = x2_theoretical_scale(0.37, v, alpha)
         assert abs(got / (0.37 ** v * ref) - 1.0) <= 1e-13
-    # v above the float32 rounding of 1/alpha, but not above 1/alpha
+    # v above the float32 rounding of 1/alpha, but not above 1/alpha:
+    # check_uv forms 1/alpha in float64 and refuses it
     alpha32 = np.float32(1.7)
-    with pytest.raises(ParameterError, match="exactly"):
+    with pytest.raises(ParameterError, match="v must lie"):
         x2_theoretical_scale(1.0, float(1.0 / alpha32) + 1e-9, alpha32)
 
 
@@ -189,10 +190,9 @@ def test_truncated_lf_scale_frozen_regression():
 def test_hf_weight_route_reproduces_series():
     # the cell-average rewriting must give the same number as evaluating
     # the truncated series on the same realization
-    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314,
-                                keep_grids=True)
+    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314)
     ps = prefix_sums(pyr)
-    dz = np.diff(pyr.hf_grid.values)
+    dz = np.diff(pyr.hf_values)
     for (u, v) in ((0.25, 0.7), (0.63, 0.8), (1.0, 0.75)):
         w = _hf_cell_averages(u, v, ALPHA, 10)
         direct = x1_partial(u, v, pyr, ps, 10)
@@ -200,15 +200,11 @@ def test_hf_weight_route_reproduces_series():
 
 
 def test_lf_weight_route_reproduces_series():
-    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314,
-                                keep_grids=True)
+    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314)
     ps = prefix_sums(pyr)
     union = _lf_union(6)
     params = KernelParams(ALPHA)
-    # union points are multiples of the far grid spacing, so the process
-    # values can be read off the stored grid directly
-    idx = (union.nums + (1 << 12)).astype(np.int64)
-    dz = np.diff(pyr.lf_grid.values[idx])
+    dz = np.diff(pyr.lf_values)
     for (u, v) in ((0.25, 0.7), (0.63, 0.8), (1.0, 0.75)):
         C = _lf_cumulative_weights(union, u, v, ALPHA, 6, params)
         direct = x2_partial(u, v, pyr, ps, 6)

@@ -307,6 +307,10 @@ def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
     ["simulate", "--hurst", "linear:0.5,0.05"],
     ["converge", "--Jmin", "x"],
     ["no-such-command"],
+    ["simulate", "--n-points", "0"],
+    ["simulate", "--seed", "-1"],
+    ["converge", "--seed", "-1"],
+    ["scale-check", "--seed", "-1"],
 ])
 def test_every_refusal_is_one_line(argv, tmp_path, capsys):
     _assert_refused(argv, tmp_path, capsys)

@@ -15,6 +15,7 @@ from haarlmsm.kernels import (
     theta_quadrature_oracle,
     truncated_power,
 )
+from haarlmsm.series import check_uv
 
 ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx)
 
@@ -202,6 +203,15 @@ def test_parameter_errors():
             f(np.array([2.0, 1e300]), 0.99, params)
         with pytest.raises(ParameterError, match="x must be finite"):
             f(1e300, 0.99, KernelParams(alpha=1.5, switch_x=1e301))
+    # a float32 alpha gives the float call's bits, and a v at or below the
+    # float64 1/alpha is refused even when it passes the float32 1/alpha
+    a32 = np.float32(1.7)
+    x = np.array([0.5, 2.0, 10.0])
+    for f in ALL_FUNCS:
+        assert np.array_equal(f(x, 0.75, KernelParams(a32)),
+                              f(x, 0.75, KernelParams(float(a32))))
+    with pytest.raises(ParameterError, match="v must lie"):
+        check_uv(0.5, float(1.0 / a32) + 1e-9, a32)
 
 
 def test_scalar_and_array_paths_agree():

@@ -175,6 +175,9 @@ def test_csv_rejects_malformed(tmp_path):
     bad.write_text("# config: {\"a\": 1}\nt,y1,y2,y\n0.0,xyz,0.0,0.0\n")
     with pytest.raises(ConfigError):
         read_path_csv(bad)
+    bad.write_text("# config: 5\nt,y1,y2,y\n0.0,0.0,0.0,0.0\n")
+    with pytest.raises(ConfigError):
+        read_path_csv(bad)
 
 
 def test_csv_decimal_separator_is_dot():

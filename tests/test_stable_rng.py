@@ -214,21 +214,26 @@ def test_zeta_resolution_errors():
 
 
 def test_pyramid_consistent_rows_match_scalar_reads():
-    pyr = generate_coefficients(1.5, 4, 3, "consistent", 61, keep_grids=True)
+    pyr = generate_coefficients(1.5, 4, 3, "consistent", 61)
+    # the two grids generate_coefficients draws from seed 61
+    g_hf, g_lf = make_rng(61).spawn(2)
+    hf_grid = build_levy_grid(1.5, 0.0, 1.0, 4, g_hf)
+    lf_grid = build_levy_grid(1.5, -8.0, 0.0, 3, g_lf)
     for j in range(4):
         row = pyr.hf_row(j)
         assert row.shape == (2 ** j,)
-        manual = np.array([zeta_from_levy(pyr.hf_grid, j, k)
+        manual = np.array([zeta_from_levy(hf_grid, j, k)
                            for k in range(2 ** j)])
         assert np.array_equal(row, manual)
     for j in range(-2, 3):
         row = pyr.lf_row(j)
         n = 2 ** (3 - abs(j))
         assert row.shape == (n,)
-        manual = np.array([zeta_from_levy(pyr.lf_grid, j, -k)
+        manual = np.array([zeta_from_levy(lf_grid, j, -k)
                            for k in range(1, n + 1)])
         assert np.array_equal(row, manual)
-    assert pyr.z1 == pyr.hf_grid.values[-1]
+    assert pyr.z1 == hf_grid.values[-1]
+    assert np.array_equal(pyr.hf_values, hf_grid.values)
 
 
 def test_pyramid_determinism_and_modes():
@@ -238,7 +243,7 @@ def test_pyramid_determinism_and_modes():
     for ra, rb in zip(a.hf + a.lf, b.hf + b.lf):
         assert np.array_equal(ra, rb)
     c = generate_coefficients(1.5, 3, 2, "independent", 62)
-    assert c.hf_grid is None
+    assert c.hf_values is None and c.lf_values is None
     assert not np.array_equal(a.hf[2], c.hf[2])
     assert a.seed == 62 and a.mode == "consistent"
     d = generate_coefficients(1.5, 3, 2, "consistent", make_rng(62))
@@ -253,8 +258,6 @@ def test_pyramid_validation():
         generate_coefficients(1.5, 3, 1, "consistent", 0)
     with pytest.raises(ParameterError):
         generate_coefficients(1.5, 3, 2, "mixed", 0)
-    with pytest.raises(ParameterError):
-        generate_coefficients(1.5, 3, 2, "independent", 0, keep_grids=True)
     # the consistent grids alone pass MAX_VALUES at this depth
     with pytest.raises(ParameterError, match="over the budget"):
         generate_coefficients(1.5, 26, 6, "consistent", 0)
