@@ -106,7 +106,9 @@ def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
     check_uv(u, v, alpha)
     if u == 0.0:
         return 0.0
-    return u ** v * (alpha * v) ** (-1.0 / alpha)
+    # a numpy float32 alpha would keep the power in float32
+    alpha = float(alpha)
+    return float(u ** v * (alpha * v) ** (-1.0 / alpha))
 
 
 @lru_cache(maxsize=None)
@@ -273,6 +275,7 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
         S = sample_sas(law, gen, size=(m, weights[0].shape[0]))
         for o, W in zip(out, weights):
             o[done:done + m] = S @ W
+        del S  # free this chunk before the next one is drawn
         done += m
     return out
 
@@ -339,6 +342,15 @@ def _x1_row_on_dyadic(rows: np.ndarray, j: int, v: float, L: int,
     return out
 
 
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=1)``, bit for bit and NaN rows included, without
+    the ``numpy.ma`` import that np.median makes to check for masks."""
+    s = np.sort(a, axis=1)
+    m = a.shape[1]
+    mid = 0.5 * (s[:, (m - 1) // 2] + s[:, m // 2])
+    return np.where(np.isnan(s[:, -1]), np.nan, mid)
+
+
 @dataclass(eq=False)
 class ConvergenceReport:
     """Depth-refinement difference norms and the fitted decay slope.
@@ -402,7 +414,8 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     if J_list[0] < j_floor:
         raise ParameterError(
             f"{which} depths must be >= {j_floor}, got {J_list[0]}")
-    v_grid = np.unique(np.array([a, 0.5 * (a + b), b]))
+    # not np.unique, which imports numpy.ma
+    v_grid = np.array(sorted({a, 0.5 * (a + b), b}))
     params = KernelParams(alpha)
     flags = []
     depth = J_list[-1] + 1
@@ -446,7 +459,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
                     1 << (J + 1 - abs(j)), params) for j in range(-J, J + 1))
             best = np.maximum(best, np.max(np.abs(diff), axis=1))
         norms[p] = best
-    medians = np.median(norms, axis=1)
+    medians = _row_medians(norms)
     if len(J_list) >= 2:
         fitted = float(np.polyfit(np.array(J_list, dtype=float),
                                   np.log2(medians), 1)[0])

@@ -13,8 +13,9 @@ the coefficients' marginal law but not their joint law across scales.
 All generators are counter-based (Philox) and every grid or row gets its own
 spawned stream, so results are reproducible from a single integer seed and
 independent of evaluation order.  A stable draw of n values reads all n
-uniform angles and then all n exponentials from its stream; large draws
-are split across two threads with identical bits (see ``sample_sas``).
+uniform angles and then all n exponentials from its stream, in blocks;
+large draws are split across two threads with identical bits (see
+``sample_sas``).
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ MODES = ("consistent", "independent")
 # point count: the most float64 values one array (or one pyramid) may hold
 MAX_VALUES = 2 ** 26
 
-# sample_sas splits a draw of at least _SPLIT_MIN values across two threads
-# and runs the formula in blocks of _BLOCK values, so that a thread's block
-# of angles, exponentials and two scratch arrays (256 KiB) stays in cache.
-# On two cores a draw of 2**15 values took 0.74x the serial wall time but
-# 1.2x its CPU time, one of 2**16 0.63x the wall and 1.1x the CPU, and one
-# of 2**21 0.52x the wall and 0.98x the CPU.
+# sample_sas streams every draw through blocks of _BLOCK values, so that a
+# worker's block of angles with its exponentials and two scratch buffers
+# (256 KiB) stays in cache, and splits a draw of at least _SPLIT_MIN values
+# across two threads.  On two cores a split draw of 2**15 values took 0.72x
+# the serial wall time but 1.11x its CPU time, one of 2**16 0.63x the wall
+# and 1.08x the CPU, and one of 2**21 0.55x the wall and 1.03x the CPU.
 _SPLIT_MIN = 2 ** 16
 _BLOCK = 8192
 
@@ -61,6 +62,9 @@ class StableLaw:
         check_alpha(self.alpha)
         if not self.scale > 0.0:
             raise ParameterError(f"scale must be positive, got {self.scale}")
+        # a numpy float32 alpha or scale would run the formula in float32
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "scale", float(self.scale))
 
 
 def check_seed(seed) -> int:
@@ -109,29 +113,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _concurrently(helper, main):
-    """Run helper on a second thread while main runs on this one.
-
-    Joins the helper before returning main's result, and re-raises the
-    helper's exception if it hit one.
-    """
+def _on_two_threads(work) -> None:
+    """Run work on a second thread and on this one at once; join the second
+    and re-raise its exception, if it hit one."""
     failed = []
 
     def run():
         try:
-            helper()
+            work()
         except BaseException as exc:
             failed.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
     try:
-        result = main()
+        work()
     finally:
         thread.join()
     if failed:
         raise failed[0]
-    return result
 
 
 def _philox_after(state: dict, n: int) -> np.random.Philox:
@@ -154,33 +154,24 @@ def _philox_after(state: dict, n: int) -> np.random.Philox:
     return bg
 
 
-def _split_draw(law: StableLaw, rng: np.random.Generator, size,
-                n: int) -> np.ndarray:
-    """``sample_sas`` on two threads, with the serial route's bits and final
-    generator state.
-
-    A second generator starts where the n angles end and draws the
-    exponentials while this thread draws the angles; then each thread runs
-    the formula over half of the blocks.  Every array is allocated here.
-    """
-    w = np.empty(size)
-    ahead = np.random.Generator(_philox_after(rng.bit_generator.state, n))
-    u = _concurrently(lambda: ahead.standard_exponential(out=w),
-              lambda: rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size))
-    rng.bit_generator.state = ahead.bit_generator.state
-    flat_u, flat_w = u.reshape(-1), w.reshape(-1)
-    scratch = np.empty((4, _BLOCK))
-    mid = n // 2
-
-    def blocks(lo, hi, x, c):
-        for i in range(lo, hi, _BLOCK):
-            j = min(i + _BLOCK, hi)
-            _cms(law.alpha, law.scale, flat_u[i:j], flat_w[i:j],
-                 x[:j - i], c[:j - i])
-
-    _concurrently(lambda: blocks(mid, n, scratch[2], scratch[3]),
-          lambda: blocks(0, mid, scratch[0], scratch[1]))
-    return u
+def _stream_blocks(law: StableLaw, flat, angles, exponentials, blocks,
+                   lock) -> None:
+    """One worker of ``sample_sas``: fill each block of ``flat`` it claims
+    from ``blocks`` and run the formula on it in place.  Claims and draws
+    happen under ``lock``, so each generator hands out its values in block
+    order; with ``angles`` None the blocks already hold their angles."""
+    w, x, c = np.empty((3, min(flat.size, _BLOCK)))
+    while True:
+        with lock:
+            i = next(blocks, None)
+            if i is None:
+                return
+            u = flat[i:i + _BLOCK]
+            k = u.size
+            if angles is not None:
+                u[:] = angles.uniform(-np.pi / 2.0, np.pi / 2.0, size=k)
+            exponentials.standard_exponential(out=w[:k])
+        _cms(law.alpha, law.scale, u, w[:k], x[:k], c[:k])
 
 
 def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
@@ -193,12 +184,14 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
 
     Stream contract: all n angles come first from ``rng``, then all n
     exponentials, so a draw of n values reads the same stream however it
-    is evaluated.  A draw of at least 2**16 values from a Philox generator,
-    on a process that may run on two or more CPUs, is split across two
-    threads: a second Philox positioned after the n angles draws the
-    exponentials at the same time, and the formula runs over halves of the
-    array.  The values and the generator's final state are identical to
-    the serial route's, bit for bit.
+    is evaluated.  The draw runs through blocks of ``_BLOCK`` values in
+    place, so the output is its only n-sized array; serially, all angles
+    are drawn into it first.  A draw of at least 2**16 values from a Philox
+    generator, on a process that may run on two or more CPUs, runs on two
+    threads that take blocks in order, the exponentials coming from a
+    second Philox positioned after the n angles.  The values and the
+    generator's final state are identical to the serial route's, bit for
+    bit.
 
     ``size=None`` returns a python float, otherwise an array of that shape.
     A size of more than MAX_VALUES values is refused before any draw.
@@ -209,14 +202,21 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
     if n > MAX_VALUES:
         raise ParameterError(
             f"a draw of {n} values is over the budget of {MAX_VALUES}")
+    flat = np.empty(n)
+    blocks = iter(range(0, n, _BLOCK))
+    lock = threading.Lock()
     if (n >= _SPLIT_MIN and isinstance(rng.bit_generator, np.random.Philox)
             and _usable_cpus() >= 2):
-        u = _split_draw(law, rng, size, n)
+        ahead = np.random.Generator(_philox_after(rng.bit_generator.state, n))
+        _on_two_threads(
+            lambda: _stream_blocks(law, flat, rng, ahead, blocks, lock))
+        rng.bit_generator.state = ahead.bit_generator.state
     else:
-        u = rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=size)
-        w = rng.standard_exponential(size=size)
-        _cms(law.alpha, law.scale, u, w, np.empty_like(u), np.empty_like(u))
-    return float(u[0]) if scalar else u
+        for i in range(0, n, _BLOCK):
+            flat[i:i + _BLOCK] = rng.uniform(-np.pi / 2.0, np.pi / 2.0,
+                                             size=min(_BLOCK, n - i))
+        _stream_blocks(law, flat, None, rng, blocks, lock)
+    return float(flat[0]) if scalar else flat.reshape(size)
 
 
 @dataclass(eq=False)

@@ -1,5 +1,7 @@
 """Tests for scale oracles, Monte Carlo drivers, and convergence studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from haarlmsm.analysis import (
     x2_theoretical_scale,
     _hf_cell_averages,
     _lf_cumulative_weights,
+    _row_medians,
     _x1_row_on_dyadic,
 )
 from haarlmsm.errors import ParameterError, StatisticsError
@@ -132,6 +135,10 @@ def test_x1_scale_closed_form():
         x1_theoretical_scale(1.5, 0.75, ALPHA)
     with pytest.raises(ParameterError):
         x1_theoretical_scale(0.5, 0.5, ALPHA)
+    # a numpy float32 alpha gives the float call's bits
+    got = x1_theoretical_scale(0.5, 0.75, np.float32(1.7))
+    assert type(got) is float
+    assert got == x1_theoretical_scale(0.5, 0.75, float(np.float32(1.7)))
 
 
 def test_x2_scale_quadrature_frozen_values():
@@ -221,6 +228,30 @@ def test_mc_x1_matches_exact_scale():
         assert abs(est / ref - 1.0) < 0.05
     again = mc_x1_samples(pairs, ALPHA, 8, 64, seed=42)
     assert np.array_equal(again, mc_x1_samples(pairs, ALPHA, 8, 64, seed=42))
+
+
+def test_mc_holds_one_chunk_at_a_time():
+    # each chunk's stable draws are freed before the next chunk is drawn
+    J, n = 9, 4096
+    chunk_bytes = 8 * analysis._MC_HF_CHUNK << J
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mc_x1_samples([(0.25, 0.7), (1.0, 0.75)], ALPHA, J, n, seed=5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * chunk_bytes
+
+
+def test_row_medians_match_numpy_median():
+    rng = np.random.default_rng(8)
+    for m in range(1, 12):
+        a = np.abs(rng.standard_cauchy((6, m)))
+        a[2, m // 2] = np.nan
+        assert np.array_equal(_row_medians(a), np.median(a, axis=1),
+                              equal_nan=True)
 
 
 def test_mc_x2_matches_exact_scale_with_common_draws():

@@ -3,6 +3,7 @@ checks fail fast when a change removes something it relies on."""
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,3 +59,33 @@ def test_traced_draw_count_is_exact(monkeypatch):
     stable_rng.build_levy_grid(1.5, 0.0, 1.0, 17, stable_rng.make_rng(4))
     assert tracer.counts["stable_rng.sample_sas_draws"] == (n << J) + 2 ** 17
     assert tracer.stats[name][0] == 3
+
+
+def test_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
+    """The tracer keeps one span stack, so every function it wraps must run
+    on the caller's thread, also while a draw is split across threads."""
+    from haarlmsm import analysis, stable_rng
+    from haarlmsm.cli import main
+    calls = []
+    for targets in _load("spans").PATCHES.values():
+        for target in targets:
+            mod_name, _, attr = target.rpartition(".")
+            mod = importlib.import_module(mod_name)
+
+            def record(*args, _fn=getattr(mod, attr), _name=target,
+                       **kwargs):
+                calls.append((_name, threading.get_ident()))
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, attr, record)
+    J = 6
+    assert analysis._MC_HF_CHUNK << J >= stable_rng._SPLIT_MIN
+    analysis.mc_x1_samples([(0.5, 0.75)], 1.5, J, 1024, 3)
+    stable_rng.build_levy_grid(1.5, 0.0, 1.0, 17, stable_rng.make_rng(4))
+    assert main(["converge", "--which", "lf", "--Jmin", "2", "--Jmax", "3",
+                 "--replicates", "8", "--out", str(tmp_path / "conv")]) == 0
+    assert {"haarlmsm.analysis.sample_sas", "haarlmsm.stable_rng.sample_sas",
+            "haarlmsm.cli.convergence_study",
+            "haarlmsm.series.theta"} <= {name for name, _ in calls}
+    main_thread = threading.main_thread().ident
+    assert all(ident == main_thread for _, ident in calls)

@@ -1,6 +1,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ def test_law_validation():
         StableLaw(alpha=2.3)
     with pytest.raises(ParameterError):
         StableLaw(alpha=1.5, scale=0.0)
+    # numpy float32 parameters give the float call's bits
+    law32 = StableLaw(np.float32(1.7), np.float32(1.3))
+    law = StableLaw(float(np.float32(1.7)), float(np.float32(1.3)))
+    assert law32 == law and type(law32.alpha) is type(law32.scale) is float
+    assert np.array_equal(sample_sas(law32, make_rng(1), size=1000),
+                          sample_sas(law, make_rng(1), size=1000))
 
 
 def test_sampler_shapes_and_determinism():
@@ -123,6 +130,32 @@ def test_split_draws_from_more_threads_than_cores():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert all(np.array_equal(got[seed], want[seed]) for seed in range(6))
+
+
+def _traced_peak(fn):
+    # numpy reports its data buffers to tracemalloc, from any thread
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cpus", [2, 1], ids=["split", "serial"])
+def test_draw_holds_only_its_output(cpus, monkeypatch):
+    # the exponentials and the formula's scratch live in block buffers, so
+    # a draw of n values needs little more than its 8n-byte output
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    n = 2 ** 20
+    threads = threading.active_count()
+    peak = _traced_peak(lambda: sample_sas(StableLaw(1.5), make_rng(7), n))
+    assert threading.active_count() == threads
+    assert peak <= 8 * n + 2 ** 20
 
 
 def test_sampler_scale_is_linear():
