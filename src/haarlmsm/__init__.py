@@ -29,7 +29,6 @@ from .errors import (
     DepthError,
     HaarLmsmError,
     ParameterError,
-    ResolutionError,
     StatisticsError,
 )
 from .kernels import (
@@ -69,7 +68,6 @@ from .stable_rng import (
     make_rng,
     prefix_sums,
     sample_sas,
-    zeta_from_levy,
 )
 
 __all__ = [
@@ -78,7 +76,6 @@ __all__ = [
     "DepthError",
     "HaarLmsmError",
     "ParameterError",
-    "ResolutionError",
     "StatisticsError",
     "KernelParams",
     "theta",
@@ -94,7 +91,6 @@ __all__ = [
     "make_rng",
     "sample_sas",
     "build_levy_grid",
-    "zeta_from_levy",
     "generate_coefficients",
     "prefix_sums",
     "x1_partial",

@@ -20,12 +20,16 @@ fits a dyadic-log slope to the medians.  For the recent-scales half the
 depth-J difference is a single coefficient row, evaluated on a dyadic grid
 through FFT convolutions of the coefficient row with kernel value tables.
 For the far-past half the difference is the set of terms added when the
-depth steps up, summed term by term on a fixed uniform grid by the series'
-far-past row code over just the k-range each row gains.  A kernel table
-depends on the grid, the exponent, the depth and the row, never on the
-draw, so every replicate's pyramid is drawn first and each table (or, for
-the recent scales, each kernel spectrum) is built once per (depth, exponent,
-row) and reduced against every replicate's coefficient row.
+depth steps up, summed on a fixed uniform grid by ``series.far_past_terms``
+over just the k-range each row gains: by Taylor moments where that range
+starts at k >= 16 and 2**j stays within 1/8 of its start (at depth J >= 4
+the rows 4 - J <= j <= (J - 3)/2), term by term through a kernel table
+elsewhere; up to depth 9 no table passes 1025 x 32 entries.  A kernel or
+derivative table depends on the grid, the exponent, the depth and the row,
+never on the draw, so every replicate's pyramid is drawn first and each
+table (or, for the recent scales, each kernel spectrum) is built once per
+(depth, exponent, row) and reduced against every replicate's coefficient
+row.
 
 A caveat worth knowing before reading far-past rate numbers at shallow
 depths: the averaged kernel has a one-sided corner at 1 (its slope jumps

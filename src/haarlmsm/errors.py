@@ -14,10 +14,6 @@ class ParameterError(HaarLmsmError, ValueError):
     """A scalar argument or configuration value violates its contract."""
 
 
-class ResolutionError(HaarLmsmError, ValueError):
-    """A requested grid point does not exist on the stored dyadic grid."""
-
-
 class DepthError(HaarLmsmError, ValueError):
     """A truncation depth exceeds what a coefficient pyramid holds."""
 

@@ -17,6 +17,13 @@ over the stencil's integer moments m_n = sum_l w_l l^n.  The leading
 moments vanish, so no cancelling head remains and every term has one sign;
 the terms shrink like (l_max/(2x))^n, so each call fixes its term count
 from its smallest tail argument.
+
+The tail series takes any exponent, not only the kernels' q and p: for
+e < -1 the binomial ratio |C(e,n+1) / C(e,n)| exceeds 1, and the term
+count's bound grows by its largest value.  ``theta_taylor`` uses this for
+the Taylor coefficients theta^(r)(k)/r! = C(q,r)/q sum_l w_l (k - l/2)^(q-r)
+of theta at k > switch_x, where theta is analytic (its kinks sit at 0, 1/2
+and 1); the far-past rows of ``series.far_past_terms`` sum through them.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ D5 = (1.0, -2.0, 0.0, 2.0, -1.0)
 _MIN_SWITCH_X = 4.0
 # a tail term below this fraction of the sum is under half an ulp of it
 _TAIL_TOL = 1e-17
+# stencil moments stored: the kernels' slowest tail (x = 4) needs 33 and
+# 66, theta_taylor's at r = 30 and k = 17 needs 84
+_MOMENTS = 128
 
 
 def check_alpha(alpha: float) -> None:
@@ -96,11 +106,18 @@ def truncated_power(s, kappa):
 _Stencil = namedtuple("_Stencil", "terms l_max n0 k moments")
 
 
-def _term_count(k: float, l_max: int, x_min: float) -> int:
-    """Tail terms past the leading one that take k (l_max / (2 x_min))^n
-    under _TAIL_TOL."""
-    return math.ceil(math.log(_TAIL_TOL / k)
-                     / (math.log(0.5 * l_max) - math.log(x_min)))
+def _term_count(k: float, l_max: int, x_min: float, e: float,
+                n0: int) -> int:
+    """Tail terms past the leading one that take k (g l_max / (2 x_min))^n
+    under _TAIL_TOL, g bounding |C(e,i+1) / C(e,i)| over i >= n0: 1 for
+    e > -1, else (n0 - e) / (n0 + 1), where the ratio (i - e) / (i + 1)
+    peaks.  ParameterError where this bound does not shrink."""
+    g = 1.0 if e > -1.0 else (n0 - e) / (n0 + 1.0)
+    shrink = math.log(0.5 * l_max * g) - math.log(x_min)
+    if not shrink < 0.0:
+        raise ParameterError(f"the tail series bound does not converge at "
+                             f"x = {x_min}, exponent {e}")
+    return math.ceil(math.log(_TAIL_TOL / k) / shrink)
 
 
 def _stencil(terms) -> _Stencil:
@@ -108,19 +125,20 @@ def _stencil(terms) -> _Stencil:
 
     ``terms`` lists the nonzero (l, w_l) in the order the closed form adds
     them; n0 is the first n with m_n != 0.  Each tail term obeys
-    |term_n / term_n0| <= k (l_max b)^(n - n0), as |C(e,n+1) / C(e,n)| <= 1
-    for e > -1 and |m_n| <= sum_l |w_l| l_max^n.  The float moments are
-    summed from the largest offset down, powers by repeated products, up to
-    the count the slowest tail needs.
+    |term_n / term_n0| <= k (g l_max b)^(n - n0), as |C(e,n+1) / C(e,n)|
+    <= g (see _term_count) and |m_n| <= sum_l |w_l| l_max^n.  The first
+    _MOMENTS float moments are summed from the largest offset down, powers
+    by repeated products.
     """
     l_max = max(l for l, _ in terms)
     exact = [sum(w * l ** n for l, w in terms) for n in range(len(terms))]
     n0 = next(n for n, m in enumerate(exact) if m)
     k = sum(abs(w) for _, w in terms) * l_max ** n0 / abs(exact[n0])
     moments, pows = [], {l: 1.0 for l, _ in terms}
-    for _ in range(n0 + 1 + _term_count(k, l_max, _MIN_SWITCH_X)):
+    down = sorted(terms, reverse=True)
+    for _ in range(_MOMENTS):
         m = 0.0
-        for l, w in sorted(terms, reverse=True):
+        for l, w in down:
             m += w * pows[l]
             pows[l] *= l
         moments.append(m)
@@ -148,8 +166,12 @@ def _tail(t, e, st: _Stencil):
     # its own form of the leading term so kernel values stay bit-stable
     coef = c0 * b * b if st.n0 == 2 else c0 * (-b) ** st.n0
     total = coef * st.moments[st.n0]
+    count = _term_count(st.k, st.l_max, t.min(), np.min(e), st.n0)
+    if st.n0 + 1 + count > len(st.moments):
+        raise ParameterError(f"the tail series at x = {t.min()} needs "
+                             f"{count} terms, over the stored moments")
     nb = -b
-    for n in range(st.n0, st.n0 + _term_count(st.k, st.l_max, t.min())):
+    for n in range(st.n0, st.n0 + count):
         coef = coef * (e - n) / (n + 1.0) * nb
         total = total + coef * st.moments[n + 1]
     return total
@@ -220,6 +242,27 @@ def dtheta_dx(x, v, params: KernelParams):
 def dbig_theta_dx(x, v, params: KernelParams):
     """x-derivative of big_theta; right-limit convention at the kinks."""
     return _stencil_sum(x, v, params, _BIG_THETA, False)
+
+
+def theta_taylor(k, v, R: int, params: KernelParams) -> np.ndarray:
+    """Taylor coefficients theta^(r)(k) / r! for r = 1..R, one row per r,
+    at every k of a 1-d array above switch_x and one scalar v.
+
+    Row r is C(q,r)/q k^(q-r) times the tail series at exponent q - r, so
+    theta(k + eps) - theta(k) = sum_r eps^r row_r for |eps| < k - 1.
+    """
+    _check_v(v, params.alpha)
+    k = np.asarray(k, dtype=float)
+    if np.ndim(v) or k.ndim != 1 or not k.min() > params.switch_x:
+        raise ParameterError(f"theta_taylor takes one v and k above "
+                             f"switch_x = {params.switch_x}")
+    q = 1.0 + v - 1.0 / params.alpha
+    out = np.empty((R, k.size))
+    c = 1.0  # C(q,r)/q
+    for r in range(1, R + 1):
+        out[r - 1] = c * np.power(k, q - r) * _tail(k, q - r, _THETA)
+        c = c * (q - r) / (r + 1.0)
+    return out
 
 
 def theta_quadrature_oracle(x: float, v: float, alpha: float) -> float:

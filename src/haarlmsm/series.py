@@ -15,14 +15,27 @@ multiply the kernel's first difference, which decays one power faster;
 its summands decay fast enough to truncate long rows.  The two agree to
 near machine precision on any finite row.  Path synthesis and
 ``evaluate_field`` take the ``abel`` route; ``naive`` is its check.
+
+``far_past_terms`` sums a stretch k = lo+1..hi of one far-past row for the
+convergence study.  A long stretch far from the kernel's kinks (lo >= 16
+and rho = 2**j max(u) / lo <= 1/8) is summed by Taylor moments: theta is
+analytic beyond 1, so sum_k c_k [theta(eps + k) - theta(k)] is the power
+series sum_r eps^r D_r in eps = 2**j u, with D_r = sum_k c_k
+theta^(r)(k)/r! and R = ceil(log 1e-17 / log rho) <= 19 terms.  Its cost
+is R x (hi - lo) derivative values plus R per point, not a points x
+(hi - lo) table, and it is more accurate than the table, whose
+theta(eps + k) - theta(k) cancels when eps << k.  Every other stretch,
+and the ``naive`` route, keeps the table.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DepthError, ParameterError
-from .kernels import KernelParams, big_theta, check_alpha, theta
+from .kernels import KernelParams, big_theta, check_alpha, theta, theta_taylor
 from .stable_rng import CoefficientPyramid, PrefixSums
 
 METHODS = ("naive", "abel")
@@ -30,6 +43,11 @@ METHODS = ("naive", "abel")
 # kernel table entries per point block: a (points x k) float64 table of
 # about 2 MB, however many points a call evaluates
 _TABLE_ENTRIES = 1 << 18
+
+# far_past_terms sums a stretch by Taylor moments from this lo on, where
+# 2**j max(u) is at most _MOMENT_RHO of lo
+_MOMENT_LO = 16
+_MOMENT_RHO = 0.125
 
 
 def check_uv(u, v, alpha: float):
@@ -91,17 +109,40 @@ def _table_sum(kernel, x, v, offsets, coef, params, anchored=False):
     return out if np.ndim(coef) == 2 else out[0]
 
 
-def far_past_terms(u, v, rows, j: int, lo: int, hi: int,
-                   params: KernelParams) -> np.ndarray:
-    """Terms k = lo+1..hi of far-past row j, summed term by term and
-    weighted by 2**(-j v), at the points that check_uv returns.  ``rows``
-    is row j of one pyramid (one sum per point) or that row of several
-    pyramids stacked, shape (pyramids, n) (one line of sums per pyramid);
-    each kernel table is built once for all of them."""
+def _far_past_table(u, v, rows, j: int, lo: int, hi: int,
+                    params: KernelParams) -> np.ndarray:
+    """far_past_terms summed term by term, through kernel tables."""
     ks = np.arange(lo + 1, hi + 1, dtype=float)
     s = _table_sum(theta, 2.0 ** j * u, v, ks, rows[..., lo:hi], params,
                    anchored=True)
     return np.power(2.0, -j * v) * s
+
+
+def far_past_terms(u, v, rows, j: int, lo: int, hi: int,
+                   params: KernelParams) -> np.ndarray:
+    """Terms k = lo+1..hi of far-past row j, weighted by 2**(-j v), at the
+    points that check_uv returns: by Taylor moments where the module
+    docstring's rule allows (one v for all points), else term by term.
+    ``rows`` is row j of one pyramid (one sum per point) or that row of
+    several pyramids stacked, shape (pyramids, n) (one line of sums per
+    pyramid); each kernel or derivative table is built once for all of
+    them and reduced row by row, so a pyramid's sums have the same bits
+    alone or stacked."""
+    rho = 2.0 ** j * float(np.max(u, initial=0.0)) / max(lo, 1)
+    if lo < _MOMENT_LO or not 0.0 < rho <= _MOMENT_RHO or np.ndim(v):
+        return _far_past_table(u, v, rows, j, lo, hi, params)
+    R = math.ceil(math.log(1e-17) / math.log(rho))
+    d = theta_taylor(np.arange(lo + 1, hi + 1, dtype=float), v, R, params)
+    coef = np.atleast_2d(rows[..., lo:hi])
+    moments = np.stack([(d * row).sum(axis=1) for row in coef])
+    eps = 2.0 ** j * u
+    # Horner's rule, elementwise in the points and the pyramids
+    out = np.zeros((coef.shape[0], u.shape[0]))
+    for r in range(R - 1, -1, -1):
+        out += moments[:, r, None]
+        out *= eps
+    out *= np.power(2.0, -j * v)
+    return out if np.ndim(rows) == 2 else out[0]
 
 
 def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
@@ -140,8 +181,8 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
         for j in range(J) if half == "plus" else range(-1, -J, -1):
             n_row = 1 << (J - abs(j))
             if method == "naive":
-                part = part + far_past_terms(u, v, pyramid.lf_row(j), j, 0,
-                                            n_row, params)
+                part = part + _far_past_table(u, v, pyramid.lf_row(j), j, 0,
+                                             n_row, params)
                 continue
             x = 2.0 ** j * u
             lam = prefix.lf_row(j)

@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ParameterError, ResolutionError
+from .errors import ParameterError
 from .kernels import check_alpha
 
 MODES = ("consistent", "independent")
@@ -233,11 +233,6 @@ class LevyGrid:
     level: int
     values: np.ndarray
 
-    @property
-    def times(self) -> np.ndarray:
-        n = self.values.shape[0]
-        return self.t_min + np.arange(n) * 2.0 ** (-self.level)
-
 
 def build_levy_grid(alpha: float, t_min: float, t_max: float, level: int,
                     rng: SeedLike) -> LevyGrid:
@@ -278,32 +273,6 @@ def build_levy_grid(alpha: float, t_min: float, t_max: float, level: int,
     vals[idx0] = 0.0
     return LevyGrid(alpha=alpha, t_min=float(t_min), t_max=float(t_max),
                     level=int(level), values=vals)
-
-
-def zeta_from_levy(grid: LevyGrid, j: int, k: int) -> float:
-    """Detail coefficient at scale j, position k, read from one realization.
-
-    Requires grid resolution at least j + 1 (the midpoint (k + 1/2)/2**j
-    must be a grid point) and all three evaluation points inside the grid;
-    otherwise raises ResolutionError.
-    """
-    if grid.level < j + 1:
-        raise ResolutionError(
-            f"grid level {grid.level} cannot resolve scale {j} "
-            f"(needs level >= {j + 1})")
-    shift = grid.level - j
-    base = int(round(-grid.t_min * 2.0 ** grid.level))
-    i0 = k * (1 << shift) + base
-    i1 = i0 + (1 << shift)
-    imid = i0 + (1 << (shift - 1))
-    n = grid.values.shape[0]
-    if i0 < 0 or i1 > n - 1:
-        raise ResolutionError(
-            f"coefficient ({j}, {k}) needs points outside the grid "
-            f"[{grid.t_min}, {grid.t_max}]")
-    v = grid.values
-    coef = -(2.0 ** (j / grid.alpha))
-    return float(coef * (v[i0] - 2.0 * v[imid] + v[i1]))
 
 
 class _Rows:

@@ -23,7 +23,7 @@ from haarlmsm.analysis import (
     _x1_row_on_dyadic,
 )
 from haarlmsm.errors import ParameterError, StatisticsError
-from haarlmsm.kernels import KernelParams
+from haarlmsm.kernels import KernelParams, theta
 from haarlmsm.series import far_past_terms, x1_partial, x2_partial
 from haarlmsm.stable_rng import (
     build_levy_grid,
@@ -385,6 +385,20 @@ def test_kernel_tables_shared_across_replicates(monkeypatch):
                               replicates, 3)
             counts.append(calls[0])
         assert counts[0] == counts[1] > 0, (which, counts)
+
+
+def test_far_past_study_tables_stay_small(monkeypatch):
+    """At the benchmark's settings (J 4..8) the long far-past rows take the
+    moment route, so no kernel table of the study passes 1025 x 32."""
+    sizes = []
+
+    def recording(x, v, params):
+        sizes.append(np.size(x))
+        return theta(x, v, params)
+
+    monkeypatch.setattr(series, "theta", recording)
+    convergence_study("lf", ALPHA, (0.75, 0.75), list(range(4, 9)), 8, 0)
+    assert 0 < max(sizes) <= 1025 * 32
 
 
 def test_convergence_report_fields():

@@ -42,6 +42,18 @@ def test_output_checks_pass_on_tiny_runs(tmp_path):
     assert checks.check_converge(f"{conv}.csv") == []
 
 
+def test_converge_check_passes_on_moment_rows(tmp_path):
+    """From J = 4 on, the far-past rows that the depth step adds past
+    k = 16 are summed by Taylor moments; the benchmark's converge check
+    compares such a study with the per-point naive series."""
+    from haarlmsm.cli import main
+    checks = _load("checks")
+    conv = tmp_path / "conv"
+    assert main(["converge", "--which", "lf", "--Jmin", "4", "--Jmax", "5",
+                 "--replicates", "8", "--out", str(conv)]) == 0
+    assert checks.check_converge(f"{conv}.csv") == []
+
+
 def test_traced_draw_count_is_exact(monkeypatch):
     """Split-size draws count once each: the second thread of a large draw
     must not go through the traced sampler."""

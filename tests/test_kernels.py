@@ -1,9 +1,11 @@
+import math
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from haarlmsm import kernels
 from haarlmsm.errors import ParameterError
 from haarlmsm.kernels import (
     D5,
@@ -13,6 +15,7 @@ from haarlmsm.kernels import (
     dtheta_dx,
     theta,
     theta_quadrature_oracle,
+    theta_taylor,
     truncated_power,
 )
 from haarlmsm.series import check_uv
@@ -241,3 +244,93 @@ def test_array_v_matches_scalar_v():
         assert table.shape == (7, 50)
         for i in range(7):
             assert np.array_equal(table[i], f(x[:50], v[i], params))
+
+
+# theta^(r)(k)/r! = C(q,r)/q sum_l w_l (k - l/2)^(q-r) at the float
+# q = 1.0 + v - 1.0/alpha the kernels form, keyed (alpha, v, k, r); frozen
+# from the 40-digit mpmath 1.3.0 value of that closed form
+THETA_TAYLOR_40_DIGITS = {
+    (1.5, 0.75, 17, 1): -8.8643146314900915e-5,
+    (1.5, 0.75, 17, 5): -1.0757810579868489e-9,
+    (1.5, 0.75, 17, 19): -8.9839418375055623e-27,
+    (1.5, 0.75, 17, 30): 3.6624264222463476e-40,
+    (1.5, 0.75, 64, 1): -6.6937030040542529e-6,
+    (1.5, 0.75, 64, 5): -3.6939443122180403e-13,
+    (1.5, 0.75, 64, 19): -1.9210705528265665e-38,
+    (1.5, 0.75, 64, 30): 2.7421855773839886e-58,
+    (1.5, 0.75, 1024, 1): -3.2481435165548334e-8,
+    (1.5, 0.75, 1024, 5): -2.6553614552764382e-20,
+    (1.5, 0.75, 1024, 19): -1.7255965143425249e-62,
+    (1.5, 0.75, 1024, 30): 1.2875481932170101e-95,
+    (1.05, 0.96, 17, 1): -7.0961944644408864e-6,
+    (1.05, 0.96, 17, 5): -9.5067609642601772e-11,
+    (1.05, 0.96, 17, 19): -8.7421472588053188e-28,
+    (1.05, 0.96, 17, 30): 3.6873002151954245e-41,
+    (1.05, 0.96, 64, 1): -4.8386082647509973e-7,
+    (1.05, 0.96, 64, 5): -2.9475006973271638e-14,
+    (1.05, 0.96, 64, 19): -1.6876561812379867e-39,
+    (1.05, 0.96, 64, 30): 2.4921573978204683e-59,
+    (1.05, 0.96, 1024, 1): -1.9022932926951353e-9,
+    (1.05, 0.96, 1024, 5): -1.7166197632499321e-21,
+    (1.05, 0.96, 1024, 19): -1.228180126635154e-63,
+    (1.05, 0.96, 1024, 30): 9.4802666495197112e-97,
+    (1.95, 0.52, 17, 1): -6.6815232134430237e-6,
+    (1.95, 0.52, 17, 5): -8.9562933092877448e-11,
+    (1.95, 0.52, 17, 19): -8.2405427375380855e-28,
+    (1.95, 0.52, 17, 30): 3.4764174129336728e-41,
+    (1.95, 0.52, 64, 1): -4.5531619506467273e-7,
+    (1.95, 0.52, 64, 5): -2.77518668312092e-14,
+    (1.95, 0.52, 64, 19): -1.5898781679528363e-39,
+    (1.95, 0.52, 64, 30): 2.3482307224847964e-59,
+    (1.95, 0.52, 1024, 1): -1.7878843350171067e-9,
+    (1.95, 0.52, 1024, 5): -1.61429051218972e-21,
+    (1.95, 0.52, 1024, 19): -1.1556097815414777e-63,
+    (1.95, 0.52, 1024, 30): 8.9218537833087227e-97,
+}
+
+
+def test_theta_taylor_matches_40_digit_references():
+    """The tail series at the exponents q - r down to about -28, where the
+    kernels' own term-count bound would not hold."""
+    for (alpha, v, k, r), want in THETA_TAYLOR_40_DIGITS.items():
+        got = theta_taylor(np.array([17.0, float(k)]), v, 30,
+                           KernelParams(alpha))[r - 1, 1]
+        assert abs(got / want - 1.0) <= 1e-13, (alpha, v, k, r)
+
+
+def test_theta_taylor_sums_to_the_kernel_difference():
+    params = KernelParams(1.5)
+    k = np.arange(17.0, 400.0)
+    d = theta_taylor(k, 0.75, 19, params)
+    for eps in (1e-3, 0.5, 2.125):
+        taylor = (d * eps ** np.arange(1, 20)[:, None]).sum(axis=0)
+        diff = theta(k + eps, 0.75, params) - theta(k, 0.75, params)
+        assert np.max(np.abs(taylor - diff) / np.abs(theta(k, 0.75, params))) \
+            <= 1e-14, eps
+
+
+def test_theta_taylor_refuses_what_it_cannot_sum():
+    params = KernelParams(1.5)
+    with pytest.raises(ParameterError, match="above switch_x"):
+        theta_taylor(np.array([8.0, 20.0]), 0.75, 3, params)
+    with pytest.raises(ParameterError, match="above switch_x"):
+        theta_taylor(np.array([20.0]), np.array([0.75]), 3, params)
+    with pytest.raises(ParameterError, match="v must lie"):
+        theta_taylor(np.array([20.0]), 1.0, 3, params)
+    # the bound shrinks, but needs more terms than the stencil stores
+    with pytest.raises(ParameterError, match="stored moments"):
+        theta_taylor(np.array([9.0]), 0.75, 20, params)
+    # at exponent -58 the binomial ratio reaches 20, past x / l_max * 2
+    with pytest.raises(ParameterError, match="does not converge"):
+        kernels._term_count(8.0, 2, 17.0, -58.0, 2)
+
+
+def test_term_count_bound_unchanged_above_minus_one():
+    """For e > -1 the count is the bound k (l_max / (2 x))^n alone, so
+    the four kernels run the terms they always did."""
+    for k, l_max, n0 in ((8.0, 2, 2), (32.0, 4, 3)):
+        for x in (4.0, 8.0, 17.5, 1e3, 1e7):
+            want = math.ceil(math.log(1e-17 / k)
+                             / (math.log(0.5 * l_max) - math.log(x)))
+            for e in (-0.999, 0.0, 0.5, 1.999):
+                assert kernels._term_count(k, l_max, x, e, n0) == want

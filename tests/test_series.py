@@ -223,6 +223,89 @@ def test_routes_agree_relative_to_summands(fam, alpha, J, mode, seed, u,
                          seed, u, v)
 
 
+def _far_past_scale(u, v, coef, j, lo, hi, params):
+    """2**(-j v) sum_k |c_k| (|theta(x + k)| + |theta(k)|) over the terms
+    k = lo+1..hi of far-past row j, x = 2**j u, at every point of u: the
+    scale of a term-by-term sum's roundoff, which no cancellation of the
+    terms against each other shrinks."""
+    ks = np.arange(lo + 1, hi + 1, dtype=float)
+    moved = theta(2.0 ** j * np.atleast_1d(u)[:, None] + ks, v, params)
+    return 2.0 ** (-j * v) * np.sum(
+        np.abs(coef[lo:hi]) * (np.abs(moved) + np.abs(theta(ks, v, params))),
+        axis=1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(fam=st.sampled_from(["lf_plus", "lf_minus"]),
+       alpha=st.floats(1.05, 1.95), J=st.integers(2, 10),
+       mode=st.sampled_from(["consistent", "independent"]),
+       seed=st.integers(0, 2 ** 31 - 1), u=st.floats(0.0, 1.0),
+       v_frac=st.floats(0.0, 1.0))
+def test_far_past_routes_agree_relative_to_coefficient_scale(
+        fam, alpha, J, mode, seed, u, v_frac):
+    """Naive and abel far-past sums agree to 1e-11 of the coefficient
+    summand scale, over criterion 3's ranges and for any seed: unlike
+    the result, that scale does not shrink when the terms cancel."""
+    v = 1.0 / alpha + 0.01 + v_frac * (0.98 - 1.0 / alpha)
+    pyr = generate_coefficients(alpha, 1, J, mode, seed)
+    ps = prefix_sums(pyr)
+    params = KernelParams(alpha)
+    fn = _FAMILIES[fam]
+    a = fn(u, v, pyr, ps, J, "naive")
+    b = fn(u, v, pyr, ps, J, "abel")
+    scales = range(J) if fam == "lf_plus" else range(-1, -J, -1)
+    scale = sum(_far_past_scale(u, v, pyr.lf_row(j), j, 0,
+                                1 << (J - abs(j)), params)[0]
+                for j in scales)
+    assert abs(a - b) <= 1e-11 * scale
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(1.05, 1.95), v_frac=st.floats(0.0, 1.0),
+       j=st.integers(-8, 5), lo=st.integers(16, 512),
+       span=st.integers(1, 512), reach=st.floats(1e-3, 1.0),
+       stack=st.integers(1, 4), seed=st.integers(0, 2 ** 31 - 1))
+def test_moment_route_matches_the_table(alpha, v_frac, j, lo, span, reach,
+                                        stack, seed):
+    """Where far_past_terms sums by Taylor moments (lo >= 16, 2**j max(u)
+    <= lo / 8), it agrees with the term-by-term table to 1e-12 of the
+    summand scale, and a pyramid's sums have the same bits alone or
+    stacked with others."""
+    v = 1.0 / alpha + 0.01 + v_frac * (0.98 - 1.0 / alpha)
+    rng = np.random.default_rng(seed)
+    params = KernelParams(alpha)
+    top = reach * min(1.0, lo / 2.0 ** (j + 3))
+    u, v, _ = series.check_uv(
+        np.concatenate([[0.0, top], rng.uniform(0.0, top, 15)]), v, alpha)
+    rows = rng.standard_cauchy((stack, lo + span))
+    hi = lo + span
+    # the moment route builds no theta table
+    with mock.patch.object(series, "theta", side_effect=AssertionError):
+        got = series.far_past_terms(u, v, rows, j, lo, hi, params)
+        alone = [series.far_past_terms(u, v, row, j, lo, hi, params)
+                 for row in rows]
+    want = series._far_past_table(u, v, rows, j, lo, hi, params)
+    assert got.shape == (stack, u.size)
+    for g, w, a, row in zip(got, want, alone, rows):
+        assert np.array_equal(g, a)
+        scale = _far_past_scale(u, v, row, j, lo, hi, params)
+        assert np.all(np.abs(g - w) <= 1e-12 * scale)
+
+
+def test_far_past_terms_keeps_the_table_off_the_moment_rule():
+    """Short or near stretches, and a per-point v, are summed term by
+    term, with the bits of the table route."""
+    rng = np.random.default_rng(5)
+    params = KernelParams(ALPHA)
+    rows = rng.standard_normal((3, 64))
+    for j, lo, hi, v in ((0, 15, 30, 0.8), (2, 16, 32, 0.8),
+                         (0, 32, 64, np.full(9, 0.8))):
+        u, v, _ = series.check_uv(np.linspace(0.0, 1.0, 9), v, ALPHA)
+        assert np.array_equal(
+            series.far_past_terms(u, v, rows, j, lo, hi, params),
+            series._far_past_table(u, v, rows, j, lo, hi, params))
+
+
 _ALL = dict(_FAMILIES, lf=x2_partial)
 
 
