@@ -164,8 +164,8 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
 # ------------------------------------------------ truncated-sum rewriting --
 
 def _check_depth(J, j_min: int, per_level: int) -> None:
-    """Refuse a depth below j_min, or one whose largest array, of about
-    per_level * 2**J float64 values, would exceed MAX_VALUES."""
+    """Refuse a depth below j_min, or one whose largest array or stable
+    draw, of about per_level * 2**J values, would exceed MAX_VALUES."""
     if not (isinstance(J, (int, np.integer)) and J >= j_min):
         raise ParameterError(f"J must be an integer >= {j_min}, got {J}")
     if per_level << int(J) > MAX_VALUES:
@@ -260,7 +260,12 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
     """n replicates of S @ W for every W in weights, one shared draw.
 
     S holds standard stable draws, one row per replicate and one column per
-    row of each W, drawn chunk rows at a time.  An n whose outputs would
+    row of each W.  Each chunk of ``chunk`` replicates is one
+    ``sample_sas`` draw of shape (rows, columns), so a seed's stream is
+    fixed by n and the chunk; the draw hands its blocks of whole rows to a
+    consumer that writes their products with every W into the outputs, so
+    S is never held.  The blocks depend only on the draw's shape, so the
+    outputs do not depend on the thread count.  An n whose outputs would
     hold more than MAX_VALUES values in all is refused before any draw.
     """
     if n < 1:
@@ -273,14 +278,14 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
     law = StableLaw(alpha)
     gen = make_rng(seed)
     out = [np.empty((n, W.shape[1])) for W in weights]
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        S = sample_sas(law, gen, size=(m, weights[0].shape[0]))
-        for o, W in zip(out, weights):
-            o[done:done + m] = S @ W
-        del S  # free this chunk before the next one is drawn
-        done += m
+    for done in range(0, n, chunk):
+        def product(start, block, done=done):
+            rows = slice(done + start, done + start + block.shape[0])
+            for o, W in zip(out, weights):
+                np.matmul(block, W, out=o[rows])
+
+        sample_sas(law, gen, size=(min(chunk, n - done), weights[0].shape[0]),
+                   consume=product)
     return out
 
 
@@ -293,6 +298,7 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     matrix, so estimates across pairs use common random numbers.  J must
     be >= 0.
     """
+    # one chunk's draw is _MC_HF_CHUNK x 2**J values
     _check_depth(J, 0, _MC_HF_CHUNK)
     W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
                   for u, v in pairs], axis=1)
@@ -309,7 +315,7 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     J_list = sorted(int(J) for J in J_list)
     if not J_list or J_list[0] < 1:
         raise ParameterError("J_list must hold integers >= 1")
-    # the union grid has 3 * 2**J - 2 gaps
+    # one chunk's draw is _MC_LF_CHUNK x the union grid's 3 * 2**J - 2 gaps
     _check_depth(J_list[-1], 1, 3 * _MC_LF_CHUNK)
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])

@@ -43,7 +43,7 @@ from .lmsm import (
     write_path_csv,
     write_text_atomic,
 )
-from .series import WHICH, evaluate_field
+from .series import WHICH, _moment_order, evaluate_field
 from .stable_rng import MAX_VALUES, MODES, generate_coefficients, prefix_sums
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
@@ -316,6 +316,24 @@ def _check_work(command: str, n_points: int, row_length: int) -> None:
                           f"table entries, over the {MAX_TABLE_ENTRIES} budget")
 
 
+def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> int:
+    """Work per replicate of ``converge --which lf``, in kernel table
+    entries: for every depth step J -> J + 1 and row j, the stretch of
+    terms it adds costs R x (its length + points) where
+    series.far_past_terms sums it by R Taylor terms (at points up to
+    u = 1), else points x its length, a kernel table.  The pyramid's
+    4**(Jmax + 1) far-past draws count a quarter entry each (on two cores
+    2**24 draws took 0.95 s, 2**24 entries about 4 s)."""
+    work = 4 ** max(Jmax, 1)
+    for J in range(Jmin, Jmax + 1):
+        for j in range(-J, J + 1):
+            lo = 1 << (J - abs(j)) if abs(j) < J else 0
+            hi = 1 << (J + 1 - abs(j))
+            R = _moment_order(j, lo, 1.0)
+            work += R * (hi - lo + points) if R else points * (hi - lo)
+    return work
+
+
 def _run_simulate(config: RunConfig) -> int:
     """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
@@ -378,13 +396,14 @@ def _run_converge(config: RunConfig) -> int:
     """Truncation-rate study."""
     which = config.which or "hf"
     J_list = list(range(config.Jmin, config.Jmax + 1))
-    # per replicate and depth J: lf reduces tables of 1025 points x the
-    # 3 * 2**J terms the step to J + 1 adds, hf convolves at most 4 * 2**J
-    # values; depths the study refuses are left to it
-    gained = (2 << max(config.Jmax, 0)) - (1 << max(config.Jmin, 0))
+    # per replicate: lf sums the terms each depth step adds at 1025 points,
+    # hf convolves at most 4 * 2**J values per depth J; depths the study
+    # refuses are left to it
     if which == "lf":
-        _check_work("converge", config.replicates * 1025, 3 * gained)
+        _check_work("converge", config.replicates,
+                    _far_past_study_work(config.Jmin, config.Jmax, 1025))
     else:
+        gained = (2 << max(config.Jmax, 0)) - (1 << max(config.Jmin, 0))
         _check_work("converge", config.replicates, 4 * gained)
     report = convergence_study(
         which, config.alpha, (config.v, config.v), J_list,

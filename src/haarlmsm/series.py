@@ -84,24 +84,24 @@ def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
 
 
-def _table_sum(kernel, x, v, offsets, coef, params, anchored=False):
+def _table_sum(kernel, x, v, offsets, coef, params, anchor=None):
     """sum_k coef_k kernel(x_i + offsets_k, v_i) at every point i, less
-    kernel(offsets_k, v_i) in each term when ``anchored``.  ``coef`` is one
-    row of shape (m,), giving one sum per point, or a stack of rows of
-    shape (rows, m), giving one line of sums per row.  Each block of points
-    is one table, built once and reduced row by row against every
-    coefficient row, never by a matrix product, so a point's sum has the
-    same bits alone, in any array, or beside any other rows."""
+    ``anchor`` (kernel(offsets_k, v) of shape (m,) for one v, or
+    kernel(offsets_k, v_i) of shape (points, m)) in each term when one is
+    given.  ``coef`` is one row of shape (m,), giving one sum per point, or
+    a stack of rows of shape (rows, m), giving one line of sums per row.
+    Each block of points is one table, built once and reduced row by row
+    against every coefficient row, never by a matrix product, so a point's
+    sum has the same bits alone, in any array, or beside any other rows."""
     rows = np.atleast_2d(coef)
     last = rows.shape[0] - 1
     out = np.zeros((rows.shape[0], x.shape[0]))
     step = max(1, _TABLE_ENTRIES // max(offsets.size, 1))
-    anchor = kernel(offsets, v, params) if anchored and v.ndim == 0 else None
     for a in range(0, x.shape[0], step):
         vb = v if v.ndim == 0 else v[a:a + step, None]
         table = kernel(x[a:a + step, None] + offsets, vb, params)
-        if anchored:
-            table -= kernel(offsets, vb, params) if anchor is None else anchor
+        if anchor is not None:
+            table -= anchor if anchor.ndim == 1 else anchor[a:a + step]
         for r, row in enumerate(rows):
             # the last row's product may take the table's place
             prod = np.multiply(table, row, out=table if r == last else None)
@@ -109,13 +109,33 @@ def _table_sum(kernel, x, v, offsets, coef, params, anchored=False):
     return out if np.ndim(coef) == 2 else out[0]
 
 
+def _anchor(kernel, ks, v, params):
+    """kernel(k, v) for the anchor of far-past terms: one row for one v,
+    one row per point for a v per point."""
+    return kernel(ks, v if v.ndim == 0 else v[:, None], params)
+
+
 def _far_past_table(u, v, rows, j: int, lo: int, hi: int,
-                    params: KernelParams) -> np.ndarray:
-    """far_past_terms summed term by term, through kernel tables."""
+                    params: KernelParams, anchor=None) -> np.ndarray:
+    """far_past_terms summed term by term, through kernel tables.
+    ``anchor`` holds theta(k, v) for k = lo+1..hi (see _table_sum), if the
+    caller has it; else it is built here."""
     ks = np.arange(lo + 1, hi + 1, dtype=float)
+    if anchor is None:
+        anchor = _anchor(theta, ks, v, params)
     s = _table_sum(theta, 2.0 ** j * u, v, ks, rows[..., lo:hi], params,
-                   anchored=True)
+                   anchor)
     return np.power(2.0, -j * v) * s
+
+
+def _moment_order(j: int, lo: int, u_max: float) -> int:
+    """Taylor terms R that far_past_terms sums a stretch of row j from
+    k = lo+1 by, at points u <= u_max and one v; 0 where a kernel table
+    sums it (the module docstring's rule)."""
+    rho = 2.0 ** j * u_max / max(lo, 1)
+    if lo < _MOMENT_LO or not 0.0 < rho <= _MOMENT_RHO:
+        return 0
+    return math.ceil(math.log(1e-17) / math.log(rho))
 
 
 def far_past_terms(u, v, rows, j: int, lo: int, hi: int,
@@ -128,10 +148,10 @@ def far_past_terms(u, v, rows, j: int, lo: int, hi: int,
     pyramid); each kernel or derivative table is built once for all of
     them and reduced row by row, so a pyramid's sums have the same bits
     alone or stacked."""
-    rho = 2.0 ** j * float(np.max(u, initial=0.0)) / max(lo, 1)
-    if lo < _MOMENT_LO or not 0.0 < rho <= _MOMENT_RHO or np.ndim(v):
+    R = 0 if np.ndim(v) else _moment_order(j, lo,
+                                           float(np.max(u, initial=0.0)))
+    if not R:
         return _far_past_table(u, v, rows, j, lo, hi, params)
-    R = math.ceil(math.log(1e-17) / math.log(rho))
     d = theta_taylor(np.arange(lo + 1, hi + 1, dtype=float), v, R, params)
     coef = np.atleast_2d(rows[..., lo:hi])
     moments = np.stack([(d * row).sum(axis=1) for row in coef])
@@ -170,29 +190,43 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
 
 def _x2(u, v, pyramid, prefix, J, method, halves):
     """Far-past rows of the named halves ("plus": scales 0..J-1, "minus":
-    scales -1..1-J), each half summed on its own and then added."""
+    scales -1..1-J), each half summed on its own and then added.  Every
+    term is anchored by the kernel at its k alone, kernel(k, v), which
+    does not depend on the row: each block of points builds it once for
+    the longest row's k, and each row takes its first columns."""
     _check_call(method, J, 2 if halves == ("minus",) else 1, pyramid.J_lf,
                 "far-past")
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
-    total = 0.0
-    for half in halves:
-        part = np.zeros(u.shape)
-        for j in range(J) if half == "plus" else range(-1, -J, -1):
-            n_row = 1 << (J - abs(j))
-            if method == "naive":
-                part = part + _far_past_table(u, v, pyramid.lf_row(j), j, 0,
-                                             n_row, params)
-                continue
-            x = 2.0 ** j * u
-            lam = prefix.lf_row(j)
-            s = lam[n_row - 1] * (theta(x + n_row, v, params)
-                                  - theta(float(n_row), v, params))
-            s = s - _table_sum(big_theta, x, v,
-                               np.arange(2, n_row + 1, dtype=float),
-                               lam[:n_row - 1], params, anchored=True)
-            part = part + np.power(2.0, -j * v) * s
-        total = total + part
+    naive = method == "naive"
+    # k = 1..2**J for the coefficients, 2..2**J for the running sums
+    ks = np.arange(1 if naive else 2, (1 << J) + 1, dtype=float)
+    total = np.empty(u.shape)
+    step = max(1, _TABLE_ENTRIES // ks.size)
+    for a in range(0, u.shape[0], step):
+        ub = u[a:a + step]
+        vb = v if v.ndim == 0 else v[a:a + step]
+        anchor = _anchor(theta if naive else big_theta, ks, vb, params)
+        block = 0.0
+        for half in halves:
+            part = np.zeros(ub.shape)
+            for j in range(J) if half == "plus" else range(-1, -J, -1):
+                n_row = 1 << (J - abs(j))
+                if naive:
+                    part = part + _far_past_table(
+                        ub, vb, pyramid.lf_row(j), j, 0, n_row, params,
+                        anchor[..., :n_row])
+                    continue
+                x = 2.0 ** j * ub
+                lam = prefix.lf_row(j)
+                s = lam[n_row - 1] * (theta(x + n_row, vb, params)
+                                      - theta(float(n_row), vb, params))
+                s = s - _table_sum(big_theta, x, vb, ks[:n_row - 1],
+                                   lam[:n_row - 1], params,
+                                   anchor[..., :n_row - 1])
+                part = part + np.power(2.0, -j * vb) * s
+            block = block + part
+        total[a:a + step] = block
     return float(total[0]) if scalar else total
 
 

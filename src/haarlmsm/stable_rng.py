@@ -14,8 +14,10 @@ All generators are counter-based (Philox) and every grid or row gets its own
 spawned stream, so results are reproducible from a single integer seed and
 independent of evaluation order.  A stable draw of n values reads all n
 uniform angles and then all n exponentials from its stream, in blocks;
-large draws are split across two threads with identical bits (see
-``sample_sas``).
+large draws are split across two threads with identical bits, and a draw
+can hand its blocks, in order, to a consumer instead of returning them
+(see ``sample_sas``).  So the far-past grid is summed as it is drawn, and
+``analysis``'s Monte Carlo never holds a chunk of draws.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .kernels import check_alpha
 MODES = ("consistent", "independent")
 
 # memory guard shared by every routine that sizes an array from a depth or a
-# point count: the most float64 values one array (or one pyramid) may hold
+# point count: the most float64 values one array (or one pyramid) may hold,
+# and the most values one stable draw may make
 MAX_VALUES = 2 ** 26
 
 # sample_sas streams every draw through blocks of _BLOCK values, so that a
@@ -137,16 +140,19 @@ def _on_two_threads(work) -> None:
 def _philox_after(state: dict, n: int) -> np.random.Philox:
     """A Philox at ``state`` advanced by exactly n 64-bit outputs.
 
-    ``advance`` skips whole counter blocks of four outputs and drops the
-    outputs still buffered from the current block, so those count as drawn;
-    the rest of the n are drawn.  It also drops the spare 32-bit half kept
-    for float32 draws, which is put back.
+    Within the outputs still buffered from the current block, they are
+    drawn; past them, ``advance`` drops the buffer and skips whole counter
+    blocks of four outputs, and the rest are drawn.  ``advance`` also drops
+    the spare 32-bit half kept for float32 draws, which is put back.
     """
     bg = np.random.Philox(0)
     bg.state = state
-    rest = n - (4 - state["buffer_pos"])
-    bg.advance(rest // 4)
-    bg.random_raw(rest % 4)
+    buffered = 4 - state["buffer_pos"]
+    if n <= buffered:
+        bg.random_raw(n)
+    else:
+        bg.advance((n - buffered) // 4)
+        bg.random_raw((n - buffered) % 4)
     ahead = bg.state
     ahead["has_uint32"] = state["has_uint32"]
     ahead["uinteger"] = state["uinteger"]
@@ -154,27 +160,61 @@ def _philox_after(state: dict, n: int) -> np.random.Philox:
     return bg
 
 
-def _stream_blocks(law: StableLaw, flat, angles, exponentials, blocks,
-                   lock) -> None:
-    """One worker of ``sample_sas``: fill each block of ``flat`` it claims
-    from ``blocks`` and run the formula on it in place.  Claims and draws
-    happen under ``lock``, so each generator hands out its values in block
-    order; with ``angles`` None the blocks already hold their angles."""
-    w, x, c = np.empty((3, min(flat.size, _BLOCK)))
-    while True:
-        with lock:
-            i = next(blocks, None)
-            if i is None:
-                return
-            u = flat[i:i + _BLOCK]
-            k = u.size
-            if angles is not None:
-                u[:] = angles.uniform(-np.pi / 2.0, np.pi / 2.0, size=k)
-            exponentials.standard_exponential(out=w[:k])
-        _cms(law.alpha, law.scale, u, w[:k], x[:k], c[:k])
+class _BlockStream:
+    """One draw of ``sample_sas``, in blocks of ``rows`` whole rows of the
+    first axis of ``shape``.
+
+    A worker claims the next block, and draws its angles (``angles(start,
+    k)`` for the block's k values from flat index start) and its
+    exponentials, under ``lock``, so each generator hands out its values in
+    block order.  It runs the formula outside the lock, waits until every
+    earlier block has been consumed, and passes the block to ``consume``;
+    so blocks are consumed one at a time, in order, whichever worker made
+    them.  A worker that fails stops the others at their next wait.
+    """
+
+    def __init__(self, law, shape, rows, angles, exponentials, consume):
+        self.law, self.shape, self.rows = law, shape, rows
+        self.angles, self.exponentials = angles, exponentials
+        self.consume = consume
+        self.starts = iter(range(0, shape[0], rows))
+        self.lock = threading.Lock()
+        self.turn = threading.Condition()
+        self.consumed = 0  # rows handed on so far
+        self.failed = False
+
+    def work(self) -> None:
+        per_row = math.prod(self.shape[1:])
+        w, x, c = np.empty((3, min(self.rows, self.shape[0]) * per_row))
+        try:
+            while True:
+                with self.lock:
+                    i = None if self.failed else next(self.starts, None)
+                    if i is None:
+                        return
+                    m = min(self.rows, self.shape[0] - i)
+                    k = m * per_row
+                    u = self.angles(i * per_row, k)
+                    self.exponentials.standard_exponential(out=w[:k])
+                _cms(self.law.alpha, self.law.scale, u, w[:k], x[:k], c[:k])
+                with self.turn:
+                    self.turn.wait_for(
+                        lambda: self.consumed == i or self.failed)
+                    if self.failed:
+                        return
+                self.consume(i, u.reshape((m,) + self.shape[1:]))
+                with self.turn:
+                    self.consumed = i + m
+                    self.turn.notify_all()
+        except BaseException:
+            with self.turn:
+                self.failed = True
+                self.turn.notify_all()
+            raise
 
 
-def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
+def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
+               consume=None):
     """Draw from a symmetric stable law by the trigonometric method.
 
     One uniform angle and one unit exponential per variate:
@@ -184,39 +224,81 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None):
 
     Stream contract: all n angles come first from ``rng``, then all n
     exponentials, so a draw of n values reads the same stream however it
-    is evaluated.  The draw runs through blocks of ``_BLOCK`` values in
-    place, so the output is its only n-sized array; serially, all angles
-    are drawn into it first.  A draw of at least 2**16 values from a Philox
-    generator, on a process that may run on two or more CPUs, runs on two
-    threads that take blocks in order, the exponentials coming from a
-    second Philox positioned after the n angles.  The values and the
-    generator's final state are identical to the serial route's, bit for
-    bit.
+    is evaluated, and leaves ``rng`` in the same state.  The formula is
+    elementwise, so the values do not depend on how the draw is split.
+
+    The draw runs through blocks (``_BlockStream``).  From a Philox
+    generator each block's angles come from ``rng`` and its exponentials
+    from a second Philox positioned after the n angles (a draw of one
+    block takes them from ``rng``, right after its angles); a draw of at
+    least 2**16 values, on a process that may run on two or more CPUs, has
+    two worker threads, else one, the calling thread.  Any other generator
+    first draws all angles into the output, and one worker runs the
+    formula there in place.
+
+    ``consume(start, block)``, if given, receives every block instead of an
+    output, and ``sample_sas`` returns None: a block is max(1, _BLOCK //
+    r) whole rows of the first axis, r the values in one row, starting at
+    row ``start``, so the blocks depend only on ``size``.  Blocks arrive in
+    order, one call at a time, possibly on a worker thread, so ``consume``
+    must call nothing that needs the calling thread; it may overwrite its
+    block.  Only a Philox generator takes a consumer.  Without one, the
+    consumer copies each block of _BLOCK values into the output, which is
+    the draw's only n-sized array.
 
     ``size=None`` returns a python float, otherwise an array of that shape.
     A size of more than MAX_VALUES values is refused before any draw.
     """
     scalar = size is None
-    size = 1 if scalar else size
-    n = math.prod(map(int, size)) if np.iterable(size) else int(size)
+    shape = ((1,) if scalar else tuple(map(int, size)) if np.iterable(size)
+             else (int(size),))
+    n = math.prod(shape)
     if n > MAX_VALUES:
         raise ParameterError(
             f"a draw of {n} values is over the budget of {MAX_VALUES}")
-    flat = np.empty(n)
-    blocks = iter(range(0, n, _BLOCK))
-    lock = threading.Lock()
-    if (n >= _SPLIT_MIN and isinstance(rng.bit_generator, np.random.Philox)
-            and _usable_cpus() >= 2):
-        ahead = np.random.Generator(_philox_after(rng.bit_generator.state, n))
-        _on_two_threads(
-            lambda: _stream_blocks(law, flat, rng, ahead, blocks, lock))
-        rng.bit_generator.state = ahead.bit_generator.state
+    philox = isinstance(rng.bit_generator, np.random.Philox)
+    if consume is not None and not philox:
+        raise ParameterError("a consumer needs a Philox generator")
+    out = None
+    if consume is None:
+        out, shape = np.empty(n), (n,)
+    per_row = math.prod(shape[1:])
+    rows = max(1, _BLOCK // max(per_row, 1))
+    # a draw of one block takes its exponentials from rng right after its
+    # angles, a longer Philox draw from a second Philox after all n angles
+    ahead = rng
+    if philox:
+        if shape[0] > rows:
+            ahead = np.random.Generator(
+                _philox_after(rng.bit_generator.state, n))
+
+        def angles(start, k):
+            return rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=k)
+
+        if out is not None:
+            def consume(start, block):
+                out[start:start + block.size] = block
     else:
         for i in range(0, n, _BLOCK):
-            flat[i:i + _BLOCK] = rng.uniform(-np.pi / 2.0, np.pi / 2.0,
-                                             size=min(_BLOCK, n - i))
-        _stream_blocks(law, flat, None, rng, blocks, lock)
-    return float(flat[0]) if scalar else flat.reshape(size)
+            out[i:i + _BLOCK] = rng.uniform(-np.pi / 2.0, np.pi / 2.0,
+                                            size=min(_BLOCK, n - i))
+
+        def angles(start, k):
+            return out[start:start + k]
+
+        def consume(start, block):
+            pass  # the formula ran in place in the output
+
+    stream = _BlockStream(law, shape, rows, angles, ahead, consume)
+    if philox and n >= _SPLIT_MIN and _usable_cpus() >= 2:
+        _on_two_threads(stream.work)
+    else:
+        stream.work()
+    if ahead is not rng:
+        rng.bit_generator.state = ahead.bit_generator.state
+    if out is None:
+        return None
+    return float(out[0]) if scalar else out.reshape(size)
 
 
 @dataclass(eq=False)
@@ -355,10 +437,49 @@ def _second_differences(values, alpha: float, j: int, points) -> np.ndarray:
     return -(2.0 ** (j / alpha)) * (values[a] - 2.0 * values[m] + values[b])
 
 
+def _far_past_values(alpha: float, union: _LfUnion,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The stable process on [-2**J, 0], pinned to 0 at t = 0, at the
+    points of ``union`` (J = union.J).
+
+    The values are ``build_levy_grid(alpha, -2**J, 0, J, rng).values`` at
+    the union's points, bit for bit: the 4**J increments are drawn as that
+    grid draws them, and their running sum is carried from block to block
+    of the draw (the carry added to a block's first increment, then the
+    block's cumulative sum, as one cumulative sum adds), keeping only the
+    union's points and the last value.  So no array of 4**J values is held.
+    """
+    J = union.J
+    # the grid index of each union point: the grid starts at -4**J
+    idx = union.nums - union.nums[0]
+    raw = np.empty(idx.size)  # the process at the union points, unpinned
+    raw[0] = 0.0
+    kept = 1
+    carry = 0.0
+
+    def keep(start, block):
+        # block holds the running sum at grid indices start+1..start+size
+        nonlocal kept, carry
+        block[0] += carry
+        np.cumsum(block, out=block)
+        stop = kept + int(np.searchsorted(idx[kept:], start + block.size,
+                                          side="right"))
+        raw[kept:stop] = block[idx[kept:stop] - (start + 1)]
+        kept, carry = stop, block[-1]
+
+    sample_sas(StableLaw(alpha, scale=2.0 ** (-J / alpha)), rng,
+               size=4 ** J, consume=keep)
+    raw -= carry
+    raw[-1] = 0.0
+    return raw
+
+
 def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
+    """Float64 values a pyramid holds: its coefficients and, in consistent
+    mode, the process values its rows read."""
     coef = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
     if mode == "consistent":
-        coef += (2 ** J_hf + 1) + (2 ** (2 * J_lf) + 1)
+        coef += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
     return coef
 
 
@@ -369,9 +490,12 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
     In consistent mode two pinned grids are sampled (one on [0, 1] at level
     J_hf, one on [-2**J_lf, 0] at level J_lf) and all rows are second
     differences of them, the far-past rows at the ``_lf_union(J_lf)``
-    points; only the values read are kept.  In independent mode every
-    coefficient is its own standard stable draw.  The total number of
-    float64 values (coefficients plus any grids) may not pass MAX_VALUES.
+    points; only the values read are kept, and the far-past grid is summed
+    block by block as it is drawn (``_far_past_values``).  In independent
+    mode every coefficient is its own standard stable draw.  The float64
+    values kept (coefficients plus the values read) may not pass
+    MAX_VALUES, nor may the far-past grid's 4**J_lf draws, which bound its
+    time, not its memory: J_lf 13 is the deepest consistent far past.
     """
     check_alpha(alpha)
     if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
@@ -385,6 +509,10 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
         raise ParameterError(
             f"pyramid would hold {need} values, over the budget of "
             f"{MAX_VALUES}; lower the depths")
+    if mode == "consistent" and 4 ** J_lf > MAX_VALUES:
+        raise ParameterError(
+            f"the far-past grid needs {4 ** J_lf} draws, over the budget of "
+            f"{MAX_VALUES}; lower J_lf")
 
     seed_val = None if isinstance(rng, np.random.Generator) else int(rng)
     gen = _as_generator(rng)
@@ -394,9 +522,7 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
         g_hf, g_lf = gen.spawn(2)
         hf_values = build_levy_grid(alpha, 0.0, 1.0, J_hf, g_hf).values
         union = _lf_union(J_lf)
-        # the far-past grid's index 0 is the union's first point, -4**J_lf
-        lf_values = build_levy_grid(alpha, -float(2 ** J_lf), 0.0, J_lf,
-                                    g_lf).values[union.nums - union.nums[0]]
+        lf_values = _far_past_values(alpha, union, g_lf)
         hf_rows = []
         for j in range(J_hf):
             step = 1 << (J_hf - j)

@@ -1,5 +1,8 @@
 """Test oracles for the stable grid: scalar reads that the package's row
-code must reproduce, kept here because no command uses them."""
+code must reproduce, kept here because no command uses them; and a probe
+of the memory a call holds at its peak."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -39,3 +42,16 @@ def zeta_from_levy(grid, j: int, k: int) -> float:
     v = grid.values
     coef = -(2.0 ** (j / grid.alpha))
     return float(coef * (v[i0] - 2.0 * v[imid] + v[i1]))
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn's allocations held at their peak, as tracemalloc sees
+    them (numpy reports its data buffers to it, from any thread)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -1,6 +1,6 @@
 """Tests for scale oracles, Monte Carlo drivers, and convergence studies."""
 
-import tracemalloc
+import os
 
 import numpy as np
 import pytest
@@ -34,6 +34,7 @@ from haarlmsm.stable_rng import (
     StableLaw,
     _lf_union,
 )
+from oracles import traced_peak
 
 ALPHA = 1.5
 
@@ -230,19 +231,57 @@ def test_mc_x1_matches_exact_scale():
     assert np.array_equal(again, mc_x1_samples(pairs, ALPHA, 8, 64, seed=42))
 
 
-def test_mc_holds_one_chunk_at_a_time():
-    # each chunk's stable draws are freed before the next chunk is drawn
+def test_mc_holds_no_chunk(cpus):
+    # each chunk's draw hands its blocks straight to the products, so the
+    # Monte Carlo holds its outputs, its weights and a few blocks
+    pairs = [(0.25, 0.7), (1.0, 0.75)]
     J, n = 9, 4096
-    chunk_bytes = 8 * analysis._MC_HF_CHUNK << J
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        mc_x1_samples([(0.25, 0.7), (1.0, 0.75)], ALPHA, J, n, seed=5)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * chunk_bytes
+    peak = traced_peak(lambda: mc_x1_samples(pairs, ALPHA, J, n, seed=5))
+    assert peak <= 8 * len(pairs) * (n + 2 ** J) + 2 ** 20
+    depths = [5, 7]
+    peak = traced_peak(lambda: mc_x2_samples(pairs, ALPHA, depths, n, 6))
+    gaps = 3 * 2 ** depths[-1] - 2
+    assert peak <= 8 * len(pairs) * len(depths) * (n + gaps) + 2 ** 20
+
+
+@pytest.mark.parametrize("which", ["hf", "lf"])
+def test_streamed_mc_matches_the_chunk_product(which, monkeypatch):
+    # against one chunk's draw times the weights, formed whole: equal up
+    # to the roundoff of a matrix product taken over fewer rows, and bit
+    # for bit the same on one CPU and on two
+    pairs = [(0.25, 0.7), (0.5, 0.8), (1.0, 0.75)]
+    W = []
+
+    def keep_weights(alpha, seed, n, chunk, weights):
+        W.extend(weights)
+        return replicates(alpha, seed, n, chunk, weights)
+
+    replicates = analysis._mc_replicates
+    monkeypatch.setattr(analysis, "_mc_replicates", keep_weights)
+    runs = {}
+    for cpus in (2, 1):
+        W.clear()
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        if which == "hf":
+            runs[cpus] = [mc_x1_samples(pairs, ALPHA, 8, 1500, seed=11)]
+            chunk = analysis._MC_HF_CHUNK
+        else:
+            by_J = mc_x2_samples(pairs, ALPHA, [4, 6], 5000, seed=12)
+            runs[cpus] = [by_J[4], by_J[6]]
+            chunk = analysis._MC_LF_CHUNK
+    for a, b in zip(runs[2], runs[1]):
+        assert np.array_equal(a, b)
+    gen = make_rng(11 if which == "hf" else 12)
+    n = runs[1][0].shape[0]
+    for done in range(0, n, chunk):
+        m = min(chunk, n - done)
+        S = sample_sas(StableLaw(ALPHA), gen, size=(m, W[0].shape[0]))
+        for got, w in zip(runs[1], W):
+            want = S @ w
+            tol = 1e-13 * np.max(np.abs(want), axis=0)
+            assert np.all(np.abs(got[done:done + m] - want) <= tol)
 
 
 def test_row_medians_match_numpy_median():

@@ -101,3 +101,25 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
             "haarlmsm.series.theta"} <= {name for name, _ in calls}
     main_thread = threading.main_thread().ident
     assert all(ident == main_thread for _, ident in calls)
+
+
+def test_traced_draw_count_is_exact_for_consumed_draws(monkeypatch):
+    """Draws handed to a consumer (the Monte Carlo products, the far-past
+    running sum) count once each, like any other draw: the consumers run
+    on the sampler's worker threads and call nothing traced."""
+    from haarlmsm import analysis, stable_rng
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    name = "stable_rng.sample_sas"
+    wrapped = tracer.wrap(name, stable_rng.sample_sas, spans.COUNTERS[name])
+    monkeypatch.setattr(stable_rng, "sample_sas", wrapped)
+    monkeypatch.setattr(analysis, "sample_sas", wrapped)
+    # two chunks of replicates x (3 * 2**5 - 2) gaps, each on the split route
+    J, n = 5, analysis._MC_LF_CHUNK + 100
+    assert analysis._MC_LF_CHUNK * (3 * 2 ** J - 2) >= stable_rng._SPLIT_MIN
+    analysis.mc_x2_samples([(0.5, 0.75)], 1.5, [J], n, 3)
+    # a grid of 2**3 + 1 points on [0, 1] and 4**8 far-past increments
+    stable_rng.generate_coefficients(1.5, 3, 8, "consistent", 4)
+    assert tracer.counts["stable_rng.sample_sas_draws"] == \
+        n * (3 * 2 ** J - 2) + 2 ** 3 + 4 ** 8
+    assert tracer.stats[name][0] == 4

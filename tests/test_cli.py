@@ -387,6 +387,28 @@ def test_impossible_sizes_refused_early(argv, tmp_path, capsys):
     assert time.perf_counter() - t0 < 2.0
 
 
+def test_far_past_study_estimate_counts_moment_rows(monkeypatch, tmp_path,
+                                                   capsys):
+    # rows summed by Taylor moments count R x (length + points), not a
+    # table, so a 43-replicate study to depth 10 (about 10 s) is admitted;
+    # checked without running it
+    def admitted(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(cli, "convergence_study", admitted)
+    assert main(["converge", "--which", "lf", "--Jmin", "4", "--Jmax", "10",
+                 "--replicates", "43", "--out", str(tmp_path / "c")]) == 3
+    assert capsys.readouterr().err.endswith("RuntimeError: admitted\n")
+    # a table for every stretch: 1025 points x 3 * 2**J terms per depth J
+    tables = 1025 * 3 * (2 ** 11 - 2 ** 4)
+    per_rep = cli._far_past_study_work(4, 10, 1025)
+    assert 43 * per_rep <= cli.MAX_TABLE_ENTRIES < 43 * tables
+    # the pyramid's 4**(Jmax + 1) draws count too: 100 replicates to depth
+    # 12 would draw for minutes
+    _assert_refused(["converge", "--which", "lf", "--Jmin", "4", "--Jmax",
+                     "12", "--replicates", "100"], tmp_path, capsys)
+
+
 # A fresh interpreter imports the package and runs one tiny command, then
 # reports every loaded module of scipy or of numpy.ma (np.unique and
 # np.median load it)

@@ -381,6 +381,35 @@ def test_each_half_is_linear_in_the_pyramid(fam, method, J, a, b, seed,
         assert abs(f[i] - (a * f1[i] + b * f2[i])) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("method", ["naive", "abel"])
+def test_far_past_anchor_is_built_once_per_point_block(method, monkeypatch):
+    """kernel(k, v) anchors every far-past term whatever its row, so each
+    block of points builds it once for all rows, and a point's value does
+    not depend on how the points are blocked."""
+    pyr = generate_coefficients(ALPHA, 2, 5, "consistent", 88)
+    ps = prefix_sums(pyr)
+    u = np.linspace(0.0, 1.0, 40)
+    v = np.linspace(0.7, 0.9, 40)
+    name = "theta" if method == "naive" else "big_theta"
+    kernel = getattr(series, name)
+    whole = x2_partial(u, v, pyr, ps, 5, method)
+    for entries, blocks in ((series._TABLE_ENTRIES, 1), (64, 20)):
+        monkeypatch.setattr(series, "_TABLE_ENTRIES", entries)
+        anchors = []
+
+        def count_anchors(x, v, params):
+            # the tables take a column of points plus the k, the anchor
+            # the k alone
+            if np.ndim(x) == 1 and np.size(x) > 1:
+                anchors.append(np.shape(v))
+            return kernel(x, v, params)
+
+        with mock.patch.object(series, name, side_effect=count_anchors):
+            got = x2_partial(u, v, pyr, ps, 5, method)
+        assert np.array_equal(got, whole)
+        assert anchors == [(40 // blocks, 1)] * blocks
+
+
 def test_x2_depth_one_has_no_negative_scales():
     pyr = generate_coefficients(ALPHA, 2, 3, "independent", 84)
     ps = prefix_sums(pyr)

@@ -1,7 +1,9 @@
 import os
+import hashlib
+import math
 import sys
 import threading
-import tracemalloc
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from haarlmsm.stable_rng import (
     sample_sas,
 )
 from oracles import ResolutionError, grid_times, zeta_from_levy
+from oracles import traced_peak as _traced_peak
 
 # first absolute moment of the unit-scale law at alpha = 1.5,
 # (2/pi) * Gamma(1 - 1/alpha)
@@ -132,18 +135,6 @@ def test_split_draws_from_more_threads_than_cores():
     assert all(np.array_equal(got[seed], want[seed]) for seed in range(6))
 
 
-def _traced_peak(fn):
-    # numpy reports its data buffers to tracemalloc, from any thread
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("cpus", [2, 1], ids=["split", "serial"])
 def test_draw_holds_only_its_output(cpus, monkeypatch):
     # the exponentials and the formula's scratch live in block buffers, so
@@ -156,6 +147,67 @@ def test_draw_holds_only_its_output(cpus, monkeypatch):
     peak = _traced_peak(lambda: sample_sas(StableLaw(1.5), make_rng(7), n))
     assert threading.active_count() == threads
     assert peak <= 8 * n + 2 ** 20
+
+
+@pytest.mark.parametrize("shape", [(100_000,), (300, 700), (9, 20_000),
+                                   (5, 3)])
+def test_consumer_gets_the_draw_in_order(shape, cpus):
+    # whole-row blocks, in order and one call at a time, holding the values
+    # of the plain draw; the generator ends where the plain draw leaves it
+    law = StableLaw(1.7, 1.3)
+    ref = make_rng(8)
+    want = sample_sas(law, ref, shape)
+    got, starts, busy = [], [], []
+
+    def consume(start, block):
+        assert not busy
+        busy.append(start)
+        time.sleep(1e-4)
+        starts.append(start)
+        got.append(block.copy())
+        busy.pop()
+
+    gen = make_rng(8)
+    threads = threading.active_count()
+    assert sample_sas(law, gen, shape, consume=consume) is None
+    assert threading.active_count() == threads
+    rows = max(1, stable_rng._BLOCK // math.prod(shape[1:]))
+    assert starts == list(range(0, shape[0], rows))
+    assert np.array_equal(np.concatenate(got), want)
+    assert gen.random() == ref.random()
+
+
+def test_a_failing_consumer_stops_the_draw(cpus):
+    block = stable_rng._BLOCK
+    calls = []
+
+    def consume(start, values):
+        calls.append(start)
+        if start == 3 * block:
+            raise ValueError("stop")
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="stop"):
+        sample_sas(StableLaw(1.5), make_rng(9), 2 ** 17, consume=consume)
+    assert threading.active_count() == threads
+    assert calls == [0, block, 2 * block, 3 * block]
+
+
+def test_other_generators_draw_all_angles_first():
+    # a generator that cannot be positioned after the angles draws them
+    # all into the output first, and takes no consumer
+    law = StableLaw(1.5)
+    n = stable_rng._SPLIT_MIN + 5
+    ref = np.random.Generator(np.random.PCG64(3))
+    u = ref.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
+    w = ref.standard_exponential(size=n)
+    want = (np.sin(1.5 * u) / np.cos(u) ** (1.0 / 1.5)
+            * (np.cos(-0.5 * u) / w) ** (-0.5 / 1.5))
+    gen = np.random.Generator(np.random.PCG64(3))
+    assert np.array_equal(sample_sas(law, gen, n), want)
+    assert gen.random() == ref.random()
+    with pytest.raises(ParameterError, match="Philox"):
+        sample_sas(law, gen, 10, consume=lambda start, block: None)
 
 
 def test_sampler_scale_is_linear():
@@ -268,6 +320,73 @@ def test_pyramid_consistent_rows_match_scalar_reads():
         assert np.array_equal(row, manual)
     assert pyr.z1 == hf_grid.values[-1]
     assert np.array_equal(pyr.hf_values, hf_grid.values)
+
+
+# sha256 (first 16 hex digits) of each pyramid's rows, z1 and process
+# values, frozen while the far-past grid was still drawn as one array.
+# Taken with numpy 2.4 on x86-64 with AVX-512: numpy's SIMD loops for sin,
+# cos and power may round differently on other CPU features.
+PYRAMID_DIGESTS = {
+    ("consistent", 1, 2, 1): "e1c10a91b94f74c5",
+    ("consistent", 1, 2, 2): "6584a4dcb6a008d9",
+    ("consistent", 4, 3, 1): "dd3500ec47bda411",
+    ("consistent", 4, 3, 2): "2d60b4070533ae80",
+    ("consistent", 3, 5, 1): "1e616ae18a7b9c47",
+    ("consistent", 3, 5, 2): "16179b3094601a04",
+    ("consistent", 2, 9, 1): "ba232dcf854dae1c",
+    ("consistent", 2, 9, 2): "39330e1995966620",
+    ("independent", 1, 2, 1): "cdb8c95a53dd2d6d",
+    ("independent", 1, 2, 2): "1622dc1fa8f440d3",
+    ("independent", 4, 3, 1): "634d437624a34d8e",
+    ("independent", 4, 3, 2): "40ca2de9052a4c79",
+    ("independent", 3, 5, 1): "33e750bbea718a89",
+    ("independent", 3, 5, 2): "ea38aac6c810b380",
+    ("independent", 2, 9, 1): "5d9f910a7386f95a",
+    ("independent", 2, 9, 2): "151cb6833a6e4fd0",
+}
+
+
+def test_pyramids_keep_their_frozen_bits(cpus):
+    for (mode, J_hf, J_lf, seed), digest in PYRAMID_DIGESTS.items():
+        pyr = generate_coefficients(1.5, J_hf, J_lf, mode, seed)
+        h = hashlib.sha256()
+        for part in pyr.hf + pyr.lf + [np.float64(pyr.z1), pyr.lf_values]:
+            if part is not None:
+                h.update(np.asarray(part).tobytes())
+        assert h.hexdigest()[:16] == digest, (mode, J_hf, J_lf, seed)
+
+
+def test_far_past_holds_no_grid(cpus):
+    # the 4**J increments are summed block by block as they are drawn, so
+    # a pyramid holds its union points and rows, and a few blocks
+    J = 12
+    stable_rng._lf_union(J)  # cached, shared by every pyramid of depth J
+    peak = _traced_peak(
+        lambda: generate_coefficients(1.5, 1, J, "consistent", 3))
+    union_points, lf_coefficients = 3 * 2 ** J - 1, 3 * 2 ** J - 4
+    assert peak <= 8 * (union_points + lf_coefficients) + 2 ** 20
+
+
+def test_far_past_depth_is_bounded_by_its_draws(monkeypatch):
+    # J_lf 13 draws MAX_VALUES increments and passes the guard; J_lf 14 is
+    # refused before any draw
+    gen = make_rng(0)
+    with pytest.raises(ParameterError, match="over the budget"):
+        generate_coefficients(1.5, 1, 14, "consistent", gen)
+    assert gen.random() == make_rng(0).random()
+    assert 4 ** 13 == stable_rng.MAX_VALUES
+
+    class Reached(Exception):
+        pass
+
+    def stop_at_the_far_past(law, rng, size=None, **kwargs):
+        if size == 4 ** 13:
+            raise Reached
+        return sample_sas(law, rng, size, **kwargs)
+
+    monkeypatch.setattr(stable_rng, "sample_sas", stop_at_the_far_past)
+    with pytest.raises(Reached):
+        generate_coefficients(1.5, 1, 13, "consistent", 0)
 
 
 def test_pyramid_determinism_and_modes():
