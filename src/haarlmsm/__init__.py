@@ -60,10 +60,8 @@ from .series import (
 )
 from .stable_rng import (
     CoefficientPyramid,
-    LevyGrid,
     PrefixSums,
     StableLaw,
-    build_levy_grid,
     generate_coefficients,
     make_rng,
     prefix_sums,
@@ -85,12 +83,10 @@ __all__ = [
     "theta_quadrature_oracle",
     "truncated_power",
     "StableLaw",
-    "LevyGrid",
     "CoefficientPyramid",
     "PrefixSums",
     "make_rng",
     "sample_sas",
-    "build_levy_grid",
     "generate_coefficients",
     "prefix_sums",
     "x1_partial",

@@ -34,7 +34,7 @@ from .analysis import (
     x1_theoretical_scale,
     x2_theoretical_scale,
 )
-from .errors import ConfigError, HaarLmsmError
+from .errors import ConfigError, HaarLmsmError, ParameterError
 from .lmsm import (
     PROFILE_PARAMS,
     hurst_preset,
@@ -44,7 +44,8 @@ from .lmsm import (
     write_text_atomic,
 )
 from .series import WHICH, _moment_order, evaluate_field
-from .stable_rng import MAX_VALUES, MODES, generate_coefficients, prefix_sums
+from .stable_rng import (MAX_VALUES, MODES, _check_budget,
+                         generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
 # and the boundary flag for profiles that graze the admissible band
@@ -395,6 +396,17 @@ def _run_field(config: RunConfig) -> int:
 def _run_converge(config: RunConfig) -> int:
     """Truncation-rate study."""
     which = config.which or "hf"
+    # the study draws one pyramid at depth Jmax + 1; one that
+    # generate_coefficients would refuse is refused before anything is
+    # sized by Jmax (no depth past log2(MAX_VALUES) fits its budget)
+    depth = config.Jmax + 1
+    if depth > MAX_VALUES.bit_length():
+        raise ConfigError(f"--Jmax {config.Jmax}: no pyramid is that deep")
+    try:
+        _check_budget(*((depth, 2) if which == "hf" else (1, max(depth, 2))),
+                      "consistent")
+    except ParameterError as exc:
+        raise ConfigError(f"--Jmax {config.Jmax}: {exc}") from None
     J_list = list(range(config.Jmin, config.Jmax + 1))
     # per replicate: lf sums the terms each depth step adds at 1025 points,
     # hf convolves at most 4 * 2**J values per depth J; depths the study

@@ -10,13 +10,14 @@ exact scales and Monte Carlo weights.  In ``independent`` mode each
 coefficient is an independent standard draw, which is cheaper and matches
 the coefficients' marginal law but not their joint law across scales.
 
-All generators are counter-based (Philox) and every grid or row gets its own
-spawned stream, so results are reproducible from a single integer seed and
-independent of evaluation order.  A stable draw of n values reads all n
-uniform angles and then all n exponentials from its stream, in blocks;
-large draws are split across two threads with identical bits, and a draw
-can hand its blocks, in order, to a consumer instead of returning them
-(see ``sample_sas``).  So the far-past grid is summed as it is drawn, and
+Every draw takes a counter-based (Philox) generator, and every grid or row
+gets its own spawned stream, so results are reproducible from a single
+integer seed and independent of evaluation order.  A stable draw of n
+values reads all n uniform angles and then all n exponentials from its
+stream, in blocks; large draws are split across two threads with identical
+bits, and a draw can hand its blocks, in order, to a consumer instead of
+returning them (see ``sample_sas``).  Both grids of ``consistent`` mode
+are running sums of one such draw, summed as it is drawn (``_walk``), and
 ``analysis``'s Monte Carlo never holds a chunk of draws.
 """
 
@@ -82,12 +83,6 @@ def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator from a non-negative integer seed."""
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(check_seed(seed))))
-
-
-def _as_generator(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return make_rng(seed)
 
 
 def _cms(a: float, scale: float, u, w, x, c) -> None:
@@ -164,19 +159,18 @@ class _BlockStream:
     """One draw of ``sample_sas``, in blocks of ``rows`` whole rows of the
     first axis of ``shape``.
 
-    A worker claims the next block, and draws its angles (``angles(start,
-    k)`` for the block's k values from flat index start) and its
-    exponentials, under ``lock``, so each generator hands out its values in
-    block order.  It runs the formula outside the lock, waits until every
-    earlier block has been consumed, and passes the block to ``consume``;
-    so blocks are consumed one at a time, in order, whichever worker made
-    them.  A worker that fails stops the others at their next wait.
+    A worker claims the next block, and draws its angles from ``rng`` and
+    its exponentials from ``ahead``, under ``lock``, so each generator hands
+    out its values in block order.  It runs the formula outside the lock,
+    waits until every earlier block has been consumed, and passes the block
+    to ``consume``; so blocks are consumed one at a time, in order,
+    whichever worker made them.  A worker that fails stops the others at
+    their next wait.
     """
 
-    def __init__(self, law, shape, rows, angles, exponentials, consume):
+    def __init__(self, law, shape, rows, rng, ahead, consume):
         self.law, self.shape, self.rows = law, shape, rows
-        self.angles, self.exponentials = angles, exponentials
-        self.consume = consume
+        self.rng, self.ahead, self.consume = rng, ahead, consume
         self.starts = iter(range(0, shape[0], rows))
         self.lock = threading.Lock()
         self.turn = threading.Condition()
@@ -194,8 +188,8 @@ class _BlockStream:
                         return
                     m = min(self.rows, self.shape[0] - i)
                     k = m * per_row
-                    u = self.angles(i * per_row, k)
-                    self.exponentials.standard_exponential(out=w[:k])
+                    u = self.rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=k)
+                    self.ahead.standard_exponential(out=w[:k])
                 _cms(self.law.alpha, self.law.scale, u, w[:k], x[:k], c[:k])
                 with self.turn:
                     self.turn.wait_for(
@@ -222,19 +216,14 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
         X = sin(alpha*U) / cos(U)**(1/alpha)
             * (cos((1-alpha)*U) / W)**((1-alpha)/alpha)
 
-    Stream contract: all n angles come first from ``rng``, then all n
-    exponentials, so a draw of n values reads the same stream however it
-    is evaluated, and leaves ``rng`` in the same state.  The formula is
-    elementwise, so the values do not depend on how the draw is split.
-
-    The draw runs through blocks (``_BlockStream``).  From a Philox
-    generator each block's angles come from ``rng`` and its exponentials
-    from a second Philox positioned after the n angles (a draw of one
-    block takes them from ``rng``, right after its angles); a draw of at
-    least 2**16 values, on a process that may run on two or more CPUs, has
-    two worker threads, else one, the calling thread.  Any other generator
-    first draws all angles into the output, and one worker runs the
-    formula there in place.
+    Stream contract: ``rng`` must be a Philox generator; a draw of n values
+    reads all n angles from it, then all n exponentials, and leaves it
+    after them.  The draw runs through blocks (``_BlockStream``): each
+    block's angles come from ``rng`` and its exponentials from a second
+    Philox positioned after the n angles, so the values and the final
+    state do not depend on how the draw is split.  A draw of at least 2**16
+    values, on a process that may run on two or more CPUs, has two worker
+    threads, else one, the calling thread.
 
     ``consume(start, block)``, if given, receives every block instead of an
     output, and ``sample_sas`` returns None: a block is max(1, _BLOCK //
@@ -242,119 +231,43 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
     row ``start``, so the blocks depend only on ``size``.  Blocks arrive in
     order, one call at a time, possibly on a worker thread, so ``consume``
     must call nothing that needs the calling thread; it may overwrite its
-    block.  Only a Philox generator takes a consumer.  Without one, the
-    consumer copies each block of _BLOCK values into the output, which is
-    the draw's only n-sized array.
+    block.  Without one, the consumer copies each block of _BLOCK values
+    into the output, which is the draw's only n-sized array.
 
     ``size=None`` returns a python float, otherwise an array of that shape.
-    A size of more than MAX_VALUES values is refused before any draw.
+    Another generator, a negative dimension or a size of more than
+    MAX_VALUES values is refused before any draw.
     """
+    if not isinstance(getattr(rng, "bit_generator", None), np.random.Philox):
+        raise ParameterError(
+            f"sample_sas needs a Philox generator, got {rng!r}")
     scalar = size is None
     shape = ((1,) if scalar else tuple(map(int, size)) if np.iterable(size)
              else (int(size),))
+    if any(d < 0 for d in shape):
+        raise ParameterError(f"a draw of size {size} has a negative dimension")
     n = math.prod(shape)
     if n > MAX_VALUES:
         raise ParameterError(
             f"a draw of {n} values is over the budget of {MAX_VALUES}")
-    philox = isinstance(rng.bit_generator, np.random.Philox)
-    if consume is not None and not philox:
-        raise ParameterError("a consumer needs a Philox generator")
     out = None
     if consume is None:
         out, shape = np.empty(n), (n,)
-    per_row = math.prod(shape[1:])
-    rows = max(1, _BLOCK // max(per_row, 1))
-    # a draw of one block takes its exponentials from rng right after its
-    # angles, a longer Philox draw from a second Philox after all n angles
-    ahead = rng
-    if philox:
-        if shape[0] > rows:
-            ahead = np.random.Generator(
-                _philox_after(rng.bit_generator.state, n))
-
-        def angles(start, k):
-            return rng.uniform(-np.pi / 2.0, np.pi / 2.0, size=k)
-
-        if out is not None:
-            def consume(start, block):
-                out[start:start + block.size] = block
-    else:
-        for i in range(0, n, _BLOCK):
-            out[i:i + _BLOCK] = rng.uniform(-np.pi / 2.0, np.pi / 2.0,
-                                            size=min(_BLOCK, n - i))
-
-        def angles(start, k):
-            return out[start:start + k]
 
         def consume(start, block):
-            pass  # the formula ran in place in the output
-
-    stream = _BlockStream(law, shape, rows, angles, ahead, consume)
-    if philox and n >= _SPLIT_MIN and _usable_cpus() >= 2:
+            out[start:start + block.size] = block
+    per_row = math.prod(shape[1:])
+    rows = max(1, _BLOCK // max(per_row, 1))
+    ahead = np.random.Generator(_philox_after(rng.bit_generator.state, n))
+    stream = _BlockStream(law, shape, rows, rng, ahead, consume)
+    if n >= _SPLIT_MIN and _usable_cpus() >= 2:
         _on_two_threads(stream.work)
     else:
         stream.work()
-    if ahead is not rng:
-        rng.bit_generator.state = ahead.bit_generator.state
+    rng.bit_generator.state = ahead.bit_generator.state
     if out is None:
         return None
     return float(out[0]) if scalar else out.reshape(size)
-
-
-@dataclass(eq=False)
-class LevyGrid:
-    """A stable process sampled on a dyadic grid, pinned to 0 at t = 0.
-
-    ``values[i]`` holds the process at t_min + i * 2**-level; the grid must
-    straddle the origin so the pinning is exact.
-    """
-
-    alpha: float
-    t_min: float
-    t_max: float
-    level: int
-    values: np.ndarray
-
-
-def build_levy_grid(alpha: float, t_min: float, t_max: float, level: int,
-                    rng: SeedLike) -> LevyGrid:
-    """Sample a symmetric stable process at spacing 2**-level on [t_min, t_max].
-
-    Increments over each cell are independent stable draws with scale
-    2**(-level/alpha); the running sum is then shifted so the value at t = 0
-    is exactly zero.  A grid of more than MAX_VALUES values is refused
-    before any draw.
-    """
-    check_alpha(alpha)
-    if not (isinstance(level, (int, np.integer)) and level >= 0):
-        raise ParameterError(f"level must be a nonnegative integer, got {level}")
-    if not t_min <= 0.0 <= t_max or t_min == t_max:
-        raise ParameterError(
-            f"grid must straddle 0, got [{t_min}, {t_max}]")
-    n_inc_f = (t_max - t_min) * 2.0 ** level
-    n_inc = int(round(n_inc_f))
-    if abs(n_inc_f - n_inc) > 1e-9 or n_inc <= 0:
-        raise ParameterError(
-            f"span {t_max - t_min} is not a whole number of steps at level {level}")
-    if n_inc + 1 > MAX_VALUES:
-        raise ParameterError(
-            f"a grid of {n_inc + 1} values is over the budget of "
-            f"{MAX_VALUES}")
-    idx0_f = -t_min * 2.0 ** level
-    idx0 = int(round(idx0_f))
-    if abs(idx0_f - idx0) > 1e-9:
-        raise ParameterError(
-            f"t_min {t_min} does not sit on the level-{level} grid")
-    gen = _as_generator(rng)
-    law = StableLaw(alpha, scale=2.0 ** (-level / alpha))
-    inc = sample_sas(law, gen, size=n_inc)
-    vals = np.empty(n_inc + 1)
-    vals[0] = 0.0
-    np.cumsum(inc, out=vals[1:])
-    vals -= vals[idx0]
-    vals[idx0] = 0.0
-    return LevyGrid(alpha=alpha, t_min=float(t_min), t_max=float(t_max),
-                    level=int(level), values=vals)
 
 
 class _Rows:
@@ -382,7 +295,8 @@ class CoefficientPyramid(_Rows):
     the process value at t = 1 that feeds the leading term.  In consistent
     mode ``hf_values`` and ``lf_values`` hold the process values the rows
     read, at i / 2**J_hf (i = 0..2**J_hf) and at the ``_lf_union(J_lf)``
-    points; both are None in independent mode.
+    points, each read off the running sum of one Philox draw (``_walk``);
+    both are None in independent mode.
     """
 
     alpha: float
@@ -437,74 +351,44 @@ def _second_differences(values, alpha: float, j: int, points) -> np.ndarray:
     return -(2.0 ** (j / alpha)) * (values[a] - 2.0 * values[m] + values[b])
 
 
-def _far_past_values(alpha: float, union: _LfUnion,
-                     rng: np.random.Generator) -> np.ndarray:
-    """The stable process on [-2**J, 0], pinned to 0 at t = 0, at the
-    points of ``union`` (J = union.J).
+def _walk(alpha: float, level: int, n: int, keep: np.ndarray,
+          rng: np.random.Generator) -> np.ndarray:
+    """A stable process started at 0, after n steps of 2**-level, read at
+    the step counts ``keep`` (sorted, from keep[0] = 0 to at most n).
 
-    The values are ``build_levy_grid(alpha, -2**J, 0, J, rng).values`` at
-    the union's points, bit for bit: the 4**J increments are drawn as that
-    grid draws them, and their running sum is carried from block to block
-    of the draw (the carry added to a block's first increment, then the
-    block's cumulative sum, as one cumulative sum adds), keeping only the
-    union's points and the last value.  So no array of 4**J values is held.
+    The n increments, of scale 2**(-level/alpha), are one ``sample_sas``
+    draw, and their running sum is carried from block to block of it: the
+    carry is added to a block's first increment, then the block's
+    cumulative sum is taken, as one cumulative sum of the whole draw adds,
+    bit for bit.  Only the values at ``keep`` are held.
     """
-    J = union.J
-    # the grid index of each union point: the grid starts at -4**J
-    idx = union.nums - union.nums[0]
-    raw = np.empty(idx.size)  # the process at the union points, unpinned
-    raw[0] = 0.0
+    values = np.empty(keep.size)
+    values[0] = 0.0
     kept = 1
     carry = 0.0
 
-    def keep(start, block):
-        # block holds the running sum at grid indices start+1..start+size
+    def add(start, block):
+        # block holds the running sum at step counts start+1..start+size
         nonlocal kept, carry
         block[0] += carry
         np.cumsum(block, out=block)
-        stop = kept + int(np.searchsorted(idx[kept:], start + block.size,
+        stop = kept + int(np.searchsorted(keep[kept:], start + block.size,
                                           side="right"))
-        raw[kept:stop] = block[idx[kept:stop] - (start + 1)]
+        values[kept:stop] = block[keep[kept:stop] - (start + 1)]
         kept, carry = stop, block[-1]
 
-    sample_sas(StableLaw(alpha, scale=2.0 ** (-J / alpha)), rng,
-               size=4 ** J, consume=keep)
-    raw -= carry
-    raw[-1] = 0.0
-    return raw
+    sample_sas(StableLaw(alpha, scale=2.0 ** (-level / alpha)), rng,
+               size=n, consume=add)
+    return values
 
 
-def _pyramid_budget(J_hf: int, J_lf: int, mode: str) -> int:
-    """Float64 values a pyramid holds: its coefficients and, in consistent
-    mode, the process values its rows read."""
-    coef = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
+def _check_budget(J_hf: int, J_lf: int, mode: str) -> None:
+    """Refuse depths whose pyramid would hold more than MAX_VALUES float64
+    values (its coefficients and, in consistent mode, the process values
+    its rows read), or whose consistent far past would draw more."""
+    need = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
     if mode == "consistent":
-        coef += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
-    return coef
-
-
-def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
-                          rng: SeedLike) -> CoefficientPyramid:
-    """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
-
-    In consistent mode two pinned grids are sampled (one on [0, 1] at level
-    J_hf, one on [-2**J_lf, 0] at level J_lf) and all rows are second
-    differences of them, the far-past rows at the ``_lf_union(J_lf)``
-    points; only the values read are kept, and the far-past grid is summed
-    block by block as it is drawn (``_far_past_values``).  In independent
-    mode every coefficient is its own standard stable draw.  The float64
-    values kept (coefficients plus the values read) may not pass
-    MAX_VALUES, nor may the far-past grid's 4**J_lf draws, which bound its
-    time, not its memory: J_lf 13 is the deepest consistent far past.
-    """
-    check_alpha(alpha)
-    if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
-        raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
-    if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
-        raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    need = _pyramid_budget(J_hf, J_lf, mode)
+        need += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
     if need > MAX_VALUES:
         raise ParameterError(
             f"pyramid would hold {need} values, over the budget of "
@@ -514,15 +398,46 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
             f"the far-past grid needs {4 ** J_lf} draws, over the budget of "
             f"{MAX_VALUES}; lower J_lf")
 
-    seed_val = None if isinstance(rng, np.random.Generator) else int(rng)
-    gen = _as_generator(rng)
+
+def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
+                          rng: SeedLike) -> CoefficientPyramid:
+    """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
+
+    In consistent mode two stable processes are drawn, each from its own
+    Philox stream and summed as it is drawn (``_walk``): one on [0, 1] at
+    level J_hf and one on [-2**J_lf, 0] at level J_lf, both pinned to 0 at
+    t = 0.  All rows are second differences of them, the far-past rows at
+    the ``_lf_union(J_lf)`` points, and only the values read are kept.  In
+    independent mode every coefficient is its own standard stable draw.
+    The float64 values kept (coefficients plus the values read) may not
+    pass MAX_VALUES, nor may the far-past grid's 4**J_lf draws, which bound
+    its time, not its memory: J_lf 13 is the deepest consistent far past.
+    """
+    check_alpha(alpha)
+    if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
+        raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
+    if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
+        raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
+    if mode not in MODES:
+        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_budget(J_hf, J_lf, mode)
+
+    if isinstance(rng, np.random.Generator):
+        seed_val, gen = None, rng
+    else:
+        seed_val, gen = int(rng), make_rng(rng)
     lf_j_range = range(1 - J_lf, J_lf)
 
     if mode == "consistent":
         g_hf, g_lf = gen.spawn(2)
-        hf_values = build_levy_grid(alpha, 0.0, 1.0, J_hf, g_hf).values
+        hf_values = _walk(alpha, J_hf, 1 << J_hf, np.arange((1 << J_hf) + 1),
+                          g_hf)
+        # the far past starts at -2**J_lf: shift it to 0 at its last point
         union = _lf_union(J_lf)
-        lf_values = _far_past_values(alpha, union, g_lf)
+        lf_values = _walk(alpha, J_lf, 4 ** J_lf, union.nums - union.nums[0],
+                          g_lf)
+        lf_values -= lf_values[-1]
+        lf_values[-1] = 0.0
         hf_rows = []
         for j in range(J_hf):
             step = 1 << (J_hf - j)

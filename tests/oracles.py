@@ -1,16 +1,70 @@
-"""Test oracles for the stable grid: scalar reads that the package's row
-code must reproduce, kept here because no command uses them; and a probe
-of the memory a call holds at its peak."""
+"""Test oracles for the stable grid: a whole-array grid and scalar reads
+of it that the package's streamed grids and row code must reproduce, kept
+here because no command uses them; and a probe of the memory a call holds
+at its peak."""
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 
-from haarlmsm.errors import HaarLmsmError
+from haarlmsm.errors import HaarLmsmError, ParameterError
+from haarlmsm.kernels import check_alpha
+from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
 
 
 class ResolutionError(HaarLmsmError, ValueError):
     """A requested grid point does not exist on the stored dyadic grid."""
+
+
+@dataclass(eq=False)
+class LevyGrid:
+    """A stable process sampled on a dyadic grid, pinned to 0 at t = 0.
+
+    ``values[i]`` holds the process at t_min + i * 2**-level; the grid must
+    straddle the origin so the pinning is exact.
+    """
+
+    alpha: float
+    t_min: float
+    t_max: float
+    level: int
+    values: np.ndarray
+
+
+def build_levy_grid(alpha, t_min, t_max, level, rng) -> LevyGrid:
+    """Sample a symmetric stable process at spacing 2**-level on [t_min,
+    t_max] as one array: the increments over each cell are one stable draw
+    with scale 2**(-level/alpha), and their cumulative sum is shifted so
+    the value at t = 0 is exactly zero.  A grid of more than MAX_VALUES
+    values is refused before any draw."""
+    check_alpha(alpha)
+    if not (isinstance(level, (int, np.integer)) and level >= 0):
+        raise ParameterError(f"level must be a nonnegative integer, got {level}")
+    if not t_min <= 0.0 <= t_max or t_min == t_max:
+        raise ParameterError(f"grid must straddle 0, got [{t_min}, {t_max}]")
+    n_inc_f = (t_max - t_min) * 2.0 ** level
+    n_inc = int(round(n_inc_f))
+    if abs(n_inc_f - n_inc) > 1e-9 or n_inc <= 0:
+        raise ParameterError(f"span {t_max - t_min} is not a whole number "
+                             f"of steps at level {level}")
+    if n_inc + 1 > MAX_VALUES:
+        raise ParameterError(f"a grid of {n_inc + 1} values is over the "
+                             f"budget of {MAX_VALUES}")
+    idx0_f = -t_min * 2.0 ** level
+    idx0 = int(round(idx0_f))
+    if abs(idx0_f - idx0) > 1e-9:
+        raise ParameterError(
+            f"t_min {t_min} does not sit on the level-{level} grid")
+    inc = sample_sas(StableLaw(alpha, scale=2.0 ** (-level / alpha)), rng,
+                     size=n_inc)
+    vals = np.empty(n_inc + 1)
+    vals[0] = 0.0
+    np.cumsum(inc, out=vals[1:])
+    vals -= vals[idx0]
+    vals[idx0] = 0.0
+    return LevyGrid(alpha=alpha, t_min=float(t_min), t_max=float(t_max),
+                    level=int(level), values=vals)
 
 
 def grid_times(grid) -> np.ndarray:

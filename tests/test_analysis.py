@@ -26,7 +26,6 @@ from haarlmsm.errors import ParameterError, StatisticsError
 from haarlmsm.kernels import KernelParams, theta
 from haarlmsm.series import far_past_terms, x1_partial, x2_partial
 from haarlmsm.stable_rng import (
-    build_levy_grid,
     generate_coefficients,
     make_rng,
     prefix_sums,
@@ -34,7 +33,7 @@ from haarlmsm.stable_rng import (
     StableLaw,
     _lf_union,
 )
-from oracles import traced_peak
+from oracles import build_levy_grid, traced_peak
 
 ALPHA = 1.5
 

@@ -24,6 +24,12 @@ def test_every_traced_attribute_resolves():
             assert hasattr(importlib.import_module(mod_name), attr), target
 
 
+def test_every_exported_name_resolves():
+    import haarlmsm
+    for name in haarlmsm.__all__:
+        assert hasattr(haarlmsm, name), name
+
+
 def test_output_checks_import():
     _load("checks")
 
@@ -68,7 +74,8 @@ def test_traced_draw_count_is_exact(monkeypatch):
     J, n = 6, 2048
     assert analysis._MC_HF_CHUNK << J >= stable_rng._SPLIT_MIN
     analysis.mc_x1_samples([(0.5, 0.75)], 1.5, J, n, 3)
-    stable_rng.build_levy_grid(1.5, 0.0, 1.0, 17, stable_rng.make_rng(4))
+    stable_rng.sample_sas(stable_rng.StableLaw(1.5), stable_rng.make_rng(4),
+                          2 ** 17)
     assert tracer.counts["stable_rng.sample_sas_draws"] == (n << J) + 2 ** 17
     assert tracer.stats[name][0] == 3
 
@@ -93,7 +100,8 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     J = 6
     assert analysis._MC_HF_CHUNK << J >= stable_rng._SPLIT_MIN
     analysis.mc_x1_samples([(0.5, 0.75)], 1.5, J, 1024, 3)
-    stable_rng.build_levy_grid(1.5, 0.0, 1.0, 17, stable_rng.make_rng(4))
+    stable_rng.sample_sas(stable_rng.StableLaw(1.5), stable_rng.make_rng(4),
+                          2 ** 17)
     assert main(["converge", "--which", "lf", "--Jmin", "2", "--Jmax", "3",
                  "--replicates", "8", "--out", str(tmp_path / "conv")]) == 0
     assert {"haarlmsm.analysis.sample_sas", "haarlmsm.stable_rng.sample_sas",

@@ -409,6 +409,24 @@ def test_far_past_study_estimate_counts_moment_rows(monkeypatch, tmp_path,
                      "12", "--replicates", "100"], tmp_path, capsys)
 
 
+@pytest.mark.parametrize("which", ["hf", "lf"])
+@pytest.mark.parametrize("Jmax", [1024, 10 ** 9])
+def test_converge_depth_past_any_pyramid_refused_first(which, Jmax,
+                                                       monkeypatch, tmp_path,
+                                                       capsys):
+    # refused before the depth list, the work estimate or any draw is
+    # sized by Jmax
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(cli, "convergence_study", no_draw)
+    monkeypatch.setattr(cli, "generate_coefficients", no_draw)
+    t0 = time.perf_counter()
+    _assert_refused(["converge", "--which", which, "--Jmin", "4", "--Jmax",
+                     str(Jmax), "--replicates", "8"], tmp_path, capsys)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # A fresh interpreter imports the package and runs one tiny command, then
 # reports every loaded module of scipy or of numpy.ma (np.unique and
 # np.median load it)

@@ -13,13 +13,13 @@ from haarlmsm.errors import ParameterError
 from haarlmsm.stable_rng import (
     CoefficientPyramid,
     StableLaw,
-    build_levy_grid,
     generate_coefficients,
     make_rng,
     prefix_sums,
     sample_sas,
 )
-from oracles import ResolutionError, grid_times, zeta_from_levy
+from oracles import (ResolutionError, build_levy_grid, grid_times,
+                     zeta_from_levy)
 from oracles import traced_peak as _traced_peak
 
 # first absolute moment of the unit-scale law at alpha = 1.5,
@@ -69,11 +69,13 @@ def _advance(gen, ahead):
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 @pytest.mark.parametrize("size", [None, 1000, (40, 25),
-                                  stable_rng._SPLIT_MIN + 1, (257, 300)])
+                                  stable_rng._SPLIT_MIN + 1, (257, 300),
+                                  8191, 8192, 8193])
 def test_sampler_matches_one_expression_formula(alpha, size, monkeypatch):
     # the in-place evaluation keeps the formula's operation order, so it
-    # gives the same bits as the formula written as one expression; the
-    # last two sizes take the two-thread route, which must also leave the
+    # gives the same bits as the formula written as one expression; sizes
+    # 65537 and (257, 300) take the two-thread route, and 8191..8193 end
+    # just inside one block or just past it: each must also leave the
     # generator where the serial draws would, whatever it had buffered
     law = StableLaw(alpha, 1.7)
     n = 1 if size is None else size
@@ -193,21 +195,15 @@ def test_a_failing_consumer_stops_the_draw(cpus):
     assert calls == [0, block, 2 * block, 3 * block]
 
 
-def test_other_generators_draw_all_angles_first():
-    # a generator that cannot be positioned after the angles draws them
-    # all into the output first, and takes no consumer
-    law = StableLaw(1.5)
-    n = stable_rng._SPLIT_MIN + 5
-    ref = np.random.Generator(np.random.PCG64(3))
-    u = ref.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
-    w = ref.standard_exponential(size=n)
-    want = (np.sin(1.5 * u) / np.cos(u) ** (1.0 / 1.5)
-            * (np.cos(-0.5 * u) / w) ** (-0.5 / 1.5))
+def test_other_generators_are_refused_before_drawing():
+    # every draw places its exponentials after its angles on a second
+    # Philox, so another generator is refused and left where it was
     gen = np.random.Generator(np.random.PCG64(3))
-    assert np.array_equal(sample_sas(law, gen, n), want)
-    assert gen.random() == ref.random()
-    with pytest.raises(ParameterError, match="Philox"):
-        sample_sas(law, gen, 10, consume=lambda start, block: None)
+    for size, consume in ((None, None), (10, None),
+                          (10, lambda start, block: None)):
+        with pytest.raises(ParameterError, match="Philox"):
+            sample_sas(StableLaw(1.5), gen, size, consume=consume)
+    assert gen.random() == np.random.Generator(np.random.PCG64(3)).random()
 
 
 def test_sampler_scale_is_linear():
@@ -237,9 +233,12 @@ def test_oversized_draws_refused_before_drawing():
     gen = make_rng(0)
     threads = threading.active_count()
     with pytest.raises(ParameterError, match="over the budget"):
-        build_levy_grid(1.5, -2.0 ** 20, 0.0, 20, gen)
+        generate_coefficients(1.5, 25, 2, "consistent", gen)
     with pytest.raises(ParameterError, match="over the budget"):
         sample_sas(StableLaw(1.5), gen, size=(2 ** 21, 2 ** 21))
+    for size in (-1, (3, -2)):
+        with pytest.raises(ParameterError, match="negative dimension"):
+            sample_sas(StableLaw(1.5), gen, size)
     assert threading.active_count() == threads
     assert gen.random() == make_rng(0).random()
 
@@ -322,6 +321,17 @@ def test_pyramid_consistent_rows_match_scalar_reads():
     assert np.array_equal(pyr.hf_values, hf_grid.values)
 
 
+@pytest.mark.parametrize("J_hf", [1, 7, 13, 14, 17])
+def test_hf_walk_matches_the_whole_grid(J_hf, cpus):
+    # the running sum carried across blocks of 8192 increments, also at a
+    # split draw (2**17), gives the cumulative sum of the whole draw
+    pyr = generate_coefficients(1.3, J_hf, 2, "consistent", 70 + J_hf)
+    g_hf, _ = make_rng(70 + J_hf).spawn(2)
+    grid = build_levy_grid(1.3, 0.0, 1.0, J_hf, g_hf)
+    assert np.array_equal(pyr.hf_values, grid.values)
+    assert pyr.z1 == grid.values[-1]
+
+
 # sha256 (first 16 hex digits) of each pyramid's rows, z1 and process
 # values, frozen while the far-past grid was still drawn as one array.
 # Taken with numpy 2.4 on x86-64 with AVX-512: numpy's SIMD loops for sin,
@@ -365,6 +375,17 @@ def test_far_past_holds_no_grid(cpus):
         lambda: generate_coefficients(1.5, 1, J, "consistent", 3))
     union_points, lf_coefficients = 3 * 2 ** J - 1, 3 * 2 ** J - 4
     assert peak <= 8 * (union_points + lf_coefficients) + 2 ** 20
+
+
+def test_hf_walk_holds_its_values_and_rows(cpus):
+    # the hf grid keeps every value it sums, so a pyramid holds its values
+    # and rows, and at most the two row-sized temporaries of its last row's
+    # second differences (the whole-array grid peaked at 5.0 MiB here)
+    J = 18
+    peak = _traced_peak(
+        lambda: generate_coefficients(1.5, J, 2, "consistent", 3))
+    grid_values, hf_coefficients = 2 ** J + 1, 2 ** J - 1
+    assert peak <= 8 * (grid_values + hf_coefficients) + 2 ** 21
 
 
 def test_far_past_depth_is_bounded_by_its_draws(monkeypatch):
