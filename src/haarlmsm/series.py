@@ -5,16 +5,27 @@ process value at t = 1 plus one row per dyadic scale j >= 0, each row pairing
 coefficients with the averaged kernel at positions k inside [0, 1].
 ``x2_partial`` sums the far-past half over positive and negative scales,
 where every term is a kernel difference anchored at the origin.  Both take
-one (u, v) or arrays of them; each row is one (points x k) kernel table
+one (u, v) or arrays of them; each row is a (points x k) kernel table
 reduced point by point, so a value does not depend on the array around it.
 
-The ``naive`` route sums coefficient times kernel directly.  The ``abel``
-route rearranges each row by summation by parts, so that running sums of
-the coefficients (of size O(k^(1/alpha)), like the process at k + 1)
-multiply the kernel's first difference, which decays one power faster;
-its summands decay fast enough to truncate long rows.  The two agree to
-near machine precision on any finite row.  Path synthesis and
-``evaluate_field`` take the ``abel`` route; ``naive`` is its check.
+The ``naive`` route sums coefficient times kernel directly, one kernel
+call per row.  The ``abel`` route rearranges each row by summation by
+parts, so that running sums of the coefficients (of size O(k^(1/alpha)),
+like the process at k + 1) multiply the kernel's first difference, which
+decays one power faster; its summands decay fast enough to truncate long
+rows.  The two agree to near machine precision on any finite row.  Path
+synthesis and ``evaluate_field`` take the ``abel`` route; ``naive`` is its
+check.
+
+The ``abel`` route packs the tables of consecutive rows into one
+big_theta call while that call holds at most _PACK_ENTRIES (2**13)
+entries, and evaluates the rows' end terms in shared theta calls under
+the same cap; a row over the cap is its own call, in point blocks of
+_TABLE_ENTRIES.  A short row then does not pay a kernel call's set-up
+alone, and the cap keeps the kernel's temporaries small (uncapped
+calls raised the heap peak of a 129-point path from 0.87 to 2.07 MB).
+Each row is still reduced on its own, as (table * lam).sum(axis=1) and
+then the weighted running sum, so packing moves no bit.
 
 ``far_past_terms`` sums a stretch k = lo+1..hi of one far-past row for the
 convergence study.  A long stretch far from the kernel's kinks (lo >= 16
@@ -30,6 +41,7 @@ and the ``naive`` route, keeps the table.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +55,9 @@ METHODS = ("naive", "abel")
 # kernel table entries per point block: a (points x k) float64 table of
 # about 2 MB, however many points a call evaluates
 _TABLE_ENTRIES = 1 << 18
+
+# table entries one packed abel call holds at most (module docstring)
+_PACK_ENTRIES = 1 << 13
 
 # far_past_terms sums a stretch by Taylor moments from this lo on, where
 # 2**j max(u) is at most _MOMENT_RHO of lo
@@ -107,6 +122,68 @@ def _table_sum(kernel, x, v, offsets, coef, params, anchor=None):
             prod = np.multiply(table, row, out=table if r == last else None)
             out[r, a:a + step] = prod.sum(axis=1)
     return out if np.ndim(coef) == 2 else out[0]
+
+
+def _packed_sums(kernel, u, js, offsets, coefs, v, params, anchor=None):
+    """Yields, row by row, sum_k coefs[r]_k kernel(2**js[r] u_i +
+    offsets[r]_k, v_i) at every point i (less ``anchor`` cut to the row's
+    width, as in _table_sum), with _table_sum's bits: consecutive rows
+    share one kernel call while its table holds at most _PACK_ENTRIES
+    entries, and each row's columns are reduced on their own, as
+    _table_sum reduces them.  A row over the cap alone goes to
+    _table_sum."""
+    points = u.shape[0]
+    widths = [o.size for o in offsets]
+    r = 0
+    while r < len(js):
+        end, cols = r + 1, widths[r]
+        while end < len(js) and \
+                (cols + widths[end]) * points <= _PACK_ENTRIES:
+            cols += widths[end]
+            end += 1
+        if cols * points > _PACK_ENTRIES:
+            yield _table_sum(
+                kernel, 2.0 ** js[r] * u, v, offsets[r], coefs[r], params,
+                None if anchor is None else anchor[..., :widths[r]])
+            r = end
+            continue
+        x = np.empty((points, cols))
+        c = 0
+        for i in range(r, end):
+            np.add((2.0 ** js[i] * u)[:, None], offsets[i],
+                   out=x[:, c:c + widths[i]])
+            c += widths[i]
+        table = kernel(x, v if v.ndim == 0 else v[:, None], params)
+        c = 0
+        for i in range(r, end):
+            part = table[:, c:c + widths[i]]
+            if anchor is not None:
+                part -= anchor[..., :widths[i]]
+            yield (part * coefs[i]).sum(axis=1)
+            c += widths[i]
+        r = end
+
+
+def _row_ends(kernel, args, rows: int, width: int, points: int, v,
+              params):
+    """Yields, for rows 0..rows-1 in order, the kernel at the row's
+    ``width`` end-term arguments at every point, a (points, width) array.
+    ``args(sl)`` gives the arguments of the rows in slice sl side by side,
+    a (points, width * rows in sl) table.  Runs of rows share one call of
+    at most _PACK_ENTRIES entries (a run of one row is cut into point
+    blocks to fit), so no more than one run's values are held."""
+    run = max(1, _PACK_ENTRIES // max(points * width, 1))
+    step = max(1, _PACK_ENTRIES // (run * width))
+    for r in range(0, rows, run):
+        x = args(slice(r, r + run))
+        values = np.empty(x.shape)
+        for a in range(0, points, step):
+            values[a:a + step] = kernel(
+                x[a:a + step], v if v.ndim == 0 else v[a:a + step, None],
+                params)
+        del x  # not held while the run's rows are consumed
+        for i in range(0, values.shape[1], width):
+            yield values[:, i:i + width]
 
 
 def _anchor(kernel, ks, v, params):
@@ -175,16 +252,26 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     params = KernelParams(pyramid.alpha)
     q = 1.0 + v - 1.0 / pyramid.alpha
     total = np.power(u, q) / q * pyramid.z1
-    for j in range(J):
-        x = 2.0 ** j * u
-        ks = np.arange(1 << j, dtype=float)
-        if method == "naive":
-            s = _table_sum(theta, x, v, -ks, pyramid.hf[j], params)
-        else:
-            lam = prefix.hf[j]
-            s = lam[-1] * theta(x - ks[-1], v, params) \
-                + _table_sum(big_theta, x, v, -ks[:-1], lam[:-1], params)
-        total = total + np.power(2.0, -j * v) * s
+    if method == "naive":
+        for j in range(J):
+            s = _table_sum(theta, 2.0 ** j * u, v,
+                           -np.arange(1 << j, dtype=float), pyramid.hf[j],
+                           params)
+            total = total + np.power(2.0, -j * v) * s
+    elif J:
+        # row j: the end term lam[-1] theta(x - k_last) at x = 2**j u and
+        # k_last = 2**j - 1, plus the big_theta table over k < k_last
+        scale = np.ldexp(1.0, np.arange(J))
+        ends = _row_ends(
+            theta, lambda sl: u[:, None] * scale[sl] - (scale[sl] - 1.0),
+            J, 1, u.shape[0], v, params)
+        sums = _packed_sums(
+            big_theta, u, range(J),
+            [-np.arange((1 << j) - 1, dtype=float) for j in range(J)],
+            [lam[:-1] for lam in prefix.hf[:J]], v, params)
+        for j, (table, end) in enumerate(zip(sums, ends)):
+            s = prefix.hf[j][-1] * end[:, 0] + table
+            total = total + np.power(2.0, -j * v) * s
     return float(total[0]) if scalar else total
 
 
@@ -199,6 +286,9 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"
+    scales = {"plus": range(J), "minus": range(-1, -J, -1)}
+    js = [j for half in halves for j in scales[half]]
+    ns = [1 << (J - abs(j)) for j in js]
     # k = 1..2**J for the coefficients, 2..2**J for the running sums
     ks = np.arange(1 if naive else 2, (1 << J) + 1, dtype=float)
     total = np.empty(u.shape)
@@ -207,27 +297,46 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
         ub = u[a:a + step]
         vb = v if v.ndim == 0 else v[a:a + step]
         anchor = _anchor(theta if naive else big_theta, ks, vb, params)
+        if naive:
+            terms = (_far_past_table(ub, vb, pyramid.lf_row(j), j, 0, n,
+                                     params, anchor[..., :n])
+                     for j, n in zip(js, ns))
+        else:
+            terms = _x2_abel_terms(ub, vb, prefix, js, ns, ks, anchor,
+                                   params)
         block = 0.0
         for half in halves:
             part = np.zeros(ub.shape)
-            for j in range(J) if half == "plus" else range(-1, -J, -1):
-                n_row = 1 << (J - abs(j))
-                if naive:
-                    part = part + _far_past_table(
-                        ub, vb, pyramid.lf_row(j), j, 0, n_row, params,
-                        anchor[..., :n_row])
-                    continue
-                x = 2.0 ** j * ub
-                lam = prefix.lf_row(j)
-                s = lam[n_row - 1] * (theta(x + n_row, vb, params)
-                                      - theta(float(n_row), vb, params))
-                s = s - _table_sum(big_theta, x, vb, ks[:n_row - 1],
-                                   lam[:n_row - 1], params,
-                                   anchor[..., :n_row - 1])
-                part = part + np.power(2.0, -j * vb) * s
+            for term in itertools.islice(terms, len(scales[half])):
+                part = part + term
             block = block + part
         total[a:a + step] = block
     return float(total[0]) if scalar else total
+
+
+def _x2_abel_terms(u, v, prefix, js, ns, ks, anchor, params):
+    """Yields far-past rows js (of lengths ns) summed by parts at one
+    block of points, weighted by 2**(-j v): the end term lam_n (theta(x +
+    n) - theta(n)) at x = 2**j u, less the running sums lam_k against
+    big_theta(x + k) - big_theta(k) for k < n."""
+    scale, n = np.ldexp(1.0, np.array(js)), np.array(ns, dtype=float)
+
+    def args(sl):
+        # x + n beside n, row by row
+        x = np.empty((u.size, n[sl].size, 2))
+        x[..., 0] = u[:, None] * scale[sl] + n[sl]
+        x[..., 1] = n[sl]
+        return x.reshape(u.size, -1)
+
+    lams = [prefix.lf_row(j) for j in js]
+    ends = _row_ends(theta, args, len(js), 2, u.size, v, params)
+    sums = _packed_sums(big_theta, u, js, [ks[:m - 1] for m in ns],
+                        [lam[:m - 1] for lam, m in zip(lams, ns)], v,
+                        params, anchor)
+    for j, m, lam, table, end in zip(js, ns, lams, sums, ends):
+        s = lam[m - 1] * (end[:, 0] - end[:, 1])
+        s = s - table
+        yield np.power(2.0, -j * v) * s
 
 
 def x2_plus_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,

@@ -1,15 +1,17 @@
-"""Test oracles for the stable grid: a whole-array grid and scalar reads
-of it that the package's streamed grids and row code must reproduce, kept
-here because no command uses them; and a probe of the memory a call holds
-at its peak."""
+"""Test oracles kept here because no command uses them: a whole-array
+stable grid and scalar reads of it that the package's streamed grids and
+row code must reproduce; the series halves summed by parts one row at a
+time, which the packed rows of ``series`` must reproduce; and a probe of
+the memory a call holds at its peak."""
 
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
+from haarlmsm import series
 from haarlmsm.errors import HaarLmsmError, ParameterError
-from haarlmsm.kernels import check_alpha
+from haarlmsm.kernels import KernelParams, big_theta, check_alpha, theta
 from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
 
 
@@ -96,6 +98,55 @@ def zeta_from_levy(grid, j: int, k: int) -> float:
     v = grid.values
     coef = -(2.0 ** (j / grid.alpha))
     return float(coef * (v[i0] - 2.0 * v[imid] + v[i1]))
+
+
+def x1_abel_rows(u, v, pyramid, prefix, J: int) -> np.ndarray:
+    """The recent-scales half summed by parts one row at a time: each row
+    is its own big_theta table and its own theta call for the end term.
+    u is a 1-d array and v one exponent or one per point, as
+    series.check_uv returns them."""
+    params = KernelParams(pyramid.alpha)
+    q = 1.0 + v - 1.0 / pyramid.alpha
+    total = np.power(u, q) / q * pyramid.z1
+    for j in range(J):
+        x = 2.0 ** j * u
+        ks = np.arange(1 << j, dtype=float)
+        lam = prefix.hf[j]
+        s = lam[-1] * theta(x - ks[-1], v, params) \
+            + series._table_sum(big_theta, x, v, -ks[:-1], lam[:-1], params)
+        total = total + np.power(2.0, -j * v) * s
+    return total
+
+
+def x2_abel_rows(u, v, pyramid, prefix, J: int, halves) -> np.ndarray:
+    """The far-past halves named in ``halves`` ("plus", "minus") summed by
+    parts one row at a time, each half on its own and then added; each
+    block of points builds the anchor big_theta(k, v) once.  u and v as
+    for x1_abel_rows."""
+    params = KernelParams(pyramid.alpha)
+    ks = np.arange(2, (1 << J) + 1, dtype=float)
+    total = np.empty(u.shape)
+    step = max(1, series._TABLE_ENTRIES // ks.size)
+    for a in range(0, u.shape[0], step):
+        ub = u[a:a + step]
+        vb = v if v.ndim == 0 else v[a:a + step]
+        anchor = big_theta(ks, vb if vb.ndim == 0 else vb[:, None], params)
+        block = 0.0
+        for half in halves:
+            part = np.zeros(ub.shape)
+            for j in range(J) if half == "plus" else range(-1, -J, -1):
+                n_row = 1 << (J - abs(j))
+                x = 2.0 ** j * ub
+                lam = prefix.lf_row(j)
+                s = lam[n_row - 1] * (theta(x + n_row, vb, params)
+                                      - theta(float(n_row), vb, params))
+                s = s - series._table_sum(big_theta, x, vb, ks[:n_row - 1],
+                                          lam[:n_row - 1], params,
+                                          anchor[..., :n_row - 1])
+                part = part + np.power(2.0, -j * vb) * s
+            block = block + part
+        total[a:a + step] = block
+    return total
 
 
 def traced_peak(fn) -> int:

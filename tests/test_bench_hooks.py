@@ -60,6 +60,30 @@ def test_converge_check_passes_on_moment_rows(tmp_path):
     assert checks.check_converge(f"{conv}.csv") == []
 
 
+def test_traced_simulate_counts_kernel_calls(monkeypatch, tmp_path):
+    """The per-layer kernel metrics count the calls that the series halves
+    make through the ``series`` module's kernel attributes; a kernel bound
+    to another name there would run untraced and read as zero calls."""
+    from haarlmsm.cli import main
+    spans = _load("spans")
+    for targets in spans.PATCHES.values():
+        for target in targets:
+            mod_name, _, attr = target.rpartition(".")
+            mod = importlib.import_module(mod_name)
+            # restored when the test ends
+            monkeypatch.setattr(mod, attr, getattr(mod, attr))
+    tracer = spans.Tracer()
+    tracer.install()
+    assert main(["simulate", "--preset", "fig1-row3", "--J-hf", "5",
+                 "--J-lf", "3", "--n-points", "9",
+                 "--out", str(tmp_path / "sim")]) == 0
+    table = tracer.table()
+    for name in ("kernels.theta", "kernels.big_theta"):
+        assert table["spans"][name]["calls"] > 0, name
+    assert table["counts"]["kernels.evals_tail"] > 0
+    assert table["counts"]["kernels.evals_direct"] > 0
+
+
 def test_traced_draw_count_is_exact(monkeypatch):
     """Split-size draws count once each: the second thread of a large draw
     must not go through the traced sampler."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -334,3 +335,74 @@ def test_term_count_bound_unchanged_above_minus_one():
                              / (math.log(0.5 * l_max) - math.log(x)))
             for e in (-0.999, 0.0, 0.5, 1.999):
                 assert kernels._term_count(k, l_max, x, e, n0) == want
+
+
+# (big_theta, dbig_theta_dx) at tail arguments, keyed (alpha, v, x): the
+# mpmath 1.3.0 value of sum_l D5_l (x - l/2)^e (over e for big_theta) at the
+# float exponents e = 1.0 + v - 1.0/alpha and v - 1.0/alpha the kernels
+# form, worked at 60 digits so that 40 survive the stencil's cancellation,
+# rounded to double
+BIG_THETA_TAIL_40_DIGITS = {
+    (1.1, 0.919, 9.25): (-3.7000386584692804e-05, 8.97481653781071e-06),
+    (1.1, 0.919, 17.5): (-9.275538183823317e-06, 1.12027662354801e-06),
+    (1.1, 0.919, 100.125): (-2.6126383249338423e-07, 5.2454835518428875e-09),
+    (1.1, 0.919, 10000.5): (-2.6873762514143054e-11, 5.348390486762034e-15),
+    (1.1, 0.99, 9.25): (-0.00032567287657827855, 7.61669132670211e-05),
+    (1.1, 0.99, 17.5): (-8.578129200808768e-05, 9.990498981490105e-06),
+    (1.1, 0.99, 100.125): (-2.7444431805910726e-06, 5.313524900959161e-08),
+    (1.1, 0.99, 10000.5): (-3.9171828038794663e-10, 7.517805825896419e-14),
+    (1.5, 0.677, 9.25): (-3.8602435784169154e-05, 9.361406278425535e-06),
+    (1.5, 0.677, 17.5): (-9.680012348250969e-06, 1.1688785555672933e-06),
+    (1.5, 0.677, 100.125): (-2.7286425636499174e-07, 5.477221341288309e-09),
+    (1.5, 0.677, 10000.5): (-2.8121982377405816e-11, 5.595616895448216e-15),
+    (1.5, 0.99, 9.25): (-0.0015965220589768648, 0.0003260736144522779),
+    (1.5, 0.99, 17.5): (-0.0004978499232160202, 5.065190327678275e-05),
+    (1.5, 0.99, 100.125): (-2.460615961567878e-05, 4.162192438870578e-07),
+    (1.5, 0.99, 10000.5): (-1.0748182085492799e-08, 1.8022019791300868e-12),
+    (1.9, 0.536, 9.25): (-3.615177773452856e-05, 8.769972464290896e-06),
+    (1.9, 0.536, 17.5): (-9.061382869587266e-06, 1.0945352547569553e-06),
+    (1.9, 0.536, 100.125): (-2.5512876909397986e-07, 5.122886615990532e-09),
+    (1.9, 0.536, 10000.5): (-2.6215491116957157e-11, 5.217971507969231e-15),
+    (1.9, 0.99, 9.25): (-0.0024388248308366885, 0.00045629122674914095),
+    (1.9, 0.99, 17.5): (-0.0008385558283047199, 7.816908334832481e-05),
+    (1.9, 0.99, 100.125): (-5.331211280712368e-05, 8.26298951417489e-07),
+    (1.9, 0.99, 10000.5): (-4.4499292266759766e-08, 6.83683839657912e-12),
+}
+
+
+def test_big_theta_tail_matches_high_precision_values():
+    """The five-term tail series, whose leading power is formed from a
+    positive base, is within 4 ulp of the exact stencil sum."""
+    for (alpha, v, x), wants in BIG_THETA_TAIL_40_DIGITS.items():
+        params = KernelParams(alpha)
+        for f, want in zip((big_theta, dbig_theta_dx), wants):
+            got = f(x, v, params)
+            assert abs(got - want) <= 4 * np.spacing(abs(want)), \
+                (f.__name__, alpha, v, x)
+
+
+def _theta_digest():
+    h = hashlib.sha256()
+    x = np.concatenate([np.linspace(-1.0, 12.0, 1301),
+                        np.geomspace(8.0, 1e6, 400)])
+    for alpha in (1.1, 1.5, 1.9):
+        params = KernelParams(alpha)
+        for v in (1.0 / alpha + 0.01, 0.75, 0.99):
+            v = max(v, 1.0 / alpha + 0.01)
+            for f in (theta, dtheta_dx):
+                h.update(f(x, v, params).tobytes())
+        vv = np.linspace(1.0 / alpha + 0.01, 0.99, x.size)
+        for f in (theta, dtheta_dx):
+            h.update(f(x, vv, params).tobytes())
+        h.update(theta_taylor(np.geomspace(17.0, 1e4, 50), 0.8, 19,
+                              params).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_theta_pair_keeps_its_frozen_bits():
+    """theta, dtheta_dx and theta_taylor feed the convergence study, so
+    their bits are frozen: sha256 (first 16 hex digits) over direct and
+    tail arguments, one and per-point exponents.  Taken with numpy 2.4 on
+    x86-64 with AVX-512; numpy's SIMD power may round differently on
+    other CPU features."""
+    assert _theta_digest() == "a20a395dc40bbfb8"

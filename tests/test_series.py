@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import x1_abel_rows, x2_abel_rows
 
 from haarlmsm import series
 from haarlmsm.errors import DepthError, ParameterError
@@ -344,6 +345,39 @@ def test_array_call_matches_point_calls(fam, alpha, J, mode, method, seed, n,
         one = fn(u[i], vs[i], pyr, ps, J, method)
         assert isinstance(one, float)
         assert one == got[i], (i, u[i], vs[i])
+
+
+_ABEL_ROWS = {"hf": (x1_partial, None), "lf": (x2_partial, ("plus", "minus")),
+              "lf_plus": (x2_plus_partial, ("plus",)),
+              "lf_minus": (x2_minus_partial, ("minus",))}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(fam=st.sampled_from(sorted(_ABEL_ROWS)), alpha=st.floats(1.05, 1.95),
+       J=st.integers(0, 8), mode=st.sampled_from(["consistent",
+                                                  "independent"]),
+       seed=st.integers(0, 2 ** 31 - 1), n=st.integers(0, 300),
+       constant=st.booleans(), entries=st.sampled_from([1, 7, 300, 1 << 18]),
+       pack=st.sampled_from([1, 40, 700, 1 << 13]))
+def test_packed_rows_match_the_per_row_sums(fam, alpha, J, mode, seed, n,
+                                            constant, entries, pack):
+    """The abel route packs rows into shared kernel calls; every point
+    keeps the bits of the per-row sums (tests/oracles.py), for any split
+    of the rows into packed calls and of the points into blocks."""
+    fn, halves = _ABEL_ROWS[fam]
+    J = max(J, {"hf": 0, "lf_minus": 2}.get(fam, 1))
+    rng = np.random.default_rng(seed)
+    pyr = generate_coefficients(alpha, max(J, 1), max(J, 2), mode, seed)
+    ps = prefix_sums(pyr)
+    u, v = _profile_points(rng, alpha, max(n - 3, 0), constant)
+    u, v, _ = series.check_uv(u[:n], v if constant else v[:n], alpha)
+    with mock.patch.object(series, "_TABLE_ENTRIES", entries), \
+            mock.patch.object(series, "_PACK_ENTRIES", pack):
+        got = fn(u, v, pyr, ps, J, "abel")
+        want = x1_abel_rows(u, v, pyr, ps, J) if halves is None \
+            else x2_abel_rows(u, v, pyr, ps, J, halves)
+    assert got.shape == u.shape
+    assert np.array_equal(got, want)
 
 
 def _random_pyramid(rng, J):
