@@ -308,6 +308,15 @@ def _out_paths(config: RunConfig, fallback: str):
     return base + ".csv", base + ".svg"
 
 
+def _write_csv(config: RunConfig, fallback: str, lines) -> str:
+    """Write the '# config:' echo line and then ``lines`` to the run's CSV
+    path, atomically; returns the path."""
+    csv_path, _ = _out_paths(config, fallback)
+    echo = "# config: " + json.dumps(_config_echo(config), sort_keys=True)
+    write_text_atomic(csv_path, "\n".join([echo, *lines]) + "\n")
+    return csv_path
+
+
 def _check_work(command: str, n_points: int, row_length: int) -> None:
     """Refuse a run whose kernel tables, n_points x the summed length of the
     series rows it evaluates, would pass MAX_TABLE_ENTRIES."""
@@ -376,18 +385,20 @@ def _run_field(config: RunConfig) -> int:
     _check_work("field", config.u_points * len(v_values),
                 {"hf": 1, "total": 4}.get(which, 3) << max(J, 0))
     u_grid = np.linspace(0.0, 1.0, config.u_points)
+    # an hf field reads no far-past row, and its rows and z1 do not depend
+    # on the far past's depth, so J does not size it (the lf rows depend on
+    # J_hf in independent mode, so J still sizes J_hf for the lf fields)
     pyr = generate_coefficients(
-        config.alpha, max(J, config.J_hf, 1), max(J, config.J_lf, 2),
+        config.alpha, max(J, config.J_hf, 1),
+        max(config.J_lf if which == "hf" else J, config.J_lf, 2),
         config.mode, config.seed)
     ps = prefix_sums(pyr)
     values = evaluate_field(u_grid, v_values, pyr, ps, J, which)
-    lines = ["# config: " + json.dumps(_config_echo(config), sort_keys=True)]
-    lines.append("u," + ",".join(repr(float(v)) for v in v_values))
+    lines = ["u," + ",".join(repr(float(v)) for v in v_values)]
     for u, vals in zip(u_grid, values):
         row = ",".join(repr(float(x)) for x in vals)
         lines.append(f"{float(u)!r},{row}")
-    csv_path, _ = _out_paths(config, "field")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_csv(config, "field", lines)
     print(f"wrote {csv_path} "
           f"({config.u_points}x{len(v_values)} {which} values at J={J})")
     return 0
@@ -425,8 +436,7 @@ def _run_converge(config: RunConfig) -> int:
     if report.fitted_slope is not None:
         gap = abs(report.fitted_slope - report.theoretical_slope)
         verdict = "PASS" if gap <= SLOPE_TOLERANCE else "FAIL"
-    lines = ["# config: " + json.dumps(_config_echo(config), sort_keys=True)]
-    lines.append(f"# grid_spec: {report.grid_spec}")
+    lines = [f"# grid_spec: {report.grid_spec}"]
     if report.fitted_slope is not None:
         lines.append(f"# fitted_slope: {report.fitted_slope!r}")
     lines.append(f"# theoretical_slope: {report.theoretical_slope!r}")
@@ -436,8 +446,7 @@ def _run_converge(config: RunConfig) -> int:
         cells = [str(J), repr(float(report.medians[p]))]
         cells += [repr(float(x)) for x in report.norms[p]]
         lines.append(",".join(cells))
-    csv_path, _ = _out_paths(config, "converge")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_csv(config, "converge", lines)
     print(f"convergence study {report.which}: alpha={config.alpha} "
           f"v={config.v} J={config.Jmin}..{config.Jmax} "
           f"replicates={config.replicates} seed={config.seed}")
@@ -481,8 +490,7 @@ def _run_scale_check(config: RunConfig) -> int:
             fn = truncated_scale_hf if which == "hf" else truncated_scale_lf
             rows.append((u, v, fn(u, v, config.alpha, J, "independent")))
         label = "exact truncated scale"
-    lines = ["# config: " + json.dumps(_config_echo(config), sort_keys=True)]
-    lines.append("u,v,J,estimate,target,rel_dev")
+    lines = ["u,v,J,estimate,target,rel_dev"]
     print(f"{which} scale check at J={J}, alpha={config.alpha}, "
           f"mode={config.mode} ({label})")
     print(f"{'u':>6} {'v':>6} {'estimate':>12} {'target':>12} {'rel dev':>9}")
@@ -492,8 +500,7 @@ def _run_scale_check(config: RunConfig) -> int:
         print(f"{u:6.2f} {v:6.2f} {est:12.6f} {tgt:12.6f} {dev:+9.2%}")
         lines.append(f"{float(u)!r},{float(v)!r},{J},{float(est)!r},"
                      f"{float(tgt)!r},{float(dev)!r}")
-    csv_path, _ = _out_paths(config, "scale-check")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    csv_path = _write_csv(config, "scale-check", lines)
     print(f"wrote {csv_path}")
     return 0
 

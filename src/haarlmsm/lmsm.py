@@ -26,7 +26,7 @@ from . import __version__
 from .errors import ConfigError, ParameterError
 from .kernels import check_alpha
 from .series import x1_partial, x2_partial
-from .stable_rng import generate_coefficients, prefix_sums
+from .stable_rng import _check_pyramid, generate_coefficients, prefix_sums
 
 EPS_MARGIN = 1e-6
 _DENSE = 2 ** 12 + 1
@@ -223,8 +223,10 @@ def synthesize_path(alpha: float, H, t_grid=None, J_hf: int = 12,
 
     ``H`` may be a HurstFunction or a plain number (constant profile).  The
     pyramid is drawn at the evaluation depths, and each half is one series
-    call over the whole grid.
+    call over the whole grid.  Depths or a mode that the pyramid would
+    refuse are refused before the default grid is sized by J_hf.
     """
+    _check_pyramid(alpha, J_hf, J_lf, mode)
     if isinstance(H, (int, float)):
         H = hurst_preset("constant", {"value": float(H)})
     violations = validate_params(alpha, H, allow_boundary=allow_boundary)

@@ -8,24 +8,22 @@ where every term is a kernel difference anchored at the origin.  Both take
 one (u, v) or arrays of them; each row is a (points x k) kernel table
 reduced point by point, so a value does not depend on the array around it.
 
-The ``naive`` route sums coefficient times kernel directly, one kernel
-call per row.  The ``abel`` route rearranges each row by summation by
-parts, so that running sums of the coefficients (of size O(k^(1/alpha)),
-like the process at k + 1) multiply the kernel's first difference, which
-decays one power faster; its summands decay fast enough to truncate long
-rows.  The two agree to near machine precision on any finite row.  Path
-synthesis and ``evaluate_field`` take the ``abel`` route; ``naive`` is its
-check.
+The ``naive`` route sums coefficient times kernel directly.  The ``abel``
+route rearranges each row by summation by parts, so that running sums of
+the coefficients (of size O(k^(1/alpha)), like the process at k + 1)
+multiply the kernel's first difference, which decays one power faster; its
+summands decay fast enough to truncate long rows.  The two agree to near
+machine precision on any finite row.  Path synthesis and
+``evaluate_field`` take the ``abel`` route; ``naive`` is its check.
 
-The ``abel`` route packs the tables of consecutive rows into one
-big_theta call while that call holds at most _PACK_ENTRIES (2**13)
-entries, and evaluates the rows' end terms in shared theta calls under
-the same cap; a row over the cap is its own call, in point blocks of
-_TABLE_ENTRIES.  A short row then does not pay a kernel call's set-up
-alone, and the cap keeps the kernel's temporaries small (uncapped
-calls raised the heap peak of a 129-point path from 0.87 to 2.07 MB).
-Each row is still reduced on its own, as (table * lam).sum(axis=1) and
-then the weighted running sum, so packing moves no bit.
+Every kernel table, on both routes and in ``far_past_terms``, is built and
+reduced by one routine, ``_row_sums``.  It packs consecutive rows into one
+kernel call while that call holds at most _PACK_ENTRIES (2**13) entries; a
+row over the cap is its own call, in point blocks of _TABLE_ENTRIES.  A
+short row then does not pay a kernel call's set-up alone, and the cap keeps
+the kernel's temporaries small (uncapped calls raised the heap peak of a
+129-point path from 0.87 to 2.07 MB).  Each row is reduced on its own, as
+(part * coef).sum(axis=1), so packing moves no bit.
 
 ``far_past_terms`` sums a stretch k = lo+1..hi of one far-past row for the
 convergence study.  A long stretch far from the kernel's kinks (lo >= 16
@@ -35,8 +33,8 @@ series sum_r eps^r D_r in eps = 2**j u, with D_r = sum_k c_k
 theta^(r)(k)/r! and R = ceil(log 1e-17 / log rho) <= 19 terms.  Its cost
 is R x (hi - lo) derivative values plus R per point, not a points x
 (hi - lo) table, and it is more accurate than the table, whose
-theta(eps + k) - theta(k) cancels when eps << k.  Every other stretch,
-and the ``naive`` route, keeps the table.
+theta(eps + k) - theta(k) cancels when eps << k.  Every other stretch
+keeps the table.
 """
 
 from __future__ import annotations
@@ -56,8 +54,11 @@ METHODS = ("naive", "abel")
 # about 2 MB, however many points a call evaluates
 _TABLE_ENTRIES = 1 << 18
 
-# table entries one packed abel call holds at most (module docstring)
+# table entries one packed kernel call holds at most (module docstring)
 _PACK_ENTRIES = 1 << 13
+
+# the coefficients of a far-past end term, theta(x + n) - theta(n)
+_END = np.array([1.0, -1.0])
 
 # far_past_terms sums a stretch by Taylor moments from this lo on, where
 # 2**j max(u) is at most _MOMENT_RHO of lo
@@ -99,91 +100,64 @@ def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
 
 
-def _table_sum(kernel, x, v, offsets, coef, params, anchor=None):
-    """sum_k coef_k kernel(x_i + offsets_k, v_i) at every point i, less
-    ``anchor`` (kernel(offsets_k, v) of shape (m,) for one v, or
-    kernel(offsets_k, v_i) of shape (points, m)) in each term when one is
-    given.  ``coef`` is one row of shape (m,), giving one sum per point, or
-    a stack of rows of shape (rows, m), giving one line of sums per row.
-    Each block of points is one table, built once and reduced row by row
-    against every coefficient row, never by a matrix product, so a point's
-    sum has the same bits alone, in any array, or beside any other rows."""
-    rows = np.atleast_2d(coef)
-    last = rows.shape[0] - 1
-    out = np.zeros((rows.shape[0], x.shape[0]))
-    step = max(1, _TABLE_ENTRIES // max(offsets.size, 1))
-    for a in range(0, x.shape[0], step):
-        vb = v if v.ndim == 0 else v[a:a + step, None]
-        table = kernel(x[a:a + step, None] + offsets, vb, params)
-        if anchor is not None:
-            table -= anchor if anchor.ndim == 1 else anchor[a:a + step]
-        for r, row in enumerate(rows):
-            # the last row's product may take the table's place
-            prod = np.multiply(table, row, out=table if r == last else None)
-            out[r, a:a + step] = prod.sum(axis=1)
-    return out if np.ndim(coef) == 2 else out[0]
-
-
-def _packed_sums(kernel, u, js, offsets, coefs, v, params, anchor=None):
-    """Yields, row by row, sum_k coefs[r]_k kernel(2**js[r] u_i +
-    offsets[r]_k, v_i) at every point i (less ``anchor`` cut to the row's
-    width, as in _table_sum), with _table_sum's bits: consecutive rows
-    share one kernel call while its table holds at most _PACK_ENTRIES
-    entries, and each row's columns are reduced on their own, as
-    _table_sum reduces them.  A row over the cap alone goes to
-    _table_sum."""
-    points = u.shape[0]
-    widths = [o.size for o in offsets]
+def _row_sums(kernel, u, v, rows, params, anchor=None):
+    """Yields, for each row (scale, offsets, coef) of ``rows`` in order,
+    sum_k coef_k [kernel(scale_k u_i + offsets_k, v_i) - anchor_k] at every
+    point i.  ``scale`` is one number or one per term; ``coef`` is one row
+    of shape (m,), giving one sum per point, or a stack (stack, m), giving
+    one line of sums per line of the stack; ``anchor``, if given, is
+    kernel(k, v) of shape (m',) for one v or (points, m') for a v per
+    point, cut to each row's width m.  Consecutive rows share one kernel
+    call while it holds at most _PACK_ENTRIES entries; a row over the cap
+    is its own call, in point blocks of _TABLE_ENTRIES.  Each row's part of
+    a table is reduced on its own, as (part * coef).sum(axis=1), never by a
+    matrix product, so a point's sum has the same bits alone, in any array,
+    under any packing or blocking."""
     r = 0
-    while r < len(js):
-        end, cols = r + 1, widths[r]
-        while end < len(js) and \
-                (cols + widths[end]) * points <= _PACK_ENTRIES:
-            cols += widths[end]
+    while r < len(rows):
+        end, cols = r + 1, rows[r][1].size
+        while end < len(rows) and \
+                (cols + rows[end][1].size) * u.size <= _PACK_ENTRIES:
+            cols += rows[end][1].size
             end += 1
-        if cols * points > _PACK_ENTRIES:
-            yield _table_sum(
-                kernel, 2.0 ** js[r] * u, v, offsets[r], coefs[r], params,
-                None if anchor is None else anchor[..., :widths[r]])
-            r = end
-            continue
-        x = np.empty((points, cols))
-        c = 0
-        for i in range(r, end):
-            np.add((2.0 ** js[i] * u)[:, None], offsets[i],
-                   out=x[:, c:c + widths[i]])
-            c += widths[i]
-        table = kernel(x, v if v.ndim == 0 else v[:, None], params)
-        c = 0
-        for i in range(r, end):
-            part = table[:, c:c + widths[i]]
-            if anchor is not None:
-                part -= anchor[..., :widths[i]]
-            yield (part * coefs[i]).sum(axis=1)
-            c += widths[i]
+        yield from _group_sums(kernel, u, v, rows[r:end], cols, params,
+                               anchor)
         r = end
 
 
-def _row_ends(kernel, args, rows: int, width: int, points: int, v,
-              params):
-    """Yields, for rows 0..rows-1 in order, the kernel at the row's
-    ``width`` end-term arguments at every point, a (points, width) array.
-    ``args(sl)`` gives the arguments of the rows in slice sl side by side,
-    a (points, width * rows in sl) table.  Runs of rows share one call of
-    at most _PACK_ENTRIES entries (a run of one row is cut into point
-    blocks to fit), so no more than one run's values are held."""
-    run = max(1, _PACK_ENTRIES // max(points * width, 1))
-    step = max(1, _PACK_ENTRIES // (run * width))
-    for r in range(0, rows, run):
-        x = args(slice(r, r + run))
-        values = np.empty(x.shape)
-        for a in range(0, points, step):
-            values[a:a + step] = kernel(
-                x[a:a + step], v if v.ndim == 0 else v[a:a + step, None],
-                params)
-        del x  # not held while the run's rows are consumed
-        for i in range(0, values.shape[1], width):
-            yield values[:, i:i + width]
+def _group_sums(kernel, u, v, group, cols, params, anchor):
+    """_row_sums of rows sharing kernel calls, ``cols`` terms in all: one
+    call if it fits _PACK_ENTRIES, else one per block of points."""
+    step = max(1, u.size if cols * u.size <= _PACK_ENTRIES
+               else _TABLE_ENTRIES // cols)
+    blocks = []
+    # one block even with no points, so that every row yields its sums
+    for a in range(0, max(u.size, 1), step):
+        ub = u[a:a + step, None]
+        x = np.empty((ub.shape[0], cols))
+        c = 0
+        for scale, offsets, _ in group:
+            np.add(ub * scale, offsets, out=x[:, c:c + offsets.size])
+            c += offsets.size
+        table = kernel(x, v if v.ndim == 0 else v[a:a + step, None], params)
+        del x  # not held while the table is reduced
+        sums, c = [], 0
+        for _, offsets, coef in group:
+            part = table[:, c:c + offsets.size]
+            c += offsets.size
+            if anchor is not None:
+                part -= anchor[:offsets.size] if anchor.ndim == 1 \
+                    else anchor[a:a + step, :offsets.size]
+            # np.add.reduce is .sum(axis=1) without its Python-level
+            # wrapper; one coefficient row's product takes the part's place
+            sums.append(np.add.reduce(np.multiply(part, coef, out=part),
+                                      axis=1) if coef.ndim == 1
+                        else np.stack([np.add.reduce(part * line, axis=1)
+                                       for line in coef]))
+        blocks.append(sums)
+    if len(blocks) == 1:
+        return blocks[0]
+    return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
 
 
 def _anchor(kernel, ks, v, params):
@@ -193,15 +167,11 @@ def _anchor(kernel, ks, v, params):
 
 
 def _far_past_table(u, v, rows, j: int, lo: int, hi: int,
-                    params: KernelParams, anchor=None) -> np.ndarray:
-    """far_past_terms summed term by term, through kernel tables.
-    ``anchor`` holds theta(k, v) for k = lo+1..hi (see _table_sum), if the
-    caller has it; else it is built here."""
+                    params: KernelParams) -> np.ndarray:
+    """far_past_terms summed term by term, through kernel tables."""
     ks = np.arange(lo + 1, hi + 1, dtype=float)
-    if anchor is None:
-        anchor = _anchor(theta, ks, v, params)
-    s = _table_sum(theta, 2.0 ** j * u, v, ks, rows[..., lo:hi], params,
-                   anchor)
+    s, = _row_sums(theta, u, v, [(2.0 ** j, ks, rows[..., lo:hi])], params,
+                   _anchor(theta, ks, v, params))
     return np.power(2.0, -j * v) * s
 
 
@@ -253,25 +223,22 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     q = 1.0 + v - 1.0 / pyramid.alpha
     total = np.power(u, q) / q * pyramid.z1
     if method == "naive":
-        for j in range(J):
-            s = _table_sum(theta, 2.0 ** j * u, v,
-                           -np.arange(1 << j, dtype=float), pyramid.hf[j],
-                           params)
-            total = total + np.power(2.0, -j * v) * s
-    elif J:
+        sums = _row_sums(theta, u, v, [
+            (2.0 ** j, -np.arange(1 << j, dtype=float), pyramid.hf[j])
+            for j in range(J)], params)
+    else:
         # row j: the end term lam[-1] theta(x - k_last) at x = 2**j u and
         # k_last = 2**j - 1, plus the big_theta table over k < k_last
-        scale = np.ldexp(1.0, np.arange(J))
-        ends = _row_ends(
-            theta, lambda sl: u[:, None] * scale[sl] - (scale[sl] - 1.0),
-            J, 1, u.shape[0], v, params)
-        sums = _packed_sums(
-            big_theta, u, range(J),
-            [-np.arange((1 << j) - 1, dtype=float) for j in range(J)],
-            [lam[:-1] for lam in prefix.hf[:J]], v, params)
-        for j, (table, end) in enumerate(zip(sums, ends)):
-            s = prefix.hf[j][-1] * end[:, 0] + table
-            total = total + np.power(2.0, -j * v) * s
+        lams = prefix.hf[:J]
+        ends = _row_sums(theta, u, v, [
+            (2.0 ** j, np.array([1.0 - 2.0 ** j]), lam[-1:])
+            for j, lam in enumerate(lams)], params)
+        tables = _row_sums(big_theta, u, v, [
+            (2.0 ** j, -np.arange((1 << j) - 1, dtype=float), lam[:-1])
+            for j, lam in enumerate(lams)], params)
+        sums = (end + table for end, table in zip(ends, tables))
+    for j, s in enumerate(sums):
+        total = total + np.power(2.0, -j * v) * s
     return float(total[0]) if scalar else total
 
 
@@ -289,21 +256,31 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     scales = {"plus": range(J), "minus": range(-1, -J, -1)}
     js = [j for half in halves for j in scales[half]]
     ns = [1 << (J - abs(j)) for j in js]
-    # k = 1..2**J for the coefficients, 2..2**J for the running sums
-    ks = np.arange(1 if naive else 2, (1 << J) + 1, dtype=float)
+    # row j's table holds k = 1..n against the coefficients (naive), or
+    # k = 2..n against the running sums (abel); lams holds either row
+    first = 1 if naive else 2
+    kernel = theta if naive else big_theta
+    ks = np.arange(first, (1 << J) + 1, dtype=float)
+    lams = [(pyramid if naive else prefix).lf_row(j) for j in js]
+    tables = [(2.0 ** j, ks[:n + 1 - first], lam[:n + 1 - first])
+              for j, n, lam in zip(js, ns, lams)]
+    # abel: the end term lam_n (theta(x + n) - theta(n)) at x = 2**j u, one
+    # row of two terms, less the running sums lam_k against big_theta(x +
+    # k) - big_theta(k) for k < n
+    ends = [(np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float), _END)
+            for j, n in zip(js, ns)]
     total = np.empty(u.shape)
     step = max(1, _TABLE_ENTRIES // ks.size)
     for a in range(0, u.shape[0], step):
         ub = u[a:a + step]
         vb = v if v.ndim == 0 else v[a:a + step]
-        anchor = _anchor(theta if naive else big_theta, ks, vb, params)
-        if naive:
-            terms = (_far_past_table(ub, vb, pyramid.lf_row(j), j, 0, n,
-                                     params, anchor[..., :n])
-                     for j, n in zip(js, ns))
-        else:
-            terms = _x2_abel_terms(ub, vb, prefix, js, ns, ks, anchor,
-                                   params)
+        sums = _row_sums(kernel, ub, vb, tables, params,
+                         _anchor(kernel, ks, vb, params))
+        if not naive:
+            end_sums = _row_sums(theta, ub, vb, ends, params)
+            sums = (lam[n - 1] * end - table for n, lam, end, table in
+                    zip(ns, lams, end_sums, sums))
+        terms = (np.power(2.0, -j * vb) * s for j, s in zip(js, sums))
         block = 0.0
         for half in halves:
             part = np.zeros(ub.shape)
@@ -312,31 +289,6 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
             block = block + part
         total[a:a + step] = block
     return float(total[0]) if scalar else total
-
-
-def _x2_abel_terms(u, v, prefix, js, ns, ks, anchor, params):
-    """Yields far-past rows js (of lengths ns) summed by parts at one
-    block of points, weighted by 2**(-j v): the end term lam_n (theta(x +
-    n) - theta(n)) at x = 2**j u, less the running sums lam_k against
-    big_theta(x + k) - big_theta(k) for k < n."""
-    scale, n = np.ldexp(1.0, np.array(js)), np.array(ns, dtype=float)
-
-    def args(sl):
-        # x + n beside n, row by row
-        x = np.empty((u.size, n[sl].size, 2))
-        x[..., 0] = u[:, None] * scale[sl] + n[sl]
-        x[..., 1] = n[sl]
-        return x.reshape(u.size, -1)
-
-    lams = [prefix.lf_row(j) for j in js]
-    ends = _row_ends(theta, args, len(js), 2, u.size, v, params)
-    sums = _packed_sums(big_theta, u, js, [ks[:m - 1] for m in ns],
-                        [lam[:m - 1] for lam, m in zip(lams, ns)], v,
-                        params, anchor)
-    for j, m, lam, table, end in zip(js, ns, lams, sums, ends):
-        s = lam[m - 1] * (end[:, 0] - end[:, 1])
-        s = s - table
-        yield np.power(2.0, -j * v) * s
 
 
 def x2_plus_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,

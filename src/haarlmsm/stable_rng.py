@@ -399,6 +399,20 @@ def _check_budget(J_hf: int, J_lf: int, mode: str) -> None:
             f"{MAX_VALUES}; lower J_lf")
 
 
+def _check_pyramid(alpha: float, J_hf: int, J_lf: int, mode: str) -> None:
+    """Refuse, before anything is drawn or sized, what
+    generate_coefficients refuses: alpha outside (1, 2), depths below 1
+    (J_hf) or 2 (J_lf), an unknown mode, or depths over _check_budget."""
+    check_alpha(alpha)
+    if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
+        raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
+    if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
+        raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
+    if mode not in MODES:
+        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_budget(J_hf, J_lf, mode)
+
+
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
                           rng: SeedLike) -> CoefficientPyramid:
     """Draw every coefficient needed for depth-J_hf / depth-J_lf evaluation.
@@ -413,14 +427,7 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
     pass MAX_VALUES, nor may the far-past grid's 4**J_lf draws, which bound
     its time, not its memory: J_lf 13 is the deepest consistent far past.
     """
-    check_alpha(alpha)
-    if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
-        raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
-    if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
-        raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
-    if mode not in MODES:
-        raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_budget(J_hf, J_lf, mode)
+    _check_pyramid(alpha, J_hf, J_lf, mode)
 
     if isinstance(rng, np.random.Generator):
         seed_val, gen = None, rng

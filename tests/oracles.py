@@ -1,15 +1,14 @@
 """Test oracles kept here because no command uses them: a whole-array
 stable grid and scalar reads of it that the package's streamed grids and
-row code must reproduce; the series halves summed by parts one row at a
-time, which the packed rows of ``series`` must reproduce; and a probe of
-the memory a call holds at its peak."""
+row code must reproduce; the series halves summed one row at a time on
+either route, which the packed rows of ``series`` must reproduce; and a
+probe of the memory a call holds at its peak."""
 
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from haarlmsm import series
 from haarlmsm.errors import HaarLmsmError, ParameterError
 from haarlmsm.kernels import KernelParams, big_theta, check_alpha, theta
 from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
@@ -100,52 +99,64 @@ def zeta_from_levy(grid, j: int, k: int) -> float:
     return float(coef * (v[i0] - 2.0 * v[imid] + v[i1]))
 
 
-def x1_abel_rows(u, v, pyramid, prefix, J: int) -> np.ndarray:
-    """The recent-scales half summed by parts one row at a time: each row
-    is its own big_theta table and its own theta call for the end term.
-    u is a 1-d array and v one exponent or one per point, as
-    series.check_uv returns them."""
+def _row_sum(kernel, x, v, offsets, coef, params, anchor=None):
+    """sum_k coef_k [kernel(x_i + offsets_k, v_i) - anchor_k] at every
+    point i, through one table of all the points and the row's terms."""
+    table = kernel(x[:, None] + offsets, v if v.ndim == 0 else v[:, None],
+                   params)
+    if anchor is not None:
+        table -= anchor
+    return (table * coef).sum(axis=1)
+
+
+def x1_rows(u, v, pyramid, prefix, J: int, method: str) -> np.ndarray:
+    """The recent-scales half one row at a time, each row its own table:
+    coefficients against theta (``naive``), or summed by parts (``abel``),
+    the end term then its own theta call.  u is a 1-d array and v one
+    exponent or one per point, as series.check_uv returns them."""
     params = KernelParams(pyramid.alpha)
     q = 1.0 + v - 1.0 / pyramid.alpha
     total = np.power(u, q) / q * pyramid.z1
     for j in range(J):
         x = 2.0 ** j * u
         ks = np.arange(1 << j, dtype=float)
-        lam = prefix.hf[j]
-        s = lam[-1] * theta(x - ks[-1], v, params) \
-            + series._table_sum(big_theta, x, v, -ks[:-1], lam[:-1], params)
+        if method == "naive":
+            s = _row_sum(theta, x, v, -ks, pyramid.hf[j], params)
+        else:
+            lam = prefix.hf[j]
+            s = lam[-1] * theta(x - ks[-1], v, params) \
+                + _row_sum(big_theta, x, v, -ks[:-1], lam[:-1], params)
         total = total + np.power(2.0, -j * v) * s
     return total
 
 
-def x2_abel_rows(u, v, pyramid, prefix, J: int, halves) -> np.ndarray:
-    """The far-past halves named in ``halves`` ("plus", "minus") summed by
-    parts one row at a time, each half on its own and then added; each
-    block of points builds the anchor big_theta(k, v) once.  u and v as
-    for x1_abel_rows."""
+def x2_rows(u, v, pyramid, prefix, J: int, halves, method: str) -> np.ndarray:
+    """The far-past halves named in ``halves`` ("plus", "minus") one row at
+    a time, each half on its own and then added; every term is anchored by
+    the kernel at its k, built once for the longest row.  u, v and
+    ``method`` as for x1_rows."""
     params = KernelParams(pyramid.alpha)
-    ks = np.arange(2, (1 << J) + 1, dtype=float)
-    total = np.empty(u.shape)
-    step = max(1, series._TABLE_ENTRIES // ks.size)
-    for a in range(0, u.shape[0], step):
-        ub = u[a:a + step]
-        vb = v if v.ndim == 0 else v[a:a + step]
-        anchor = big_theta(ks, vb if vb.ndim == 0 else vb[:, None], params)
-        block = 0.0
-        for half in halves:
-            part = np.zeros(ub.shape)
-            for j in range(J) if half == "plus" else range(-1, -J, -1):
-                n_row = 1 << (J - abs(j))
-                x = 2.0 ** j * ub
+    naive = method == "naive"
+    ks = np.arange(1 if naive else 2, (1 << J) + 1, dtype=float)
+    anchor = (theta if naive else big_theta)(
+        ks, v if v.ndim == 0 else v[:, None], params)
+    total = 0.0
+    for half in halves:
+        part = np.zeros(u.shape)
+        for j in range(J) if half == "plus" else range(-1, -J, -1):
+            n = 1 << (J - abs(j))
+            x = 2.0 ** j * u
+            if naive:
+                s = _row_sum(theta, x, v, ks[:n], pyramid.lf_row(j)[:n],
+                             params, anchor[..., :n])
+            else:
                 lam = prefix.lf_row(j)
-                s = lam[n_row - 1] * (theta(x + n_row, vb, params)
-                                      - theta(float(n_row), vb, params))
-                s = s - series._table_sum(big_theta, x, vb, ks[:n_row - 1],
-                                          lam[:n_row - 1], params,
-                                          anchor[..., :n_row - 1])
-                part = part + np.power(2.0, -j * vb) * s
-            block = block + part
-        total[a:a + step] = block
+                s = lam[n - 1] * (theta(x + n, v, params)
+                                  - theta(float(n), v, params))
+                s = s - _row_sum(big_theta, x, v, ks[:n - 1], lam[:n - 1],
+                                 params, anchor[..., :n - 1])
+            part = part + np.power(2.0, -j * v) * s
+        total = total + part
     return total
 
 

@@ -348,6 +348,20 @@ def test_field_takes_its_depth_flags(tmp_path):
     assert echoed["J_hf"] == 5 and echoed["J_lf"] == 4
 
 
+def test_hf_field_sizes_the_far_past_by_J_lf(tmp_path):
+    """An hf field reads no far-past row: --J sizes the recent scales only,
+    so J 14 runs (its far past would be refused at depth 14), and the
+    values are x1_partial's on a pyramid of far-past depth J_lf."""
+    out = tmp_path / "field"
+    assert main(["field", "--which", "hf", "--J", "14", "--u-points", "3",
+                 "--v-values", "0.8", "--seed", "3", "--out", str(out)]) == 0
+    rows = (tmp_path / "field.csv").read_text().splitlines()[2:]
+    pyr = haarlmsm.generate_coefficients(1.5, 14, 6, "consistent", 3)
+    want = haarlmsm.x1_partial(np.linspace(0.0, 1.0, 3), 0.8, pyr,
+                               haarlmsm.prefix_sums(pyr), 14)
+    assert [float(r.split(",")[1]) for r in rows] == list(want)
+
+
 @pytest.mark.parametrize("key", ["mode", "which"])
 def test_config_file_choices_are_checked(key, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"

@@ -145,6 +145,12 @@ def test_synthesis_grid_validation():
         synthesize_path(1.5, 0.75, np.array([0.0, 1.5]), J_hf=3, J_lf=2)
     with pytest.raises(ParameterError):
         synthesize_path(1.5, 0.75, np.array([]), J_hf=3, J_lf=2)
+    # the default grid has 2**J_hf + 1 points: depths the pyramid refuses
+    # are refused before it is built (J_hf 40 would ask for 8 TiB)
+    for kwargs in ({"J_hf": 40}, {"J_hf": -1}, {"J_hf": 2.0},
+                   {"J_lf": 1}, {"J_lf": 14}, {"mode": "bogus"}):
+        with pytest.raises(ParameterError):
+            synthesize_path(1.5, 0.75, **kwargs)
 
 
 def test_csv_roundtrip(tmp_path):
