@@ -61,6 +61,8 @@ from .stable_rng import (
     MAX_VALUES,
     StableLaw,
     _LfUnion,
+    _lf_rows,
+    _lf_steps,
     _lf_union,
     check_seed,
     generate_coefficients,
@@ -187,6 +189,15 @@ def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
     return (1 << J) * (anti[:-1] - anti[1:])
 
 
+def _lf_row_factors(u: float, v: float, J: int, params: KernelParams):
+    """Yields (j, n, theta(2**j u + k) - theta(k) at k = 1..n) for every
+    far-past row (j, n) of depth J: the kernel differences that row j
+    weights its coefficients at positions -1..-n by."""
+    for j, n in _lf_rows(J):
+        ks = np.arange(1, n + 1, dtype=float)
+        yield j, n, theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
+
+
 def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
                            J_eval: int, params: KernelParams) -> np.ndarray:
     """Weights C with depth-J_eval far-past sum = -sum_i C_i dZ_i.
@@ -199,13 +210,9 @@ def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
         raise ParameterError(
             f"union built at depth {union.J} cannot serve depth {J_eval}")
     c = np.zeros(union.nums.shape[0])
-    for j in range(1 - J_eval, J_eval):
-        n_row = 1 << (J_eval - abs(j))
-        i0, im, i1 = (ix[:n_row] for ix in union.row_maps[j])
-        ks = np.arange(1, n_row + 1, dtype=float)
-        x = 2.0 ** j * u
-        g = (-(2.0 ** (j / alpha)) * 2.0 ** (-j * v)
-             * (theta(x + ks, v, params) - theta(ks, v, params)))
+    for j, n, w in _lf_row_factors(u, v, J_eval, params):
+        i0, im, i1 = (ix[:n] for ix in union.row_maps[j])
+        g = -(2.0 ** (j / alpha)) * 2.0 ** (-j * v) * w
         np.add.at(c, i0, g)
         np.add.at(c, im, -2.0 * g)
         np.add.at(c, i1, g)
@@ -245,9 +252,7 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
         return float(np.sum(np.abs(C) ** alpha * union.gaps)) ** (1.0 / alpha)
     if mode == "independent":
         acc = 0.0
-        for j in range(1 - J, J):
-            ks = np.arange(1, (1 << (J - abs(j))) + 1, dtype=float)
-            w = theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
+        for j, _, w in _lf_row_factors(u, v, J, params):
             acc += 2.0 ** (-j * v * alpha) * float(np.sum(np.abs(w) ** alpha))
         return acc ** (1.0 / alpha)
     raise ParameterError(f"unknown mode {mode!r}")
@@ -451,7 +456,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
         else:
             pyr = generate_coefficients(alpha, 1, max(depth, 2),
                                         "consistent", gen)
-            rows = {j: pyr.lf_row(j) for j in range(1 - depth, depth)}
+            rows = {j: pyr.lf_row(j) for j, _ in _lf_rows(depth)}
         for key, row in rows.items():
             stacks.setdefault(key, np.empty((replicates, row.size)))[rep] = row
     for p, J in enumerate(J_list):
@@ -463,10 +468,9 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
                     stacks[J], J, v, min(J + 1, 15), params)
             else:
                 # the terms the depth step J -> J + 1 adds to each row
-                diff = sum(far_past_terms(
-                    u_grid, v, stacks[j], j,
-                    1 << (J - abs(j)) if abs(j) < J else 0,
-                    1 << (J + 1 - abs(j)), params) for j in range(-J, J + 1))
+                diff = sum(far_past_terms(u_grid, v, stacks[j], j, lo, hi,
+                                          params)
+                           for j, lo, hi in _lf_steps(J))
             best = np.maximum(best, np.max(np.abs(diff), axis=1))
         norms[p] = best
     medians = _row_medians(norms)

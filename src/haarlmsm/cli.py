@@ -44,7 +44,7 @@ from .lmsm import (
     write_text_atomic,
 )
 from .series import WHICH, _moment_order, evaluate_field
-from .stable_rng import (MAX_VALUES, MODES, _check_budget,
+from .stable_rng import (MAX_VALUES, MODES, _check_budget, _lf_steps,
                          generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
@@ -336,9 +336,7 @@ def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> int:
     2**24 draws took 0.95 s, 2**24 entries about 4 s)."""
     work = 4 ** max(Jmax, 1)
     for J in range(Jmin, Jmax + 1):
-        for j in range(-J, J + 1):
-            lo = 1 << (J - abs(j)) if abs(j) < J else 0
-            hi = 1 << (J + 1 - abs(j))
+        for j, lo, hi in _lf_steps(J):
             R = _moment_order(j, lo, 1.0)
             work += R * (hi - lo + points) if R else points * (hi - lo)
     return work

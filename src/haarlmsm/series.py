@@ -39,14 +39,13 @@ keeps the table.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .errors import DepthError, ParameterError
 from .kernels import KernelParams, big_theta, check_alpha, theta, theta_taylor
-from .stable_rng import CoefficientPyramid, PrefixSums
+from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows
 
 METHODS = ("naive", "abel")
 
@@ -253,22 +252,24 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"
-    scales = {"plus": range(J), "minus": range(-1, -J, -1)}
-    js = [j for half in halves for j in scales[half]]
-    ns = [1 << (J - abs(j)) for j in js]
+    lf_rows = _lf_rows(J)
+    parts = [[r for r in lf_rows if r[0] >= 0] if half == "plus"
+             else [r for r in reversed(lf_rows) if r[0] < 0]
+             for half in halves]
+    rows = [r for part in parts for r in part]
     # row j's table holds k = 1..n against the coefficients (naive), or
     # k = 2..n against the running sums (abel); lams holds either row
     first = 1 if naive else 2
     kernel = theta if naive else big_theta
-    ks = np.arange(first, (1 << J) + 1, dtype=float)
-    lams = [(pyramid if naive else prefix).lf_row(j) for j in js]
+    ks = np.arange(first, max(n for _, n in rows) + 1, dtype=float)
+    lams = [(pyramid if naive else prefix).lf_row(j) for j, _ in rows]
     tables = [(2.0 ** j, ks[:n + 1 - first], lam[:n + 1 - first])
-              for j, n, lam in zip(js, ns, lams)]
+              for (j, n), lam in zip(rows, lams)]
     # abel: the end term lam_n (theta(x + n) - theta(n)) at x = 2**j u, one
     # row of two terms, less the running sums lam_k against big_theta(x +
     # k) - big_theta(k) for k < n
     ends = [(np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float), _END)
-            for j, n in zip(js, ns)]
+            for j, n in rows]
     total = np.empty(u.shape)
     step = max(1, _TABLE_ENTRIES // ks.size)
     for a in range(0, u.shape[0], step):
@@ -278,15 +279,14 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
                          _anchor(kernel, ks, vb, params))
         if not naive:
             end_sums = _row_sums(theta, ub, vb, ends, params)
-            sums = (lam[n - 1] * end - table for n, lam, end, table in
-                    zip(ns, lams, end_sums, sums))
-        terms = (np.power(2.0, -j * vb) * s for j, s in zip(js, sums))
+            sums = (lam[n - 1] * end - table for (_, n), lam, end, table in
+                    zip(rows, lams, end_sums, sums))
+        terms = [np.power(2.0, -j * vb) * s for (j, _), s in zip(rows, sums)]
         block = 0.0
-        for half in halves:
-            part = np.zeros(ub.shape)
-            for term in itertools.islice(terms, len(scales[half])):
-                part = part + term
-            block = block + part
+        for part in parts:
+            # sum adds left to right from zeros, like a loop of +
+            block = block + sum(terms[:len(part)], np.zeros(ub.shape))
+            terms = terms[len(part):]
         total[a:a + step] = block
     return float(total[0]) if scalar else total
 

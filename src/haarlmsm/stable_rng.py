@@ -4,9 +4,11 @@ Randomness enters the synthesis in exactly one of two ways.  In
 ``consistent`` mode a single stable process is sampled on a dyadic grid and
 every detail coefficient is read off that one realization through second
 differences, so refining the truncation depth never changes coefficients
-already drawn.  The far-past coefficients read it at the points of
-``_lf_union``, the one far-past grid, from which ``analysis`` also takes its
-exact scales and Monte Carlo weights.  In ``independent`` mode each
+already drawn.  Which far-past rows a depth keeps is decided once, by
+``_lf_rows``; the points they read (``_lf_union``, the one far-past grid,
+from which ``analysis`` also takes its exact scales and Monte Carlo
+weights) and the terms each depth step adds (``_lf_steps``) are derived
+from that row list.  In ``independent`` mode each
 coefficient is an independent standard draw, which is cheaper and matches
 the coefficients' marginal law but not their joint law across scales.
 
@@ -311,6 +313,21 @@ class CoefficientPyramid(_Rows):
     lf_values: Optional[np.ndarray] = None
 
 
+def _lf_rows(J: int) -> list:
+    """The far-past rows of depth J, the one place their shape is decided:
+    (j, n) for j = 1-J..J-1 ascending, row j holding the coefficients at
+    positions -1..-n, n = 2**(J - |j|)."""
+    return [(j, 1 << (J - abs(j))) for j in range(1 - J, J)]
+
+
+def _lf_steps(J: int) -> list:
+    """The terms the depth step J -> J + 1 adds, from ``_lf_rows``: (j, lo,
+    hi) for every depth-(J+1) row, in its order, which gains the positions
+    k = lo+1..hi (lo = 0 for a row new at that depth)."""
+    old = dict(_lf_rows(J))
+    return [(j, old.get(j, 0), n) for j, n in _lf_rows(J + 1)]
+
+
 @dataclass(eq=False)
 class _LfUnion:
     """Sorted union of the grid points the far-past rows read, at one depth.
@@ -329,16 +346,13 @@ class _LfUnion:
 @lru_cache(maxsize=4)
 def _lf_union(J: int) -> _LfUnion:
     raw = {}
-    for j in range(1 - J, J):
+    for j, n in _lf_rows(J):
         step = 1 << (J - j)
-        left = -np.arange(1, (1 << (J - abs(j))) + 1, dtype=np.int64) * step
+        left = -np.arange(1, n + 1, dtype=np.int64) * step
         raw[j] = (left, left + step // 2, left + step)
-    # Row j >= 0 reads the multiples of 2**(J-j-1) in [-4**(J-j), 0], row
-    # j < 0 a subset of row 0's: past 0 and -1, the union in [-4**(i+1),
-    # -4**i) is the multiples of 2**i (sorting cost simulate 15 ms, 0.5 MB).
-    nums = -np.concatenate([np.arange(2)] + [
-        np.arange(4 ** i + 2 ** i, 4 ** (i + 1) + 1, 2 ** i)
-        for i in range(J)])[::-1]
+    # sorted, then each point kept once (np.unique would import numpy.ma)
+    nums = np.sort(np.concatenate([p for abm in raw.values() for p in abm]))
+    nums = nums[np.concatenate(([True], nums[1:] != nums[:-1]))]
     row_maps = {j: tuple(np.searchsorted(nums, p) for p in abm)
                 for j, abm in raw.items()}
     return _LfUnion(J=J, nums=nums, gaps=np.diff(nums * 2.0 ** (-J)),
@@ -433,7 +447,7 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
         seed_val, gen = None, rng
     else:
         seed_val, gen = int(rng), make_rng(rng)
-    lf_j_range = range(1 - J_lf, J_lf)
+    lf_rows = _lf_rows(J_lf)
 
     if mode == "consistent":
         g_hf, g_lf = gen.spawn(2)
@@ -456,20 +470,19 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
             alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=mode,
             z1=float(hf_values[-1]), hf=hf_rows,
             lf=[_second_differences(lf_values, alpha, j, union.row_maps[j])
-                for j in lf_j_range],
+                for j, _ in lf_rows],
             seed=seed_val, hf_values=hf_values, lf_values=lf_values)
 
-    n_lf_rows = 2 * J_lf - 1
-    children = gen.spawn(1 + J_hf + n_lf_rows)
+    children = gen.spawn(1 + J_hf + len(lf_rows))
     law = StableLaw(alpha, 1.0)
     z1 = sample_sas(law, children[0])
     hf_rows = [sample_sas(law, children[1 + j], size=1 << j)
                for j in range(J_hf)]
-    lf_rows = [sample_sas(law, children[1 + J_hf + i],
-                          size=1 << (J_lf - abs(j)))
-               for i, j in enumerate(lf_j_range)]
-    return CoefficientPyramid(alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=mode,
-                              z1=z1, hf=hf_rows, lf=lf_rows, seed=seed_val)
+    return CoefficientPyramid(
+        alpha=alpha, J_hf=J_hf, J_lf=J_lf, mode=mode, z1=z1, hf=hf_rows,
+        lf=[sample_sas(law, child, size=n)
+            for child, (_, n) in zip(children[1 + J_hf:], lf_rows)],
+        seed=seed_val)
 
 
 @dataclass(eq=False)

@@ -31,6 +31,7 @@ from haarlmsm.stable_rng import (
     prefix_sums,
     sample_sas,
     StableLaw,
+    _lf_rows,
     _lf_union,
 )
 from oracles import build_levy_grid, traced_peak
@@ -322,6 +323,17 @@ def test_convergence_study_validation():
     for which in ("hf", "lf"):
         with pytest.raises(ParameterError, match="replicates need arrays"):
             convergence_study(which, ALPHA, (0.75, 0.75), [4, 5], 10 ** 12, 1)
+
+
+def test_far_past_study_sizes_its_stacks_by_the_row_list(monkeypatch):
+    # per replicate, the stacked depth-(J+1) rows (closed form) or the
+    # 1025-point lines of differences, whichever is longer
+    monkeypatch.setattr(analysis, "MAX_VALUES", 0)
+    for J in range(1, 15):
+        with pytest.raises(ParameterError) as info:
+            convergence_study("lf", ALPHA, (0.75, 0.75), [J], 8, 1)
+        per_rep = max(sum(n for _, n in _lf_rows(J + 1)), 1025)
+        assert f"need arrays of {8 * per_rep} values" in str(info.value)
 
 
 def test_convergence_study_single_depth_flagged():

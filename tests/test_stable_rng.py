@@ -410,6 +410,64 @@ def test_far_past_depth_is_bounded_by_its_draws(monkeypatch):
         generate_coefficients(1.5, 1, 13, "consistent", 0)
 
 
+def _closed_form_union(J):
+    """The union's points as a closed form: past 0 and -1, the points in
+    [-4**(i+1), -4**i) are the multiples of 2**i (units of 2**-J)."""
+    return -np.concatenate([np.arange(2)] + [
+        np.arange(4 ** i + 2 ** i, 4 ** (i + 1) + 1, 2 ** i)
+        for i in range(J)])[::-1]
+
+
+def test_far_past_union_is_the_closed_form():
+    # the rows |j| < J to positions k <= 2**(J - |j|), and the union of the
+    # three points each coefficient reads, which the rows derive
+    for J in range(1, 15):
+        assert stable_rng._lf_rows(J) == [(j, 2 ** (J - abs(j)))
+                                          for j in range(1 - J, J)]
+        union = stable_rng._lf_union(J)
+        nums = _closed_form_union(J)
+        assert union.nums.dtype == nums.dtype
+        assert np.array_equal(union.nums, nums)
+        assert np.array_equal(union.gaps, np.diff(nums * 2.0 ** (-J)))
+        assert list(union.row_maps) == list(range(1 - J, J))
+        for j, maps in union.row_maps.items():
+            left = -np.arange(1, 2 ** (J - abs(j)) + 1) * 2 ** (J - j)
+            for ix, point in zip(maps, (left, left + 2 ** (J - j - 1),
+                                        left + 2 ** (J - j))):
+                assert np.array_equal(nums[ix], point), (J, j)
+
+
+def test_budget_counts_the_row_list(monkeypatch):
+    # _check_budget sizes the far past in closed form, so a huge depth is
+    # refused without listing its rows; its counts are the rows' and the
+    # union's
+    monkeypatch.setattr(stable_rng, "MAX_VALUES", 0)
+    for J in range(1, 15):
+        coefficients = sum(n for _, n in stable_rng._lf_rows(J))
+        points = stable_rng._lf_union(J).nums.size
+        for mode, values in (("independent", 0),
+                             ("consistent", 2 ** 3 + 1 + points)):
+            with pytest.raises(ParameterError) as info:
+                stable_rng._check_budget(3, J, mode)
+            need = 2 ** 3 - 1 + coefficients + 1 + values
+            assert f"would hold {need} values" in str(info.value), (J, mode)
+
+
+def test_depth_steps_add_each_row_position_once():
+    # from depth 1, the steps J -> J + 1 add every position of the
+    # depth-(J+1) rows exactly once, row by row in ascending j
+    seen = {(j, k) for j, n in stable_rng._lf_rows(1)
+            for k in range(1, n + 1)}
+    for J in range(1, 15):
+        steps = stable_rng._lf_steps(J)
+        assert [j for j, _, _ in steps] == list(range(-J, J + 1))
+        added = [(j, k) for j, lo, hi in steps for k in range(lo + 1, hi + 1)]
+        assert len(set(added)) == len(added) and seen.isdisjoint(added)
+        seen.update(added)
+        assert seen == {(j, k) for j, n in stable_rng._lf_rows(J + 1)
+                        for k in range(1, n + 1)}, J
+
+
 def test_pyramid_determinism_and_modes():
     a = generate_coefficients(1.5, 3, 2, "consistent", 62)
     b = generate_coefficients(1.5, 3, 2, "consistent", 62)
