@@ -14,7 +14,11 @@ the coefficients (of size O(k^(1/alpha)), like the process at k + 1)
 multiply the kernel's first difference, which decays one power faster; its
 summands decay fast enough to truncate long rows.  The two agree to near
 machine precision on any finite row.  Path synthesis and
-``evaluate_field`` take the ``abel`` route; ``naive`` is its check.
+``evaluate_field`` take the ``abel`` route; ``naive`` is its check.  On
+the abel route a recent-scales row is one big_theta table, whose last
+term is the row's end term, as theta(x - 2**j) vanishes at x = 2**j u; a
+far-past row adds its end term, lam_n (theta(x + n) - theta(n)), to its
+table.
 
 Every kernel table, on both routes and in ``far_past_terms``, is built and
 reduced by one routine, ``_row_sums``.  It packs consecutive rows into one
@@ -221,21 +225,12 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     params = KernelParams(pyramid.alpha)
     q = 1.0 + v - 1.0 / pyramid.alpha
     total = np.power(u, q) / q * pyramid.z1
-    if method == "naive":
-        sums = _row_sums(theta, u, v, [
-            (2.0 ** j, -np.arange(1 << j, dtype=float), pyramid.hf[j])
-            for j in range(J)], params)
-    else:
-        # row j: the end term lam[-1] theta(x - k_last) at x = 2**j u and
-        # k_last = 2**j - 1, plus the big_theta table over k < k_last
-        lams = prefix.hf[:J]
-        ends = _row_sums(theta, u, v, [
-            (2.0 ** j, np.array([1.0 - 2.0 ** j]), lam[-1:])
-            for j, lam in enumerate(lams)], params)
-        tables = _row_sums(big_theta, u, v, [
-            (2.0 ** j, -np.arange((1 << j) - 1, dtype=float), lam[:-1])
-            for j, lam in enumerate(lams)], params)
-        sums = (end + table for end, table in zip(ends, tables))
+    # abel: the table's last term is the end term (module docstring)
+    kernel, rows = ((theta, pyramid.hf) if method == "naive"
+                    else (big_theta, prefix.hf))
+    sums = _row_sums(kernel, u, v, [
+        (2.0 ** j, -np.arange(1 << j, dtype=float), row)
+        for j, row in enumerate(rows[:J])], params)
     for j, s in enumerate(sums):
         total = total + np.power(2.0, -j * v) * s
     return float(total[0]) if scalar else total

@@ -111,21 +111,18 @@ def _row_sum(kernel, x, v, offsets, coef, params, anchor=None):
 
 def x1_rows(u, v, pyramid, prefix, J: int, method: str) -> np.ndarray:
     """The recent-scales half one row at a time, each row its own table:
-    coefficients against theta (``naive``), or summed by parts (``abel``),
-    the end term then its own theta call.  u is a 1-d array and v one
+    coefficients against theta (``naive``), or running sums against
+    big_theta (``abel``), whose last term is the end term of the summation
+    by parts, since theta(x - 2**j) vanishes.  u is a 1-d array and v one
     exponent or one per point, as series.check_uv returns them."""
     params = KernelParams(pyramid.alpha)
     q = 1.0 + v - 1.0 / pyramid.alpha
     total = np.power(u, q) / q * pyramid.z1
     for j in range(J):
-        x = 2.0 ** j * u
         ks = np.arange(1 << j, dtype=float)
-        if method == "naive":
-            s = _row_sum(theta, x, v, -ks, pyramid.hf[j], params)
-        else:
-            lam = prefix.hf[j]
-            s = lam[-1] * theta(x - ks[-1], v, params) \
-                + _row_sum(big_theta, x, v, -ks[:-1], lam[:-1], params)
+        kernel, row = ((theta, pyramid.hf[j]) if method == "naive"
+                       else (big_theta, prefix.hf[j]))
+        s = _row_sum(kernel, 2.0 ** j * u, v, -ks, row, params)
         total = total + np.power(2.0, -j * v) * s
     return total
 

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import x1_rows, x2_rows
 
 from haarlmsm import series
@@ -360,6 +360,12 @@ _ROWS = {"hf": (x1_partial, None), "lf": (x2_partial, ("plus", "minus")),
        constant=st.booleans(), entries=st.sampled_from([1, 7, 300, 1 << 18]),
        pack=st.sampled_from([1, 40, 700, 1 << 13]),
        method=st.sampled_from(["naive", "abel"]))
+# long recent-scales rows at many points, whose sums a change in a row's
+# reduction order moves
+@example(fam="hf", alpha=1.5, J=8, mode="consistent", seed=5, n=160,
+         constant=False, entries=1 << 18, pack=1 << 13, method="naive")
+@example(fam="hf", alpha=1.5, J=8, mode="consistent", seed=5, n=160,
+         constant=False, entries=1 << 18, pack=1 << 13, method="abel")
 def test_packed_rows_match_the_per_row_sums(fam, alpha, J, mode, seed, n,
                                             constant, entries, pack, method):
     """Both routes pack rows into shared kernel calls; every point keeps
