@@ -110,10 +110,10 @@ def estimate_scale(samples, alpha: float) -> float:
 def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
     """Limiting scale of the recent-scales half: u**v * (alpha*v)**(-1/alpha)."""
     check_uv(u, v, alpha)
+    # numpy float32 inputs would keep the formula in float32
+    u, v, alpha = float(u), float(v), float(alpha)
     if u == 0.0:
         return 0.0
-    # a numpy float32 alpha would keep the power in float32
-    alpha = float(alpha)
     return float(u ** v * (alpha * v) ** (-1.0 / alpha))
 
 
@@ -135,6 +135,8 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     does not exceed 1/alpha exactly raises ParameterError.
     """
     check_uv(u, v, alpha)
+    # float32 inputs would run in float32, and equal float keys hit the cache
+    u, v, alpha = float(u), float(v), float(alpha)
     # p correctly rounded: v - 1.0 / alpha would carry the rounding of
     # 1/alpha, a large share of p next to the band edge.  fractions is
     # imported here to keep decimal off every command's start-up.
@@ -190,9 +192,8 @@ def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
 
 
 def _lf_row_factors(u: float, v: float, J: int, params: KernelParams):
-    """Yields (j, n, theta(2**j u + k) - theta(k) at k = 1..n) for every
-    far-past row (j, n) of depth J: the kernel differences that row j
-    weights its coefficients at positions -1..-n by."""
+    """Yields (j, n, theta(2**j u + k) - theta(k) at k = 1..n) for each
+    far-past row (j, n) of depth J: the factors of its coefficients."""
     for j, n in _lf_rows(J):
         ks = np.arange(1, n + 1, dtype=float)
         yield j, n, theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
@@ -211,11 +212,9 @@ def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
             f"union built at depth {union.J} cannot serve depth {J_eval}")
     c = np.zeros(union.nums.shape[0])
     for j, n, w in _lf_row_factors(u, v, J_eval, params):
-        i0, im, i1 = (ix[:n] for ix in union.row_maps[j])
         g = -(2.0 ** (j / alpha)) * 2.0 ** (-j * v) * w
-        np.add.at(c, i0, g)
-        np.add.at(c, im, -2.0 * g)
-        np.add.at(c, i1, g)
+        for ix, weight in zip(union.row_maps[j], (g, -2.0 * g, g)):
+            np.add.at(c, ix[:n], weight)
     return np.cumsum(c)[:-1]
 
 
@@ -223,6 +222,7 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
     check_uv(u, v, alpha)
+    u, v, alpha = float(u), float(v), float(alpha)
     _check_depth(J, 0, 1)
     if mode == "consistent":
         w = _hf_cell_averages(u, v, alpha, J)
@@ -243,6 +243,7 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
     check_uv(u, v, alpha)
+    u, v, alpha = float(u), float(v), float(alpha)
     # the union is built from three points per far-past coefficient
     _check_depth(J, 1, 9)
     params = KernelParams(alpha)
@@ -454,8 +455,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
             pyr = generate_coefficients(alpha, depth, 2, "consistent", gen)
             rows = {J: pyr.hf[J] for J in J_list}
         else:
-            pyr = generate_coefficients(alpha, 1, max(depth, 2),
-                                        "consistent", gen)
+            pyr = generate_coefficients(alpha, 1, depth, "consistent", gen)
             rows = {j: pyr.lf_row(j) for j, _ in _lf_rows(depth)}
         for key, row in rows.items():
             stacks.setdefault(key, np.empty((replicates, row.size)))[rep] = row

@@ -14,11 +14,9 @@ the coefficients (of size O(k^(1/alpha)), like the process at k + 1)
 multiply the kernel's first difference, which decays one power faster; its
 summands decay fast enough to truncate long rows.  The two agree to near
 machine precision on any finite row.  Path synthesis and
-``evaluate_field`` take the ``abel`` route; ``naive`` is its check.  On
-the abel route a recent-scales row is one big_theta table, whose last
-term is the row's end term, as theta(x - 2**j) vanishes at x = 2**j u; a
-far-past row adds its end term, lam_n (theta(x + n) - theta(n)), to its
-table.
+``evaluate_field`` take the ``abel`` route; ``naive`` is its check.  A
+recent-scales abel row is one big_theta table: its last term is the end
+term, as theta(x - 2**j) vanishes at x = 2**j u.
 
 Every kernel table, on both routes and in ``far_past_terms``, is built and
 reduced by one routine, ``_row_sums``.  It packs consecutive rows into one
@@ -59,9 +57,6 @@ _TABLE_ENTRIES = 1 << 18
 
 # table entries one packed kernel call holds at most (module docstring)
 _PACK_ENTRIES = 1 << 13
-
-# the coefficients of a far-past end term, theta(x + n) - theta(n)
-_END = np.array([1.0, -1.0])
 
 # far_past_terms sums a stretch by Taylor moments from this lo on, where
 # 2**j max(u) is at most _MOMENT_RHO of lo
@@ -247,15 +242,13 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"
-    lf_rows = _lf_rows(J)
-    parts = [[r for r in lf_rows if r[0] >= 0] if half == "plus"
-             else [r for r in reversed(lf_rows) if r[0] < 0]
+    parts = [[r for r in _lf_rows(J) if r[0] >= 0] if half == "plus"
+             else [r for r in _lf_rows(J)[::-1] if r[0] < 0]
              for half in halves]
     rows = [r for part in parts for r in part]
     # row j's table holds k = 1..n against the coefficients (naive), or
     # k = 2..n against the running sums (abel); lams holds either row
-    first = 1 if naive else 2
-    kernel = theta if naive else big_theta
+    first, kernel = (1, theta) if naive else (2, big_theta)
     ks = np.arange(first, max(n for _, n in rows) + 1, dtype=float)
     lams = [(pyramid if naive else prefix).lf_row(j) for j, _ in rows]
     tables = [(2.0 ** j, ks[:n + 1 - first], lam[:n + 1 - first])
@@ -263,8 +256,8 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     # abel: the end term lam_n (theta(x + n) - theta(n)) at x = 2**j u, one
     # row of two terms, less the running sums lam_k against big_theta(x +
     # k) - big_theta(k) for k < n
-    ends = [(np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float), _END)
-            for j, n in rows]
+    ends = [(np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float),
+             np.array([1.0, -1.0])) for j, n in rows]
     total = np.empty(u.shape)
     step = max(1, _TABLE_ENTRIES // ks.size)
     for a in range(0, u.shape[0], step):

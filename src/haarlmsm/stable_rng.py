@@ -4,11 +4,10 @@ Randomness enters the synthesis in exactly one of two ways.  In
 ``consistent`` mode a single stable process is sampled on a dyadic grid and
 every detail coefficient is read off that one realization through second
 differences, so refining the truncation depth never changes coefficients
-already drawn.  Which far-past rows a depth keeps is decided once, by
-``_lf_rows``; the points they read (``_lf_union``, the one far-past grid,
-from which ``analysis`` also takes its exact scales and Monte Carlo
-weights) and the terms each depth step adds (``_lf_steps``) are derived
-from that row list.  In ``independent`` mode each
+already drawn.  The far-past rows a depth keeps are listed once, by
+``_lf_rows``, and the points they read are derived from them: the one
+far-past grid ``_lf_union``, from which ``analysis`` also takes its exact
+scales and Monte Carlo weights.  In ``independent`` mode each
 coefficient is an independent standard draw, which is cheaper and matches
 the coefficients' marginal law but not their joint law across scales.
 
@@ -291,9 +290,8 @@ class CoefficientPyramid(_Rows):
     """Detail coefficients for both halves of the series.
 
     ``hf[j]`` holds the unit-scale coefficients at positions k = 0..2**j - 1
-    for j = 0..J_hf - 1.  ``lf[i]`` holds scale j = i - J_lf + 1 (so j runs
-    ascending from 1 - J_lf to J_lf - 1) at negative positions -1..-N with
-    N = 2**(J_lf - |j|); entry index i maps to position -(i + 1).  ``z1`` is
+    for j = 0..J_hf - 1.  ``lf`` holds the rows (j, n) of ``_lf_rows(J_lf)``,
+    in its order, row j at positions -1..-n, entry i at -(i + 1).  ``z1`` is
     the process value at t = 1 that feeds the leading term.  In consistent
     mode ``hf_values`` and ``lf_values`` hold the process values the rows
     read, at i / 2**J_hf (i = 0..2**J_hf) and at the ``_lf_union(J_lf)``
@@ -314,16 +312,14 @@ class CoefficientPyramid(_Rows):
 
 
 def _lf_rows(J: int) -> list:
-    """The far-past rows of depth J, the one place their shape is decided:
-    (j, n) for j = 1-J..J-1 ascending, row j holding the coefficients at
-    positions -1..-n, n = 2**(J - |j|)."""
+    """The far-past rows of depth J, (j, n) for j = 1-J..J-1 ascending, row
+    j at positions -1..-n, n = 2**(J - |j|); no other code states it."""
     return [(j, 1 << (J - abs(j))) for j in range(1 - J, J)]
 
 
 def _lf_steps(J: int) -> list:
-    """The terms the depth step J -> J + 1 adds, from ``_lf_rows``: (j, lo,
-    hi) for every depth-(J+1) row, in its order, which gains the positions
-    k = lo+1..hi (lo = 0 for a row new at that depth)."""
+    """(j, lo, hi) for each depth-(J+1) row of ``_lf_rows``, in its order:
+    the depth step J -> J + 1 adds its positions k = lo+1..hi."""
     old = dict(_lf_rows(J))
     return [(j, old.get(j, 0), n) for j, n in _lf_rows(J + 1)]
 
