@@ -346,9 +346,9 @@ def _lf_union(J: int) -> _LfUnion:
         step = 1 << (J - j)
         left = -np.arange(1, n + 1, dtype=np.int64) * step
         raw[j] = (left, left + step // 2, left + step)
-    # sorted, then each point kept once (np.unique would import numpy.ma)
-    nums = np.sort(np.concatenate([p for abm in raw.values() for p in abm]))
-    nums = nums[np.concatenate(([True], nums[1:] != nums[:-1]))]
+    # not np.unique (imports numpy.ma) nor np.sort (maps 0.4 MB of SIMD code)
+    nums = np.array(sorted(set(np.concatenate(
+        [p for abm in raw.values() for p in abm]).tolist())), dtype=np.int64)
     row_maps = {j: tuple(np.searchsorted(nums, p) for p in abm)
                 for j, abm in raw.items()}
     return _LfUnion(J=J, nums=nums, gaps=np.diff(nums * 2.0 ** (-J)),
