@@ -107,17 +107,26 @@ def estimate_scale(samples, alpha: float) -> float:
     return float(np.mean(np.abs(samples)) / first_abs_moment(alpha))
 
 
+def _scale_point(u, v, alpha) -> tuple:
+    """u, v and alpha of one scale point as floats, after refusing an
+    array u or v (a scale function computes one point) and whatever
+    check_uv refuses.  numpy float32 inputs would keep the formulas in
+    float32."""
+    if np.ndim(u) or np.ndim(v):
+        raise ParameterError(f"u and v must be scalars, got shapes "
+                             f"{np.shape(u)} and {np.shape(v)}")
+    check_uv(u, v, alpha)
+    return float(u), float(v), float(alpha)
+
+
 def x1_theoretical_scale(u: float, v: float, alpha: float) -> float:
     """Limiting scale of the recent-scales half: u**v * (alpha*v)**(-1/alpha)."""
-    check_uv(u, v, alpha)
-    # numpy float32 inputs would keep the formula in float32
-    u, v, alpha = float(u), float(v), float(alpha)
+    u, v, alpha = _scale_point(u, v, alpha)
     if u == 0.0:
         return 0.0
     return float(u ** v * (alpha * v) ** (-1.0 / alpha))
 
 
-@lru_cache(maxsize=None)
 def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     """Limiting scale of the far-past half: u**v * I**(1/alpha).
 
@@ -134,14 +143,17 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     relative error stays at one rounding next to the band edge; a v that
     does not exceed 1/alpha exactly raises ParameterError.
     """
-    check_uv(u, v, alpha)
-    # float32 inputs would run in float32, and equal float keys hit the cache
-    u, v, alpha = float(u), float(v), float(alpha)
+    return _x2_scale(*_scale_point(u, v, alpha))
+
+
+@lru_cache(maxsize=None)
+def _x2_scale(u: float, v: float, alpha: float) -> float:
+    """x2_theoretical_scale at a checked float point, cached by its value."""
     # p correctly rounded: v - 1.0 / alpha would carry the rounding of
     # 1/alpha, a large share of p next to the band edge.  fractions is
     # imported here to keep decimal off every command's start-up.
     from fractions import Fraction
-    p_exact = Fraction(float(v)) - 1 / Fraction(float(alpha))
+    p_exact = Fraction(v) - 1 / Fraction(alpha)
     if p_exact <= 0:
         raise ParameterError(
             f"v must exceed 1/alpha exactly, got v={v}, alpha={alpha}")
@@ -221,8 +233,7 @@ def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
 def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
-    check_uv(u, v, alpha)
-    u, v, alpha = float(u), float(v), float(alpha)
+    u, v, alpha = _scale_point(u, v, alpha)
     _check_depth(J, 0, 1)
     if mode == "consistent":
         w = _hf_cell_averages(u, v, alpha, J)
@@ -242,8 +253,7 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
 def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
-    check_uv(u, v, alpha)
-    u, v, alpha = float(u), float(v), float(alpha)
+    u, v, alpha = _scale_point(u, v, alpha)
     # the union is built from three points per far-past coefficient
     _check_depth(J, 1, 9)
     params = KernelParams(alpha)

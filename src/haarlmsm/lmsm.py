@@ -59,9 +59,17 @@ class HurstFunction:
 
     def __call__(self, t):
         scalar = np.isscalar(t) or getattr(t, "ndim", 0) == 0
-        out = np.asarray(self.fn(np.atleast_1d(np.asarray(t, dtype=float))),
-                         dtype=float)
+        out = _evaluate(self.fn, np.atleast_1d(np.asarray(t, dtype=float)))
         return float(out[0]) if scalar else out
+
+
+def _evaluate(fn, t: np.ndarray) -> np.ndarray:
+    """A profile's values fn(t) as floats, with numpy's overflow and
+    invalid-value warnings off: a steep logistic's exp overflows to inf,
+    and h / inf is its exact limit 0.0; a non-finite value (sine cycles
+    inf) is refused by validate_params."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(fn(t), dtype=float)
 
 
 def _need(parameters: dict, name: str):
@@ -113,7 +121,7 @@ def hurst_preset(name: str, parameters: Optional[dict] = None) -> HurstFunction:
         def f(t):
             return lo + h / (1.0 + np.exp(r * (t - c)))
 
-        ends = (float(f(np.array([0.0]))[0]), float(f(np.array([1.0]))[0]))
+        ends = _evaluate(f, np.array([0.0, 1.0])).tolist()
         return HurstFunction("logistic", f, (min(ends), max(ends)), p)
     if name in ("custom-table", "table"):
         p = _need(parameters, "custom-table")

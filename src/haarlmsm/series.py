@@ -19,13 +19,16 @@ recent-scales abel row is one big_theta table: its last term is the end
 term, as theta(x - 2**j) vanishes at x = 2**j u.
 
 Every kernel table, on both routes and in ``far_past_terms``, is built and
-reduced by one routine, ``_row_sums``.  It packs consecutive rows into one
-kernel call while that call holds at most _PACK_ENTRIES (2**13) entries; a
-row over the cap is its own call, in point blocks of _TABLE_ENTRIES.  A
-short row then does not pay a kernel call's set-up alone, and the cap keeps
-the kernel's temporaries small (uncapped calls raised the heap peak of a
-129-point path from 0.87 to 2.07 MB).  Each row is reduced on its own, as
-(part * coef).sum(axis=1), so packing moves no bit.
+reduced by one routine, ``_row_sums``, which alone splits the points into
+blocks and builds the far-past anchor kernel(k, v).  A block holds
+_TABLE_ENTRIES (2**18) entries of the longest row and one anchor at that
+row's k.  In a block, consecutive rows share one kernel call while it
+holds at most _PACK_ENTRIES (2**13) entries; a row over the cap is its own
+call.  A short row then does not pay a kernel call's set-up alone, and the
+cap keeps the kernel's temporaries small (uncapped calls raised the heap
+peak of a 129-point path from 0.87 to 2.07 MB).  Each row is reduced on
+its own, as (part * coef).sum(axis=1), so blocking and packing move no
+bit.
 
 ``far_past_terms`` sums a stretch k = lo+1..hi of one far-past row for the
 convergence study.  A long stretch far from the kernel's kinks (lo >= 16
@@ -51,8 +54,8 @@ from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows
 
 METHODS = ("naive", "abel")
 
-# kernel table entries per point block: a (points x k) float64 table of
-# about 2 MB, however many points a call evaluates
+# entries of the longest row per point block: a (points x k) float64
+# table of about 2 MB, however many points a call evaluates
 _TABLE_ENTRIES = 1 << 18
 
 # table entries one packed kernel call holds at most (module docstring)
@@ -98,70 +101,62 @@ def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
 
 
-def _row_sums(kernel, u, v, rows, params, anchor=None):
-    """Yields, for each row (scale, offsets, coef) of ``rows`` in order,
+def _row_sums(kernel, u, v, rows, params, anchored=False):
+    """Returns, for each row (scale, offsets, coef) of ``rows`` in order,
     sum_k coef_k [kernel(scale_k u_i + offsets_k, v_i) - anchor_k] at every
     point i.  ``scale`` is one number or one per term; ``coef`` is one row
     of shape (m,), giving one sum per point, or a stack (stack, m), giving
-    one line of sums per line of the stack; ``anchor``, if given, is
-    kernel(k, v) of shape (m',) for one v or (points, m') for a v per
-    point, cut to each row's width m.  Consecutive rows share one kernel
-    call while it holds at most _PACK_ENTRIES entries; a row over the cap
-    is its own call, in point blocks of _TABLE_ENTRIES.  Each row's part of
-    a table is reduced on its own, as (part * coef).sum(axis=1), never by a
-    matrix product, so a point's sum has the same bits alone, in any array,
-    under any packing or blocking."""
-    r = 0
-    while r < len(rows):
-        end, cols = r + 1, rows[r][1].size
-        while end < len(rows) and \
-                (cols + rows[end][1].size) * u.size <= _PACK_ENTRIES:
-            cols += rows[end][1].size
-            end += 1
-        yield from _group_sums(kernel, u, v, rows[r:end], cols, params,
-                               anchor)
-        r = end
-
-
-def _group_sums(kernel, u, v, group, cols, params, anchor):
-    """_row_sums of rows sharing kernel calls, ``cols`` terms in all: one
-    call if it fits _PACK_ENTRIES, else one per block of points."""
-    step = max(1, u.size if cols * u.size <= _PACK_ENTRIES
-               else _TABLE_ENTRIES // cols)
+    one line of sums per line of the stack.  The anchor is 0, or with
+    ``anchored`` kernel(offsets_k, v_i): each block of points builds it
+    once, at the longest row's offsets, and every row takes its first
+    columns, so every row's offsets must be a prefix of the longest's.
+    Points go in blocks of _TABLE_ENTRIES // (terms of the longest row);
+    in a block, consecutive rows share one kernel call while it holds at
+    most _PACK_ENTRIES entries.  Each row's part of a table is reduced on
+    its own, as (part * coef).sum(axis=1), never by a matrix product, so a
+    point's sum has the same bits alone, in any array, under any packing
+    or blocking."""
+    longest = max((offsets for _, offsets, _ in rows), key=np.size,
+                  default=np.empty(0))
+    step = max(1, _TABLE_ENTRIES // max(longest.size, 1))
     blocks = []
     # one block even with no points, so that every row yields its sums
     for a in range(0, max(u.size, 1), step):
         ub = u[a:a + step, None]
-        x = np.empty((ub.shape[0], cols))
-        c = 0
-        for scale, offsets, _ in group:
-            np.add(ub * scale, offsets, out=x[:, c:c + offsets.size])
-            c += offsets.size
-        table = kernel(x, v if v.ndim == 0 else v[a:a + step, None], params)
-        del x  # not held while the table is reduced
-        sums, c = [], 0
-        for _, offsets, coef in group:
-            part = table[:, c:c + offsets.size]
-            c += offsets.size
-            if anchor is not None:
-                part -= anchor[:offsets.size] if anchor.ndim == 1 \
-                    else anchor[a:a + step, :offsets.size]
-            # np.add.reduce is .sum(axis=1) without its Python-level
-            # wrapper; one coefficient row's product takes the part's place
-            sums.append(np.add.reduce(np.multiply(part, coef, out=part),
-                                      axis=1) if coef.ndim == 1
-                        else np.stack([np.add.reduce(part * line, axis=1)
-                                       for line in coef]))
+        vb = v if v.ndim == 0 else v[a:a + step, None]
+        anchor = kernel(longest, vb, params) if anchored else None
+        sums, r = [], 0
+        while r < len(rows):
+            end, cols = r + 1, rows[r][1].size
+            while end < len(rows) and \
+                    (cols + rows[end][1].size) * ub.size <= _PACK_ENTRIES:
+                cols += rows[end][1].size
+                end += 1
+            x = np.empty((ub.size, cols))
+            c = 0
+            for scale, offsets, _ in rows[r:end]:
+                np.add(ub * scale, offsets, out=x[:, c:c + offsets.size])
+                c += offsets.size
+            table = kernel(x, vb, params)
+            del x  # not held while the table is reduced
+            c = 0
+            for _, offsets, coef in rows[r:end]:
+                part = table[:, c:c + offsets.size]
+                c += offsets.size
+                if anchored:
+                    part -= anchor[..., :offsets.size]
+                # np.add.reduce is .sum(axis=1) without its Python-level
+                # wrapper; one coefficient row's product takes the part's
+                # place
+                sums.append(np.add.reduce(np.multiply(part, coef, out=part),
+                                          axis=1) if coef.ndim == 1
+                            else np.stack([np.add.reduce(part * line, axis=1)
+                                           for line in coef]))
+            r = end
         blocks.append(sums)
     if len(blocks) == 1:
         return blocks[0]
     return [np.concatenate(parts, axis=-1) for parts in zip(*blocks)]
-
-
-def _anchor(kernel, ks, v, params):
-    """kernel(k, v) for the anchor of far-past terms: one row for one v,
-    one row per point for a v per point."""
-    return kernel(ks, v if v.ndim == 0 else v[:, None], params)
 
 
 def _far_past_table(u, v, rows, j: int, lo: int, hi: int,
@@ -169,7 +164,7 @@ def _far_past_table(u, v, rows, j: int, lo: int, hi: int,
     """far_past_terms summed term by term, through kernel tables."""
     ks = np.arange(lo + 1, hi + 1, dtype=float)
     s, = _row_sums(theta, u, v, [(2.0 ** j, ks, rows[..., lo:hi])], params,
-                   _anchor(theta, ks, v, params))
+                   anchored=True)
     return np.power(2.0, -j * v) * s
 
 
@@ -235,8 +230,8 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     """Far-past rows of the named halves ("plus": scales 0..J-1, "minus":
     scales -1..1-J), each half summed on its own and then added.  Every
     term is anchored by the kernel at its k alone, kernel(k, v), which
-    does not depend on the row: each block of points builds it once for
-    the longest row's k, and each row takes its first columns."""
+    does not depend on the row: every row's k are a prefix of one ks, so
+    _row_sums builds the anchor once per block of points."""
     _check_call(method, J, 2 if halves == ("minus",) else 1, pyramid.J_lf,
                 "far-past")
     u, v, scalar = check_uv(u, v, pyramid.alpha)
@@ -251,31 +246,24 @@ def _x2(u, v, pyramid, prefix, J, method, halves):
     first, kernel = (1, theta) if naive else (2, big_theta)
     ks = np.arange(first, max(n for _, n in rows) + 1, dtype=float)
     lams = [(pyramid if naive else prefix).lf_row(j) for j, _ in rows]
-    tables = [(2.0 ** j, ks[:n + 1 - first], lam[:n + 1 - first])
-              for (j, n), lam in zip(rows, lams)]
-    # abel: the end term lam_n (theta(x + n) - theta(n)) at x = 2**j u, one
-    # row of two terms, less the running sums lam_k against big_theta(x +
-    # k) - big_theta(k) for k < n
-    ends = [(np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float),
-             np.array([1.0, -1.0])) for j, n in rows]
-    total = np.empty(u.shape)
-    step = max(1, _TABLE_ENTRIES // ks.size)
-    for a in range(0, u.shape[0], step):
-        ub = u[a:a + step]
-        vb = v if v.ndim == 0 else v[a:a + step]
-        sums = _row_sums(kernel, ub, vb, tables, params,
-                         _anchor(kernel, ks, vb, params))
-        if not naive:
-            end_sums = _row_sums(theta, ub, vb, ends, params)
-            sums = (lam[n - 1] * end - table for (_, n), lam, end, table in
-                    zip(rows, lams, end_sums, sums))
-        terms = [np.power(2.0, -j * vb) * s for (j, _), s in zip(rows, sums)]
-        block = 0.0
-        for part in parts:
-            # sum adds left to right from zeros, like a loop of +
-            block = block + sum(terms[:len(part)], np.zeros(ub.shape))
-            terms = terms[len(part):]
-        total[a:a + step] = block
+    sums = _row_sums(kernel, u, v, [
+        (2.0 ** j, ks[:n + 1 - first], lam[:n + 1 - first])
+        for (j, n), lam in zip(rows, lams)], params, anchored=True)
+    if not naive:
+        # abel: the end term lam_n (theta(x + n) - theta(n)) at x = 2**j u,
+        # one row of two terms, less the running sums lam_k against
+        # big_theta(x + k) - big_theta(k) for k < n
+        end_sums = _row_sums(theta, u, v, [
+            (np.array([2.0 ** j, 0.0]), np.array([n, n], dtype=float),
+             np.array([1.0, -1.0])) for j, n in rows], params)
+        sums = (lam[n - 1] * end - table for (_, n), lam, end, table in
+                zip(rows, lams, end_sums, sums))
+    terms = [np.power(2.0, -j * v) * s for (j, _), s in zip(rows, sums)]
+    total = 0.0
+    for part in parts:
+        # sum adds left to right from zeros, like a loop of +
+        total = total + sum(terms[:len(part)], np.zeros(u.shape))
+        terms = terms[len(part):]
     return float(total[0]) if scalar else total
 
 

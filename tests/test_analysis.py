@@ -189,22 +189,38 @@ def test_truncated_hf_scale_approaches_theory():
         truncated_scale_hf(0.5, 0.75, ALPHA, 8, mode="exotic")
 
 
-@pytest.mark.parametrize("fn, args", [
+_SCALE_CALLS = [
     (x1_theoretical_scale, ()), (x2_theoretical_scale, ()),
     (truncated_scale_hf, (6, "consistent")),
     (truncated_scale_hf, (6, "independent")),
     (truncated_scale_lf, (6, "consistent")),
-    (truncated_scale_lf, (6, "independent"))])
+    (truncated_scale_lf, (6, "independent"))]
+
+
+@pytest.mark.parametrize("fn, args", _SCALE_CALLS)
 def test_scales_of_float32_points_are_the_float_scales(fn, args):
     # each scale is computed in float64, and the far-past limit's cache,
     # filled by the float32 call, serves the float call its float64 value
     u, v = np.float32(0.3), np.float32(0.8)
-    x2_theoretical_scale.cache_clear()
+    analysis._x2_scale.cache_clear()
     got = fn(u, v, ALPHA, *args)
     cached = fn(float(u), float(v), ALPHA, *args)
-    x2_theoretical_scale.cache_clear()
+    analysis._x2_scale.cache_clear()
     want = fn(float(u), float(v), ALPHA, *args)
     assert type(got) is float and got == want and cached == want
+
+
+@pytest.mark.parametrize("fn, args", _SCALE_CALLS)
+@pytest.mark.parametrize("u, v", [
+    (np.array([0.3, 0.5]), 0.8), (np.array([0.3]), 0.8),
+    (0.3, np.array([0.8, 0.9])), (0.3, np.array([0.8]))])
+def test_scales_refuse_array_points(fn, args, u, v):
+    """A scale function computes one point: an array u or v, one element
+    long too, is refused as a ParameterError before any work."""
+    analysis._x2_scale.cache_clear()
+    with pytest.raises(ParameterError, match="must be scalars"):
+        fn(u, v, ALPHA, *args)
+    assert analysis._x2_scale.cache_info().misses == 0
 
 
 def test_truncated_lf_scale_frozen_regression():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -311,9 +312,25 @@ def test_flags_a_command_does_not_read_are_refused(argv, tmp_path, capsys):
     ["simulate", "--seed", "-1"],
     ["converge", "--seed", "-1"],
     ["scale-check", "--seed", "-1"],
+    # sin(inf) is NaN: refused, with no numpy warning before the line
+    ["simulate", "--hurst", "sine:0.1,0.75,inf"],
 ])
 def test_every_refusal_is_one_line(argv, tmp_path, capsys):
     _assert_refused(argv, tmp_path, capsys)
+
+
+def test_steep_logistic_profile_runs_without_warnings(tmp_path, capsys):
+    """exp overflows to inf in a steep logistic profile, and h / inf is
+    its exact limit 0.0: the run exits 0 and numpy warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--hurst", "logistic:0.7,0.2,1e4",
+                   "--J-hf", "5", "--J-lf", "3",
+                   "--out", str(tmp_path / "x")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    y = read_path_csv(str(tmp_path / "x.csv")).y
+    assert y.size == 33 and np.all(np.isfinite(y))
 
 
 def test_help_still_exits_zero(capsys):

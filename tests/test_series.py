@@ -2,8 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from oracles import x1_rows, x2_rows
+from hypothesis import assume, example, given, settings, strategies as st
+from oracles import _row_sum, x1_rows, x2_rows
 
 from haarlmsm import series
 from haarlmsm.errors import DepthError, ParameterError
@@ -422,18 +422,30 @@ def test_each_half_is_linear_in_the_pyramid(fam, method, J, a, b, seed,
         assert abs(f[i] - (a * f1[i] + b * f2[i])) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("method", ["naive", "abel"])
+@pytest.mark.parametrize("method", ["naive", "abel", "study"])
 def test_far_past_anchor_is_built_once_per_point_block(method, monkeypatch):
     """kernel(k, v) anchors every far-past term whatever its row, so each
     block of points builds it once for all rows, and a point's value does
-    not depend on how the points are blocked."""
+    not depend on how the points are blocked.  "study" is the convergence
+    study's table: the stretch k = 1..32 of row 0 for three pyramids
+    stacked."""
     pyr = generate_coefficients(ALPHA, 2, 5, "consistent", 88)
     ps = prefix_sums(pyr)
     u = np.linspace(0.0, 1.0, 40)
     v = np.linspace(0.7, 0.9, 40)
-    name = "theta" if method == "naive" else "big_theta"
+    name = "big_theta" if method == "abel" else "theta"
     kernel = getattr(series, name)
-    whole = x2_partial(u, v, pyr, ps, 5, method)
+    rows = np.stack([generate_coefficients(ALPHA, 2, 5, "consistent",
+                                           seed).lf_row(0)
+                     for seed in (88, 89, 90)])
+
+    def call():
+        if method == "study":
+            return series.far_past_terms(u, v, rows, 0, 0, 32,
+                                         KernelParams(ALPHA))
+        return x2_partial(u, v, pyr, ps, 5, method)
+
+    whole = call()
     for entries, blocks in ((series._TABLE_ENTRIES, 1), (64, 20)):
         monkeypatch.setattr(series, "_TABLE_ENTRIES", entries)
         anchors = []
@@ -446,9 +458,44 @@ def test_far_past_anchor_is_built_once_per_point_block(method, monkeypatch):
             return kernel(x, v, params)
 
         with mock.patch.object(series, name, side_effect=count_anchors):
-            got = x2_partial(u, v, pyr, ps, 5, method)
+            got = call()
         assert np.array_equal(got, whole)
         assert anchors == [(40 // blocks, 1)] * blocks
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(1.05, 1.95), j=st.integers(-3, 6),
+       lo=st.integers(0, 40), span=st.integers(0, 120),
+       stack=st.integers(0, 3), n=st.integers(0, 30),
+       constant=st.booleans(), entries=st.sampled_from([1, 7, 300, 1 << 18]),
+       pack=st.sampled_from([1, 40, 700, 1 << 13]),
+       seed=st.integers(0, 2 ** 31 - 1))
+def test_far_past_table_stretches_keep_their_bits(alpha, j, lo, span, stack,
+                                                  n, constant, entries, pack,
+                                                  seed):
+    """The convergence study's stretches off the moment rule are summed by
+    kernel tables: every point, and every pyramid of a stack (stack 0: one
+    row), keeps the bits of its own row's table (tests/oracles.py), for
+    any split of the points into blocks and of the table into calls."""
+    rng = np.random.default_rng(seed)
+    params = KernelParams(alpha)
+    u, v = _profile_points(rng, alpha, n, constant)
+    u, v, _ = series.check_uv(u, v, alpha)
+    hi = lo + span
+    assume(not constant or not series._moment_order(j, lo, 1.0))
+    rows = rng.standard_cauchy((max(stack, 1), hi))
+    with mock.patch.object(series, "_TABLE_ENTRIES", entries), \
+            mock.patch.object(series, "_PACK_ENTRIES", pack), \
+            mock.patch.object(series, "theta_taylor",
+                              side_effect=AssertionError):
+        got = series.far_past_terms(u, v, rows if stack else rows[0], j, lo,
+                                    hi, params)
+    ks = np.arange(lo + 1, hi + 1, dtype=float)
+    anchor = theta(ks, v if v.ndim == 0 else v[:, None], params)
+    want = np.stack([np.power(2.0, -j * v) * _row_sum(
+        theta, 2.0 ** j * u, v, ks, row[lo:hi], params, anchor)
+        for row in rows])
+    assert np.array_equal(got, want if stack else want[0])
 
 
 def test_x2_depth_one_has_no_negative_scales():
