@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -505,3 +506,40 @@ def test_commands_load_no_scipy(argv, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# the files each command writes, by sha256 (first 16 hex digits); the
+# converge depths reach the far past's Taylor-moment rows (from J 6)
+_FROZEN_OUTPUTS = [
+    (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
+      "--mode", "consistent"],
+     {".csv": "a203096d72b94bf2", ".svg": "26c1fc4c0974c0de"}),
+    (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
+      "--mode", "independent"],
+     {".csv": "96a29b6793933fa0", ".svg": "9e67f0b1152bb570"}),
+    (["field", "--which", "total", "--alpha", "1.5", "--J", "4",
+      "--u-points", "9", "--v-values", "0.7,0.9"],
+     {".csv": "b83ecdf37c8c085a"}),
+    (["converge", "--which", "lf", "--alpha", "1.5", "--v", "0.75",
+      "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
+     {".csv": "d4117b29cfd002df"}),
+    (["converge", "--which", "hf", "--alpha", "1.5", "--v", "0.75",
+      "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
+     {".csv": "946d780569f189f5"}),
+]
+
+
+def test_outputs_keep_their_frozen_bits(tmp_path, capsys):
+    """Every file of a small simulate (both modes), field and converge
+    run is frozen end to end, so a change meant to keep every bit shows
+    it by passing.  Taken with numpy 2.4 on x86-64 with AVX-512; numpy's
+    SIMD power may round differently on other CPU features."""
+    got, want = {}, {}
+    for i, (argv, digests) in enumerate(_FROZEN_OUTPUTS):
+        out = tmp_path / str(i)
+        assert main(argv + ["--seed", "4", "--out", str(out)]) == 0
+        for ext, digest in digests.items():
+            data = out.with_suffix(ext).read_bytes()
+            got[argv[0], i, ext] = hashlib.sha256(data).hexdigest()[:16]
+            want[argv[0], i, ext] = digest
+    assert got == want

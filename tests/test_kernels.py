@@ -406,3 +406,29 @@ def test_theta_pair_keeps_its_frozen_bits():
     x86-64 with AVX-512; numpy's SIMD power may round differently on
     other CPU features."""
     assert _theta_digest() == "a20a395dc40bbfb8"
+
+
+def _big_theta_digest():
+    h = hashlib.sha256()
+    x = np.concatenate([np.linspace(-3.0, 12.0, 1501),
+                        np.geomspace(8.0, 1e6, 400),
+                        [0.0, 0.5, 1.0, 1.5, 2.0, -0.5, -1e-300, -7.0]])
+    for alpha in (1.1, 1.5, 1.9):
+        params = KernelParams(alpha)
+        for v in (1.0 / alpha + 0.01, 0.75, 0.99):
+            v = max(v, 1.0 / alpha + 0.01)
+            for f in (big_theta, dbig_theta_dx):
+                h.update(f(x, v, params).tobytes())
+        vv = np.linspace(1.0 / alpha + 0.01, 0.99, x.size)
+        for f in (big_theta, dbig_theta_dx):
+            h.update(f(x, vv, params).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_big_theta_pair_keeps_its_frozen_bits():
+    """big_theta and dbig_theta_dx carry every simulate and field value,
+    so their bits are frozen too: sha256 (first 16 hex digits) over direct
+    and tail arguments, the exact kinks 0, 1/2, 1, 3/2 and 2, x <= 0, one
+    and per-point exponents.  Taken with numpy 2.4 on x86-64 with AVX-512;
+    numpy's SIMD power may round differently on other CPU features."""
+    assert _big_theta_digest() == "00dfa3e9920cc873"
