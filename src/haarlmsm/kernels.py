@@ -15,19 +15,24 @@ agree to roughly e*log2(x) bits, so beyond ``KernelParams.switch_x`` one
 shared core sums the binomial tail series x^e sum_n C(e,n) (-1/(2x))^n m_n
 over the stencil's integer moments m_n = sum_l w_l l^n.  The leading
 moments vanish, so no cancelling head remains and every term has one sign;
-the terms shrink like (l_max/(2x))^n, so each call fixes its term count
-from its smallest tail argument.
+the terms shrink like (l_max/(2x))^n, so each row of the table fixes its
+term count from its smallest tail argument and its exponent.  The tail
+loop updates its table in place, with no allocation per term; the closed
+form forms each stencil term (x - l/2)_+^e over the whole direct branch,
+with no gather or scatter per term.
 
 The tail series takes any exponent, not only the kernels' q and p: for
 e < -1 the binomial ratio |C(e,n+1) / C(e,n)| exceeds 1, and the term
 count's bound grows by its largest value.  ``theta_taylor`` uses this for
 the Taylor coefficients theta^(r)(k)/r! = C(q,r)/q sum_l w_l (k - l/2)^(q-r)
 of theta at k > switch_x, where theta is analytic (its kinks sit at 0, 1/2
-and 1); the far-past rows of ``series.far_past_terms`` sum through them.
+and 1), all R orders as the rows of one tail table; the far-past rows of
+``series.far_past_terms`` sum through them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -155,12 +160,20 @@ def _tail(t, e, st: _Stencil):
     """sum_{n>=n0} C(e,n) (-b)^n m_n at b = 1/(2t), summed forward in n.
 
     This is the bracket sum_l w_l (1 - l b)^e with the vanishing moments
-    cancelled analytically, so no cancelling head remains.
+    cancelled analytically, so no cancelling head remains.  ``e`` is one
+    exponent or one per element of t, giving one row of sums, or a column
+    (R, 1) of exponents in decreasing order, giving an (R, t.size) table.
+    Each row of the table runs the term count of its smallest exponent
+    and its smallest t; a smaller exponent needs more terms, so the rows
+    still running are a suffix of the table.  The loop updates them in
+    place, and every element sees the same operations in the same order
+    in any table.
     """
     b = 0.5 / t
-    c0 = e
+    e2 = np.atleast_2d(e)
+    c0 = e2
     for i in range(1, st.n0):
-        c0 = c0 * (e - i)
+        c0 = c0 * (e2 - i)
     c0 = c0 / math.factorial(st.n0)
     # the leading power is formed from b > 0, its sign carried by c0:
     # numpy's power of a negative base takes a slow path, 46x the time of
@@ -170,15 +183,30 @@ def _tail(t, e, st: _Stencil):
     coef = c0 * b * b if st.n0 == 2 \
         else (-1.0) ** st.n0 * c0 * b ** st.n0
     total = coef * st.moments[st.n0]
-    count = _term_count(st.k, st.l_max, t.min(), np.min(e), st.n0)
-    if st.n0 + 1 + count > len(st.moments):
-        raise ParameterError(f"the tail series at x = {t.min()} needs "
-                             f"{count} terms, over the stored moments")
+    # an empty t needs no terms: its bound shrinks at x = inf
+    t_min = np.min(t, initial=np.inf)
+    ends = []  # the n each row stops before
+    for row in e2:
+        count = _term_count(st.k, st.l_max, t_min, row.min(), st.n0)
+        if st.n0 + 1 + count > len(st.moments):
+            raise ParameterError(f"the tail series at x = {t_min} needs "
+                                 f"{count} terms, over the stored moments")
+        ends.append(st.n0 + count)
     nb = -b
-    for n in range(st.n0, st.n0 + count):
-        coef = coef * (e - n) / (n + 1.0) * nb
-        total = total + coef * st.moments[n + 1]
-    return total
+    de, scratch = np.empty(e2.shape), np.empty(total.shape)
+    start = st.n0
+    # terms start..end-1 run on rows first.. (ends rise, so those rows
+    # are the ones still running)
+    for first, end in enumerate(ends):
+        c, tot, s = coef[first:], total[first:], scratch[first:]
+        ef, d = e2[first:], de[first:]
+        for n in range(start, end):
+            c *= np.subtract(ef, n, out=d)
+            c /= n + 1.0
+            c *= nb
+            tot += np.multiply(c, st.moments[n + 1], out=s)
+        start = max(start, end)
+    return total if np.ndim(e) == 2 else total[0]
 
 
 def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
@@ -198,13 +226,17 @@ def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
     out = np.zeros(flat.shape)
     lo = (flat > 0.0) & (flat <= params.switch_x)
     hi = flat > params.switch_x
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if lo.any():
             t = flat[lo]
             el = e[lo] if np.ndim(e) else e
             acc = 0.0
             for l, w in st.terms:
-                acc = acc + w * truncated_power(t - 0.5 * l, el)
+                # (t - l/2)_+^e, exactly 0 at and left of the kink; the
+                # power of 0 (inf for e < 0) is computed and dropped
+                s = t - 0.5 * l
+                acc = acc + w * np.where(
+                    s > 0.0, np.power(np.maximum(s, 0.0), el), 0.0)
             out[lo] = acc
         if hi.any():
             t = flat[hi]
@@ -250,22 +282,28 @@ def dbig_theta_dx(x, v, params: KernelParams):
 
 def theta_taylor(k, v, R: int, params: KernelParams) -> np.ndarray:
     """Taylor coefficients theta^(r)(k) / r! for r = 1..R, one row per r,
-    at every k of a 1-d array above switch_x and one scalar v.
+    at every k of a 1-d array above switch_x (an empty k gives R empty
+    rows) and one scalar v.
 
     Row r is C(q,r)/q k^(q-r) times the tail series at exponent q - r, so
-    theta(k + eps) - theta(k) = sum_r eps^r row_r for |eps| < k - 1.
+    theta(k + eps) - theta(k) = sum_r eps^r row_r for |eps| < k - 1.  All
+    R series are one (R, k.size) tail table, each row summed to its own
+    term count.
     """
     _check_v(v, params.alpha)
     k = np.asarray(k, dtype=float)
-    if np.ndim(v) or k.ndim != 1 or not k.min() > params.switch_x:
+    if np.ndim(v) or k.ndim != 1 or \
+            not np.min(k, initial=np.inf) > params.switch_x:
         raise ParameterError(f"theta_taylor takes one v and k above "
                              f"switch_x = {params.switch_x}")
     q = 1.0 + v - 1.0 / params.alpha
-    out = np.empty((R, k.size))
-    c = 1.0  # C(q,r)/q
-    for r in range(1, R + 1):
-        out[r - 1] = c * np.power(k, q - r) * _tail(k, q - r, _THETA)
-        c = c * (q - r) / (r + 1.0)
+    e = q - np.arange(1, R + 1)[:, None]
+    # C(q,r)/q for r = 1..R, as c_(r+1) = c_r (q - r) / (r + 1)
+    c = list(itertools.accumulate(range(1, R), initial=1.0,
+                                  func=lambda c, r: c * (q - r) / (r + 1.0)))
+    out = np.power(k, e)
+    out *= np.array(c[:R])[:, None]
+    out *= _tail(k, e, _THETA)
     return out
 
 

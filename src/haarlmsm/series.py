@@ -36,8 +36,9 @@ and rho = 2**j max(u) / lo <= 1/8) is summed by Taylor moments: theta is
 analytic beyond 1, so sum_k c_k [theta(eps + k) - theta(k)] is the power
 series sum_r eps^r D_r in eps = 2**j u, with D_r = sum_k c_k
 theta^(r)(k)/r! and R = ceil(log 1e-17 / log rho) <= 19 terms.  Its cost
-is R x (hi - lo) derivative values plus R per point, not a points x
-(hi - lo) table, and it is more accurate than the table, whose
+is one (R, hi - lo) table of derivative values, every order summed in
+one tail pass, plus R per point, not a points x (hi - lo) kernel table,
+and it is more accurate than the table, whose
 theta(eps + k) - theta(k) cancels when eps << k.  Every other stretch
 keeps the table.
 """

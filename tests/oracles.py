@@ -2,7 +2,9 @@
 stable grid and scalar reads of it that the package's streamed grids and
 row code must reproduce; the series halves summed one row at a time on
 either route, which the packed rows of ``series`` must reproduce; and a
-probe of the memory a call holds at its peak."""
+probe of the memory a call holds at its peak; and theta's Taylor
+coefficients one order at a time, which the one tail table of
+``kernels.theta_taylor`` must reproduce."""
 
 import tracemalloc
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from haarlmsm.errors import HaarLmsmError, ParameterError
+from haarlmsm import kernels
 from haarlmsm.kernels import KernelParams, big_theta, check_alpha, theta
 from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
 
@@ -155,6 +158,24 @@ def x2_rows(u, v, pyramid, prefix, J: int, halves, method: str) -> np.ndarray:
             part = part + np.power(2.0, -j * v) * s
         total = total + part
     return total
+
+
+def theta_taylor_rows(k, v, R: int, params: KernelParams) -> np.ndarray:
+    """kernels.theta_taylor one order r at a time: C(q,r)/q k^(q-r) times
+    the tail series at the one exponent q - r."""
+    kernels._check_v(v, params.alpha)
+    k = np.asarray(k, dtype=float)
+    if np.ndim(v) or k.ndim != 1 or not k.min() > params.switch_x:
+        raise ParameterError(f"theta_taylor takes one v and k above "
+                             f"switch_x = {params.switch_x}")
+    q = 1.0 + v - 1.0 / params.alpha
+    out = np.empty((R, k.size))
+    c = 1.0  # C(q,r)/q
+    for r in range(1, R + 1):
+        out[r - 1] = c * np.power(k, q - r) * kernels._tail(k, q - r,
+                                                             kernels._THETA)
+        c = c * (q - r) / (r + 1.0)
+    return out
 
 
 def traced_peak(fn) -> int:

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from haarlmsm import kernels
 from haarlmsm.errors import ParameterError
@@ -20,6 +20,7 @@ from haarlmsm.kernels import (
     truncated_power,
 )
 from haarlmsm.series import check_uv
+from oracles import theta_taylor_rows
 
 ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx)
 
@@ -324,6 +325,42 @@ def test_theta_taylor_refuses_what_it_cannot_sum():
     # at exponent -58 the binomial ratio reaches 20, past x / l_max * 2
     with pytest.raises(ParameterError, match="does not converge"):
         kernels._term_count(8.0, 2, 17.0, -58.0, 2)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(alpha=st.floats(1.01, 1.99), v_frac=st.floats(0.0, 1.0),
+       lo=st.integers(9, 4096), span_frac=st.floats(0.0, 1.0),
+       R=st.integers(1, 30))
+# R 20 at k = 9 needs more terms than the stencil stores; R 30 at k = 17
+# needs the most terms it does store (84)
+@example(alpha=1.5, v_frac=0.5, lo=9, span_frac=0.0, R=20)
+@example(alpha=1.99, v_frac=1e-9, lo=17, span_frac=0.5, R=30)
+# the band's first float, where q can be 1 and row 2's exponent -1
+@example(alpha=1.5, v_frac=0.0, lo=22, span_frac=1.0, R=3)
+def test_theta_taylor_matches_the_per_order_loop(alpha, v_frac, lo,
+                                                 span_frac, R):
+    """The one (R, m) tail table has the bits of R tail series summed one
+    order at a time, and refuses what that loop refuses, for v in the band
+    (1/alpha, 1), its first and last floats included."""
+    params = KernelParams(alpha)
+    v = min(max(1.0 / alpha + v_frac * (1.0 - 1.0 / alpha),
+                math.nextafter(1.0 / alpha, 1.0)), math.nextafter(1.0, 0.0))
+    k = np.arange(lo, lo + 1 + round(span_frac * (2 * lo - 1)),
+                  dtype=float)
+    try:
+        want = theta_taylor_rows(k, v, R, params)
+    except ParameterError:
+        with pytest.raises(ParameterError):
+            theta_taylor(k, v, R, params)
+        return
+    got = theta_taylor(k, v, R, params)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_theta_taylor_of_no_k_is_empty_rows():
+    assert theta_taylor(np.empty(0), 0.75, 7, KernelParams(1.5)).shape == \
+        (7, 0)
 
 
 def test_term_count_bound_unchanged_above_minus_one():
