@@ -195,6 +195,32 @@ def test_a_failing_consumer_stops_the_draw(cpus):
     assert calls == [0, block, 2 * block, 3 * block]
 
 
+def _live_state(bg):
+    """What decides a Philox's next outputs: the counter, the key, the
+    buffered outputs not yet read and the spare 32-bit half."""
+    s = bg.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"][s["buffer_pos"]:].tolist(), s["has_uint32"],
+            s["uinteger"])
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 3, 6])
+def test_philox_after_is_the_state_after_n_outputs(drawn):
+    """From a fresh or part-drawn block (buffered outputs, a spare 32-bit
+    half), the second Philox of a draw sits where n raw outputs leave the
+    first."""
+    bg = np.random.Philox(11)
+    bg.random_raw(drawn)
+    np.random.Generator(bg).integers(0, 7, dtype=np.uint32)  # a spare half
+    state = bg.state
+    for n in (*range(10), 1000, 2 ** 16 + 3):
+        want = np.random.Philox()
+        want.state = state
+        want.random_raw(n)
+        assert _live_state(stable_rng._philox_after(state, n)) == \
+            _live_state(want), n
+
+
 def test_other_generators_are_refused_before_drawing():
     # every draw places its exponentials after its angles on a second
     # Philox, so another generator is refused and left where it was
