@@ -286,8 +286,9 @@ def render_path_svg(sample) -> str:
                 f'<circle cx="{sx(t[0]):.3f}" cy="{sy(vals[0]):.3f}" '
                 f'r="4" fill="{color}"/>')
         else:
-            pts = " ".join(f"{sx(a):.3f},{sy(b):.3f}"
-                           for a, b in zip(t, vals))
+            # sx and sy act elementwise on the arrays, in the same order
+            pts = " ".join(f"{a:.3f},{b:.3f}"
+                           for a, b in zip(sx(t).tolist(), sy(vals).tolist()))
             parts.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 f'stroke-width="1.2"/>')

@@ -276,8 +276,9 @@ def path_to_csv(sample: PathSample) -> str:
     """
     lines = ["# config: " + json.dumps(sample.config, sort_keys=True)]
     lines.append("t,y1,y2,y")
-    for t, a, b, c in zip(sample.t_grid, sample.y1, sample.y2, sample.y):
-        lines.append(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}")
+    cols = [np.asarray(col, dtype=float).tolist() for col in
+            (sample.t_grid, sample.y1, sample.y2, sample.y)]
+    lines.extend(f"{t!r},{a!r},{b!r},{c!r}" for t, a, b, c in zip(*cols))
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ from haarlmsm.cli import (
     render_path_svg,
 )
 from haarlmsm.errors import ConfigError
-from haarlmsm.lmsm import read_path_csv
+from haarlmsm.lmsm import PathSample, path_to_csv, read_path_csv
 
 
 def test_hurst_spec_kinds():
@@ -220,6 +220,33 @@ def test_render_rereuns_byte_identical(tmp_path):
     assert main(["render", str(src), "--out", str(tmp_path / "v1.svg")]) == 0
     assert main(["render", str(src), "--out", str(tmp_path / "v2.svg")]) == 0
     assert (tmp_path / "v1.svg").read_bytes() == (tmp_path / "v2.svg").read_bytes()
+
+
+def test_csv_and_svg_format_every_value_as_it_stands():
+    """The CSV rows and the SVG polylines, formed from whole columns, are
+    the bytes of formatting each value on its own: repr for the CSV, the
+    plot's affine map and three decimals for the SVG, whose plot area is
+    x from 70 over 826 and y from 44 over 464."""
+    t = np.linspace(-0.25, 1.0, 7)
+    y1 = np.array([-3.5e12, 1e-300, 2.5e-310, 7.0, -1e-5, 4e12, 0.0])
+    y2 = np.array([2.0, -5e-324, 1e15, -0.1, 3.3e-7, -2e14, 1.0 / 3.0])
+    sample = PathSample(t_grid=t, y1=y1, y2=y2, y=y1 + y2,
+                        config={"alpha": 1.5})
+    rows = path_to_csv(sample).splitlines()[2:]
+    assert rows == [",".join(repr(float(x)) for x in row)
+                    for row in zip(t, y1, y2, y1 + y2)]
+    cols = (y1, y2, y1 + y2)
+    lo = min(float(np.min(c)) for c in cols)
+    hi = max(float(np.max(c)) for c in cols)
+    lo, hi = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+    t0, tspan = float(t[0]), float(t[-1]) - float(t[0])
+    want = [" ".join(f"{70.0 + (a - t0) / tspan * 826.0:.3f},"
+                     f"{44.0 + (hi - b) / (hi - lo) * 464.0:.3f}"
+                     for a, b in zip(t, col)) for col in cols]
+    svg = render_path_svg(sample)
+    got = [line.split('points="')[1].split('"')[0]
+           for line in svg.splitlines() if line.startswith("<polyline")]
+    assert got == want
 
 
 def test_svg_embeds_config(tmp_path):
