@@ -170,10 +170,9 @@ def _tail(t, e, st: _Stencil):
     in any table.
     """
     b = 0.5 / t
-    e2 = np.atleast_2d(e)
-    c0 = e2
+    c0 = e
     for i in range(1, st.n0):
-        c0 = c0 * (e2 - i)
+        c0 = c0 * (e - i)
     c0 = c0 / math.factorial(st.n0)
     # the leading power is formed from b > 0, its sign carried by c0:
     # numpy's power of a negative base takes a slow path, 46x the time of
@@ -186,27 +185,27 @@ def _tail(t, e, st: _Stencil):
     # an empty t needs no terms: its bound shrinks at x = inf
     t_min = np.min(t, initial=np.inf)
     ends = []  # the n each row stops before
-    for row in e2:
-        count = _term_count(st.k, st.l_max, t_min, row.min(), st.n0)
+    for row in e if np.ndim(e) == 2 else [e]:
+        count = _term_count(st.k, st.l_max, t_min, np.min(row), st.n0)
         if st.n0 + 1 + count > len(st.moments):
             raise ParameterError(f"the tail series at x = {t_min} needs "
                                  f"{count} terms, over the stored moments")
         ends.append(st.n0 + count)
     nb = -b
-    de, scratch = np.empty(e2.shape), np.empty(total.shape)
+    de, scratch = np.empty(np.shape(e)), np.empty(total.shape)
     start = st.n0
     # terms start..end-1 run on rows first.. (ends rise, so those rows
-    # are the ones still running)
+    # are the ones still running; one row has first = 0)
     for first, end in enumerate(ends):
         c, tot, s = coef[first:], total[first:], scratch[first:]
-        ef, d = e2[first:], de[first:]
+        ef, d = (e[first:], de[first:]) if np.ndim(e) else (e, de)
         for n in range(start, end):
             c *= np.subtract(ef, n, out=d)
             c /= n + 1.0
             c *= nb
             tot += np.multiply(c, st.moments[n + 1], out=s)
         start = max(start, end)
-    return total if np.ndim(e) == 2 else total[0]
+    return total
 
 
 def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
