@@ -225,17 +225,19 @@ def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
     out = np.zeros(flat.shape)
     lo = (flat > 0.0) & (flat <= params.switch_x)
     hi = flat > params.switch_x
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if lo.any():
             t = flat[lo]
             el = e[lo] if np.ndim(e) else e
-            acc = 0.0
+            acc, term = np.zeros(t.shape), np.empty(t.shape)
             for l, w in st.terms:
-                # (t - l/2)_+^e, exactly 0 at and left of the kink; the
-                # power of 0 (inf for e < 0) is computed and dropped
+                # (t - l/2)_+^e: the power where t - l/2 > 0 only, exactly
+                # 0 at and left of the kink
                 s = t - 0.5 * l
-                acc = acc + w * np.where(
-                    s > 0.0, np.power(np.maximum(s, 0.0), el), 0.0)
+                term.fill(0.0)
+                np.power(s, el, out=term, where=s > 0.0)
+                term *= w
+                acc += term
             out[lo] = acc
         if hi.any():
             t = flat[hi]
