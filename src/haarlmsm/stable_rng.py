@@ -140,8 +140,8 @@ def _philox_after(state: dict, n: int) -> np.random.Philox:
     drawn; past them, ``advance`` drops the buffer and skips whole counter
     blocks of four outputs, and the rest are drawn.  ``advance`` also drops
     the spare 32-bit half kept for float32 draws, which is put back.
-    The key and counter are given, so no seed is expanded for a state
-    that is overwritten.
+    The key and counter are given, so no key is drawn from a seed
+    sequence for a state that is overwritten.
     """
     bg = np.random.Philox(counter=0, key=0)
     bg.state = state
