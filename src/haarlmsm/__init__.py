@@ -31,15 +31,7 @@ from .errors import (
     ParameterError,
     StatisticsError,
 )
-from .kernels import (
-    KernelParams,
-    big_theta,
-    dbig_theta_dx,
-    dtheta_dx,
-    theta,
-    theta_quadrature_oracle,
-    truncated_power,
-)
+from .kernels import KernelParams, big_theta, theta
 from .lmsm import (
     HurstFunction,
     PathSample,
@@ -78,10 +70,6 @@ __all__ = [
     "KernelParams",
     "theta",
     "big_theta",
-    "dtheta_dx",
-    "dbig_theta_dx",
-    "theta_quadrature_oracle",
-    "truncated_power",
     "StableLaw",
     "CoefficientPyramid",
     "PrefixSums",

@@ -55,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ComputeError, ParameterError, StatisticsError
-from .kernels import KernelParams, check_alpha, theta, truncated_power
+from .kernels import KernelParams, box, check_alpha, theta
 from .series import check_uv, far_past_terms
 from .stable_rng import (
     MAX_VALUES,
@@ -195,12 +195,12 @@ def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
 
     The depth-J consistent truncation equals the integral of the cellwise
     average of the kernel against the driving process, so these averages
-    times the cell increments reproduce it exactly.
+    times the cell increments reproduce it exactly.  Cell i's average is
+    2**(-J p) box(2**J u - i), p = v - 1/alpha: a cell far left of u is the
+    box kernel's tail series, with no cancelling difference.
     """
-    q = 1.0 + v - 1.0 / alpha
-    t = np.linspace(0.0, 1.0, (1 << J) + 1)
-    anti = truncated_power(u - t, q) / q
-    return (1 << J) * (anti[:-1] - anti[1:])
+    x = u * 2.0 ** J - np.arange(1 << J, dtype=float)
+    return 2.0 ** (-J * (v - 1.0 / alpha)) * box(x, v, KernelParams(alpha))
 
 
 def _lf_row_factors(u: float, v: float, J: int, params: KernelParams):
@@ -239,9 +239,8 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
         w = _hf_cell_averages(u, v, alpha, J)
         return float(np.sum(np.abs(w) ** alpha) * 2.0 ** (-J)) ** (1.0 / alpha)
     if mode == "independent":
-        q = 1.0 + v - 1.0 / alpha
         params = KernelParams(alpha)
-        acc = (u ** q / q) ** alpha
+        acc = box(u, v, params) ** alpha
         for j in range(J):
             ks = np.arange(1 << j, dtype=float)
             w = theta(2.0 ** j * u - ks, v, params)

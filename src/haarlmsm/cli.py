@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import get_type_hints
 
 import numpy as np
@@ -63,8 +64,8 @@ SCALE_CHECK_PAIRS = ((0.25, 0.7), (0.25, 0.8), (0.5, 0.7),
 
 SLOPE_TOLERANCE = 0.15
 
-# kernel table entries one simulate or field run may evaluate (about a
-# minute at the 4e6 entries/s measured on a 2-core host)
+# kernel table entries one simulate or field run may evaluate (about 30 s
+# at the 9e6 entries/s of a J_hf 12 hf half on a 2-core host)
 MAX_TABLE_ENTRIES = 2 ** 28
 
 
@@ -545,7 +546,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process (1.5 ms to build on a 2-core host);
+    parse_args leaves it unchanged."""
     parser = _Parser(
         prog="haarlmsm",
         description="Sample-path synthesis and validation for linear "

@@ -5,21 +5,24 @@ integrating the truncated power s -> s_+^(v - 1/alpha) against a unit step
 that is +1 on the first half of a cell and -1 on the second half.  Its first
 difference in x (``big_theta``) is much better localized and is what the
 summation-by-parts series evaluators consume; the x-derivatives of both are
-needed for decay diagnostics.
+needed for decay diagnostics.  ``box`` is the same average over the Haar
+scaling function 1_[0,1): the leading term of the recent-scales half and
+the cell averages of its consistent truncation.
 
-All four functions are one stencil sum, sum_l w_l (x - l/2)_+^e, with the
-weights (1, -2, 1) for the theta pair or ``D5`` for the big_theta pair, at
-exponent q = 1 + v - 1/alpha (then divided by q) or p = v - 1/alpha for the
-derivatives.  For large x the closed form subtracts terms of size x^e that
-agree to roughly e*log2(x) bits, so beyond ``KernelParams.switch_x`` one
-shared core sums the binomial tail series x^e sum_n C(e,n) (-1/(2x))^n m_n
-over the stencil's integer moments m_n = sum_l w_l l^n.  The leading
-moments vanish, so no cancelling head remains and every term has one sign;
-the terms shrink like (l_max/(2x))^n, so each row of the table fixes its
-term count from its smallest tail argument and its exponent.  The tail
-loop updates its table in place, with no allocation per term; the closed
-form forms each stencil term (x - l/2)_+^e over the whole direct branch,
-with no gather or scatter per term.
+All five functions are one stencil sum, sum_l w_l (x - l/2)_+^e, with the
+weights (1, -2, 1) for the theta pair, ``D5`` for the big_theta pair or
+(1, 0, -1) for box, at exponent q = 1 + v - 1/alpha (then divided by q) or
+p = v - 1/alpha for the derivatives.  For large x the closed form
+subtracts terms of size x^e that agree to roughly e*log2(x) bits, so
+beyond ``KernelParams.switch_x`` one shared core sums the binomial tail
+series x^e sum_n C(e,n) (-1/(2x))^n m_n over the stencil's integer
+moments m_n = sum_l w_l l^n.  The leading moments vanish, so no
+cancelling head remains and the terms past the first have one sign; the
+terms shrink like (l_max/(2x))^n, so each row of the table fixes its term
+count from its smallest tail argument and its exponent.  The tail loop
+updates its table in place, with no allocation per term; the closed form
+forms each stencil term (x - l/2)_+^e over the whole direct branch, with
+no gather or scatter per term.
 
 The tail series takes any exponent, not only the kernels' q and p: for
 e < -1 the binomial ratio |C(e,n+1) / C(e,n)| exceeds 1, and the term
@@ -93,21 +96,6 @@ def _check_v(v, alpha: float) -> None:
             f"v must lie in (1/alpha - 1, 1) = ({lo:.6g}, 1), got {v[bad][0]}")
 
 
-def truncated_power(s, kappa):
-    """Return s**kappa for s > 0 and exactly 0 for s <= 0.
-
-    Total on the real line (an overflow saturates to inf); scalars in,
-    scalar out, arrays elementwise, kappa a scalar or broadcast against s.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros(s.shape)
-    mask = s > 0.0
-    with np.errstate(over="ignore"):
-        out[mask] = np.power(s[mask], kappa if np.ndim(kappa) == 0
-                             else np.broadcast_to(kappa, s.shape)[mask])
-    return float(out) if out.ndim == 0 else out
-
-
 _Stencil = namedtuple("_Stencil", "terms l_max n0 k moments")
 
 
@@ -151,9 +139,11 @@ def _stencil(terms) -> _Stencil:
 
 
 # the closed form's rounding follows its summation order: (1, -2, 1) is
-# added from offset 1 down, D5 from offset 0 up
+# added from offset 1 down, D5 and the box's (1, -1) from offset 0 up, so
+# the box below 1 is x**q / q to the bit
 _THETA = _stencil(((2, 1.0), (1, -2.0), (0, 1.0)))
 _BIG_THETA = _stencil(tuple((l, w) for l, w in enumerate(D5) if w))
+_BOX = _stencil(((0, 1.0), (2, -1.0)))
 
 
 def _tail(t, e, st: _Stencil):
@@ -251,6 +241,16 @@ def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
                              f"kernel, got {flat[bad][0]}")
     out = out.reshape(xa.shape) / div
     return float(out) if out.ndim == 0 else out
+
+
+def box(x, v, params: KernelParams):
+    """Scaling-function kernel: (x_+^q - (x-1)_+^q) / q, q = 1+v-1/alpha.
+
+    The average of s -> (x - s)_+^(v - 1/alpha) over the Haar scaling
+    function's cell [0, 1); zero for x <= 0, like x^(v - 1/alpha) as x
+    grows.
+    """
+    return _stencil_sum(x, v, params, _BOX, True)
 
 
 def theta(x, v, params: KernelParams):

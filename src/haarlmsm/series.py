@@ -50,7 +50,8 @@ import math
 import numpy as np
 
 from .errors import DepthError, ParameterError
-from .kernels import KernelParams, big_theta, check_alpha, theta, theta_taylor
+from .kernels import (KernelParams, big_theta, box, check_alpha, theta,
+                      theta_taylor)
 from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows
 
 METHODS = ("naive", "abel")
@@ -214,8 +215,7 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     _check_call(method, J, 0, pyramid.J_hf, "recent-scales")
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
-    q = 1.0 + v - 1.0 / pyramid.alpha
-    total = np.power(u, q) / q * pyramid.z1
+    total = box(u, v, params) * pyramid.z1
     # abel: the table's last term is the end term (module docstring)
     kernel, rows = ((theta, pyramid.hf) if method == "naive"
                     else (big_theta, prefix.hf))

@@ -52,6 +52,9 @@ MAX_VALUES = 2 ** 26
 _SPLIT_MIN = 2 ** 16
 _BLOCK = 8192
 
+# seeds _philox_after's throwaway Philox, whose state is overwritten
+_THROWAWAY_SEED = np.random.SeedSequence(0)
+
 SeedLike = Union[int, np.random.Generator]
 
 
@@ -140,10 +143,11 @@ def _philox_after(state: dict, n: int) -> np.random.Philox:
     drawn; past them, ``advance`` drops the buffer and skips whole counter
     blocks of four outputs, and the rest are drawn.  ``advance`` also drops
     the spare 32-bit half kept for float32 draws, which is put back.
-    The key and counter are given, so no key is drawn from a seed
-    sequence for a state that is overwritten.
+    The state is overwritten, so one fixed seed sequence seeds the Philox:
+    a given key and counter still seed a fresh one from OS entropy (12.0
+    against 6.6 us, numpy 2.4.6).
     """
-    bg = np.random.Philox(counter=0, key=0)
+    bg = np.random.Philox(_THROWAWAY_SEED)
     bg.state = state
     buffered = 4 - state["buffer_pos"]
     if n <= buffered:

@@ -2,9 +2,11 @@
 stable grid and scalar reads of it that the package's streamed grids and
 row code must reproduce; the series halves summed one row at a time on
 either route, which the packed rows of ``series`` must reproduce; and a
-probe of the memory a call holds at its peak; and theta's Taylor
+probe of the memory a call holds at its peak; theta's Taylor
 coefficients one order at a time, which the one tail table of
-``kernels.theta_taylor`` must reproduce."""
+``kernels.theta_taylor`` must reproduce; and the truncated power, the
+independent reference for the recent-scales leading term u**q / q that
+``kernels.box`` gives."""
 
 import tracemalloc
 from dataclasses import dataclass
@@ -15,6 +17,21 @@ from haarlmsm.errors import HaarLmsmError, ParameterError
 from haarlmsm import kernels
 from haarlmsm.kernels import KernelParams, big_theta, check_alpha, theta
 from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
+
+
+def truncated_power(s, kappa):
+    """Return s**kappa for s > 0 and exactly 0 for s <= 0.
+
+    Total on the real line (an overflow saturates to inf); scalars in,
+    scalar out, arrays elementwise, kappa a scalar or broadcast against s.
+    """
+    s = np.asarray(s, dtype=float)
+    out = np.zeros(s.shape)
+    mask = s > 0.0
+    with np.errstate(over="ignore"):
+        out[mask] = np.power(s[mask], kappa if np.ndim(kappa) == 0
+                             else np.broadcast_to(kappa, s.shape)[mask])
+    return float(out) if out.ndim == 0 else out
 
 
 class ResolutionError(HaarLmsmError, ValueError):

@@ -368,6 +368,22 @@ def test_help_still_exits_zero(capsys):
     assert "--hurst" in capsys.readouterr().out
 
 
+def test_main_builds_one_parser(tmp_path, capsys):
+    """Every main call parses with one parser, built on the first call; a
+    help request, and the flags of one call, leave it as it was built."""
+    _build_parser.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "-h"])
+        assert exc.value.code == 0
+    assert "--hurst" in capsys.readouterr().out
+    assert main(["simulate", "--J-hf", "4", "--J-lf", "3",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert build_config(["simulate"]).J_hf == 12
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
 def test_unexpected_exception_is_a_compute_error(monkeypatch, capsys):
     def boom(config):
         raise RuntimeError("boom")

@@ -7,22 +7,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from haarlmsm import kernels
+from haarlmsm.analysis import _hf_cell_averages
 from haarlmsm.errors import ParameterError
 from haarlmsm.kernels import (
     D5,
     KernelParams,
     big_theta,
+    box,
     dbig_theta_dx,
     dtheta_dx,
     theta,
     theta_quadrature_oracle,
     theta_taylor,
-    truncated_power,
 )
 from haarlmsm.series import check_uv
-from oracles import theta_taylor_rows
+from oracles import theta_taylor_rows, truncated_power
 
-ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx)
+ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx, box)
 
 
 def test_truncated_power_basics():
@@ -112,7 +113,7 @@ def test_derivative_matches_finite_difference():
 
 
 def test_tail_series_agrees_with_direct():
-    """Crossover at 8 against pure closed forms, all four kernels.
+    """Crossover at 8 against pure closed forms, all five kernels.
 
     The window stops at 32 because beyond that the closed forms themselves
     start losing digits to cancellation (2-3 decimal digits per decade of x)
@@ -143,14 +144,15 @@ def _stencil_50_digits(x, e, weights, divide):
 
 
 def test_kernels_match_high_precision_closed_form():
-    """All four kernels against the closed form in 50-digit decimal.
+    """All five kernels against the closed form in 50-digit decimal.
 
     The tail series must hold full double precision everywhere beyond
     switch_x, including just past it in a call whose other arguments are
     huge, since the term count is fixed per call from the smallest one.
     """
     cases = ((theta, (1.0, -2.0, 1.0), True), (big_theta, D5, True),
-             (dtheta_dx, (1.0, -2.0, 1.0), False), (dbig_theta_dx, D5, False))
+             (dtheta_dx, (1.0, -2.0, 1.0), False), (dbig_theta_dx, D5, False),
+             (box, (1.0, 0.0, -1.0), True))
     near = 1.0 + np.array([1e-12, 1e-6, 1e-2])
     xs = np.concatenate([np.geomspace(1e-3, 1e6, 64), 4.0 * near, 8.0 * near])
     for alpha in (1.05, 1.5, 1.95):
@@ -416,6 +418,80 @@ def test_big_theta_tail_matches_high_precision_values():
             got = f(x, v, params)
             assert abs(got - want) <= 4 * np.spacing(abs(want)), \
                 (f.__name__, alpha, v, x)
+
+
+# box, (x_+^q - (x-1)_+^q) / q, keyed (alpha, v, x), and the average of
+# s -> (u - s)_+^(q - 1) over the cell [a, b] = [i, i+1] 2**-J, 2**J ((u -
+# a)_+^q - (u - b)_+^q) / q, keyed (alpha, v, u, J, i), at the float
+# q = 1.0 + v - 1.0/alpha the kernels form: mpmath 1.3.0 values worked at
+# 60 digits, rounded to double
+BOX_40_DIGITS = {
+    (1.5, 0.7, 0.001): 0.0007687047432815635,
+    (1.5, 0.7, 0.75): 0.718879666418519,
+    (1.5, 0.7, 1.0): 0.9677419354838711,
+    (1.5, 0.7, 1.5): 0.9985460246351681,
+    (1.5, 0.7, 7.9): 1.068965597117224,
+    (1.5, 0.7, 8.5): 1.071750953194576,
+    (1.5, 0.7, 4096.5): 1.3195079106672996,
+    (1.5, 0.7, 1000000.0): 1.5848931660462158,
+    (1.1, 0.95, 0.001): 0.000724202343343417,
+    (1.1, 0.95, 0.75): 0.7120940086191474,
+    (1.1, 0.95, 1.0): 0.9606986899563318,
+    (1.1, 0.95, 1.5): 0.9982304900333259,
+    (1.1, 0.95, 7.9): 1.0852917372187223,
+    (1.1, 0.95, 8.5): 1.0887633270484196,
+    (1.1, 0.95, 4096.5): 1.4053301426772746,
+    (1.1, 0.95, 1000000.0): 1.7597644360110347,
+    (1.9, 0.55, 0.001): 0.0008294331019980899,
+    (1.9, 0.55, 0.75): 0.72767287003828,
+    (1.9, 0.55, 1.0): 0.9768637532133676,
+    (1.9, 0.55, 1.5): 0.9989558990521256,
+    (1.9, 0.55, 7.9): 1.0485265107094446,
+    (1.9, 0.55, 8.5): 1.050467034036596,
+    (1.9, 0.55, 4096.5): 1.2177437057579306,
+    (1.9, 0.55, 1000000.0): 1.3870919714248326,
+}
+HF_CELL_AVERAGES_40_DIGITS = {
+    (1.5, 0.7, 1.0, 12, 0): 0.9999959306694459,
+    (1.5, 0.7, 1.0, 12, 4094): 0.7676965921727771,
+    (1.5, 0.7, 1.0, 12, 4095): 0.7334112418598708,
+    (1.5, 0.7, 1.0, 14, 0): 0.9999989827273891,
+    (1.5, 0.7, 1.0, 14, 16382): 0.7330286453868156,
+    (1.5, 0.7, 1.0, 14, 16383): 0.7002915665034096,
+    (1.5, 0.7, 1.0, 16, 0): 0.9999997456855986,
+    (1.5, 0.7, 1.0, 16, 65534): 0.699926247473427,
+    (1.5, 0.7, 1.0, 16, 65535): 0.6686675225650539,
+    (1.5, 0.85, 0.3, 12, 0): 0.8018746618590366,
+    (1.5, 0.85, 0.3, 12, 1227): 0.22748476246446647,
+    (1.5, 0.85, 0.3, 12, 1228): 0.14123751327733222,
+    (1.5, 0.85, 0.3, 14, 0): 0.8019195416360902,
+    (1.5, 0.85, 0.3, 14, 4914): 0.15575028419243175,
+    (1.5, 0.85, 0.3, 14, 4915): 0.021239033063304935,
+    (1.5, 0.85, 0.3, 16, 0): 0.8019307592496085,
+    (1.5, 0.85, 0.3, 16, 19659): 0.13683493228595942,
+    (1.5, 0.85, 0.3, 16, 19660): 0.08495613225321974,
+    (1.9, 0.6, 0.71, 12, 0): 0.9750672870750883,
+    (1.9, 0.6, 0.71, 12, 2907): 0.5212371972296909,
+    (1.9, 0.6, 0.71, 12, 2908): 0.0705384211224402,
+    (1.9, 0.6, 0.71, 14, 0): 0.9750765529224025,
+    (1.9, 0.6, 0.71, 14, 11631): 0.49277488931284313,
+    (1.9, 0.6, 0.71, 14, 11632): 0.2821536844897608,
+    (1.9, 0.6, 0.71, 16, 0): 0.9750788691536345,
+    (1.9, 0.6, 0.71, 16, 46529): 0.44237261358236485,
+    (1.9, 0.6, 0.71, 16, 46530): 0.22072848013945792,
+}
+
+
+def test_box_and_cell_averages_match_40_digit_references():
+    """box on both sides of its kink at 1 and on the tail, and the hf cell
+    averages built from it next to u and 2**J cells away, within 1e-14:
+    a difference of neighbouring antiderivatives loses about 2**J ulp."""
+    for (alpha, v, x), want in BOX_40_DIGITS.items():
+        got = box(x, v, KernelParams(alpha))
+        assert abs(got / want - 1.0) <= 1e-14, (alpha, v, x)
+    for (alpha, v, u, J, i), want in HF_CELL_AVERAGES_40_DIGITS.items():
+        got = _hf_cell_averages(u, v, alpha, J)[i]
+        assert abs(got / want - 1.0) <= 1e-14, (alpha, v, u, J, i)
 
 
 def _theta_digest():

@@ -3,11 +3,11 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from oracles import _row_sum, x1_rows, x2_rows
+from oracles import _row_sum, truncated_power, x1_rows, x2_rows
 
 from haarlmsm import series
 from haarlmsm.errors import DepthError, ParameterError
-from haarlmsm.kernels import KernelParams, big_theta, theta, truncated_power
+from haarlmsm.kernels import KernelParams, big_theta, theta
 from haarlmsm.series import (
     evaluate_field,
     x1_partial,
