@@ -58,13 +58,14 @@ from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, box, check_alpha, theta
 from .series import check_uv, far_past_terms
 from .stable_rng import (
-    MAX_VALUES,
     StableLaw,
     _LfUnion,
     _lf_rows,
     _lf_steps,
     _lf_union,
+    check_depth,
     check_seed,
+    check_size,
     generate_coefficients,
     make_rng,
     sample_sas,
@@ -180,14 +181,10 @@ def _x2_scale(u: float, v: float, alpha: float) -> float:
 # ------------------------------------------------ truncated-sum rewriting --
 
 def _check_depth(J, j_min: int, per_level: int) -> None:
-    """Refuse a depth below j_min, or one whose largest array or stable
-    draw, of about per_level * 2**J values, would exceed MAX_VALUES."""
-    if not (isinstance(J, (int, np.integer)) and J >= j_min):
-        raise ParameterError(f"J must be an integer >= {j_min}, got {J}")
-    if per_level << int(J) > MAX_VALUES:
-        raise ParameterError(
-            f"depth J = {J} needs an array of about {per_level << int(J)} "
-            f"values, over the budget of {MAX_VALUES}")
+    """check_depth at floor j_min, then check_size of the largest array or
+    stable draw the depth sizes, about per_level * 2**J values."""
+    J = check_depth("J", J, j_min)
+    check_size(per_level << J, f"depth J = {J} needs an array of about")
 
 
 def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
@@ -280,16 +277,13 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
     fixed by n and the chunk; the draw hands its blocks of whole rows to a
     consumer that writes their products with every W into the outputs, so
     S is never held.  The blocks depend only on the draw's shape, so the
-    outputs do not depend on the thread count.  An n whose outputs would
-    hold more than MAX_VALUES values in all is refused before any draw.
+    outputs do not depend on the thread count.  An n whose outputs
+    check_size refuses, counted in all, is refused before any draw.
     """
     if n < 1:
         raise ParameterError("n must be positive")
-    size = n * sum(W.shape[1] for W in weights)
-    if size > MAX_VALUES:
-        raise ParameterError(
-            f"{n} replicates need {size} output values, over the budget of "
-            f"{MAX_VALUES}")
+    check_size(n * sum(W.shape[1] for W in weights),
+               f"{n} replicates need outputs of")
     law = StableLaw(alpha)
     gen = make_rng(seed)
     out = [np.empty((n, W.shape[1])) for W in weights]
@@ -311,12 +305,13 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     Returns an (n, len(pairs)) array; column order follows ``pairs`` (a
     sequence of (u, v)).  All columns share one standard-stable draw
     matrix, so estimates across pairs use common random numbers.  J must
-    be >= 0.
+    be >= 0; a pair that the scale functions refuse is refused here too.
     """
     # one chunk's draw is _MC_HF_CHUNK x 2**J values
     _check_depth(J, 0, _MC_HF_CHUNK)
+    points = [_scale_point(u, v, alpha) for u, v in pairs]
     W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
-                  for u, v in pairs], axis=1)
+                  for u, v, _ in points], axis=1)
     return _mc_replicates(alpha, seed, n, _MC_HF_CHUNK, [W])[0]
 
 
@@ -326,17 +321,19 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     Returns {J: (n, len(pairs)) array}.  All depths and pairs share one
     draw of the increments over the union grid of the deepest truncation,
     so depth-to-depth comparisons are common-random-number comparisons.
+    Depths must be >= 1; pairs that the scale functions refuse are refused.
     """
-    J_list = sorted(int(J) for J in J_list)
-    if not J_list or J_list[0] < 1:
+    J_list = sorted(check_depth("J", J, 1) for J in J_list)
+    if not J_list:
         raise ParameterError("J_list must hold integers >= 1")
     # one chunk's draw is _MC_LF_CHUNK x the union grid's 3 * 2**J - 2 gaps
     _check_depth(J_list[-1], 1, 3 * _MC_LF_CHUNK)
+    points = [_scale_point(u, v, alpha) for u, v in pairs]
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])
     root = union.gaps ** (1.0 / alpha)
     W = [np.stack([-_lf_cumulative_weights(union, u, v, alpha, J, params)
-                   * root for u, v in pairs], axis=1) for J in J_list]
+                   * root for u, v, _ in points], axis=1) for J in J_list]
     return dict(zip(J_list,
                     _mc_replicates(alpha, seed, n, _MC_LF_CHUNK, W)))
 
@@ -432,13 +429,10 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     if not 1.0 / alpha < a <= b < 1.0:
         raise ParameterError(
             f"v_range must satisfy 1/alpha < a <= b < 1, got ({a}, {b})")
-    J_list = [int(J) for J in J_list]
+    J_list = [check_depth(f"{which} depth", J, 0 if which == "hf" else 1)
+              for J in J_list]
     if not J_list or J_list != sorted(set(J_list)):
         raise ParameterError("J_list must be non-empty, strictly increasing")
-    j_floor = 0 if which == "hf" else 1
-    if J_list[0] < j_floor:
-        raise ParameterError(
-            f"{which} depths must be >= {j_floor}, got {J_list[0]}")
     # not np.unique, which imports numpy.ma
     v_grid = np.array(sorted({a, 0.5 * (a + b), b}))
     params = KernelParams(alpha)
@@ -450,10 +444,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
         per_rep = max(sum(1 << J for J in J_list), (1 << min(depth, 15)) + 1)
     else:
         per_rep = max(3 * (1 << depth) - 4, u_grid.size)
-    if replicates * per_rep > MAX_VALUES:
-        raise ParameterError(
-            f"{replicates} replicates need arrays of {replicates * per_rep} "
-            f"values, over the budget of {MAX_VALUES}")
+    check_size(replicates * per_rep, f"{replicates} replicates need arrays of")
     seeds = [[seed, rep] for rep in range(replicates)]
     norms = np.empty((len(J_list), replicates))
     stacks = {}

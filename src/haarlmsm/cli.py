@@ -35,7 +35,7 @@ from .analysis import (
     x1_theoretical_scale,
     x2_theoretical_scale,
 )
-from .errors import ConfigError, HaarLmsmError, ParameterError
+from .errors import ConfigError, HaarLmsmError
 from .lmsm import (
     PROFILE_PARAMS,
     hurst_preset,
@@ -45,7 +45,7 @@ from .lmsm import (
     write_text_atomic,
 )
 from .series import WHICH, _moment_order, evaluate_field
-from .stable_rng import (MAX_VALUES, MODES, _check_budget, _lf_steps,
+from .stable_rng import (MODES, _lf_steps, check_depth, check_size,
                          generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
@@ -64,9 +64,13 @@ SCALE_CHECK_PAIRS = ((0.25, 0.7), (0.25, 0.8), (0.5, 0.7),
 
 SLOPE_TOLERANCE = 0.15
 
-# kernel table entries one simulate or field run may evaluate (about 30 s
-# at the 9e6 entries/s of a J_hf 12 hf half on a 2-core host)
+# kernel table entries one run may evaluate (about 30 s at the 9e6
+# entries/s of a J_hf 12 hf half on a 2-core host)
 MAX_TABLE_ENTRIES = 2 ** 28
+
+# stable draws priced as one kernel table entry by the work estimates (on
+# two cores 2**24 draws took 0.95 s, 2**24 entries about 4 s)
+DRAWS_PER_ENTRY = 4
 
 
 @dataclass
@@ -321,22 +325,22 @@ def _write_csv(config: RunConfig, fallback: str, lines) -> str:
 
 def _check_work(command: str, n_points: int, row_length: int) -> None:
     """Refuse a run whose kernel tables, n_points x the summed length of the
-    series rows it evaluates, would pass MAX_TABLE_ENTRIES."""
+    series rows it evaluates (or of its draws, priced by DRAWS_PER_ENTRY),
+    would pass MAX_TABLE_ENTRIES."""
     work = n_points * row_length
     if work > MAX_TABLE_ENTRIES:
         raise ConfigError(f"{command} needs about 2**{math.log2(work):.2f} "
                           f"table entries, over the {MAX_TABLE_ENTRIES} budget")
 
 
-def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> int:
+def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> float:
     """Work per replicate of ``converge --which lf``, in kernel table
     entries: for every depth step J -> J + 1 and row j, the stretch of
     terms it adds costs R x (its length + points) where
     series.far_past_terms sums it by R Taylor terms (at points up to
     u = 1), else points x its length, a kernel table.  The pyramid's
-    4**(Jmax + 1) far-past draws count a quarter entry each (on two cores
-    2**24 draws took 0.95 s, 2**24 entries about 4 s)."""
-    work = 4 ** max(Jmax, 1)
+    4**(Jmax + 1) far-past draws count 1 / DRAWS_PER_ENTRY entry each."""
+    work = 4 ** (Jmax + 1) / DRAWS_PER_ENTRY
     for J in range(Jmin, Jmax + 1):
         for j, lo, hi in _lf_steps(J):
             R = _moment_order(j, lo, 1.0)
@@ -347,14 +351,14 @@ def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> int:
 def _run_simulate(config: RunConfig) -> int:
     """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
-    # depths below the minimum are refused where the pyramid is drawn
-    n = (config.n_points if config.n_points is not None
-         else (1 << max(config.J_hf, 0)) + 1)
-    if not 1 <= n <= MAX_VALUES:
-        raise ConfigError(f"n_points must lie in 1..{MAX_VALUES}, got {n}")
+    J_hf = check_depth("J_hf", config.J_hf, 1)
+    J_lf = check_depth("J_lf", config.J_lf, 2)
+    n = config.n_points if config.n_points is not None else (1 << J_hf) + 1
+    if n < 1:
+        raise ConfigError(f"n_points must be >= 1, got {n}")
+    check_size(n, "n_points: a path of")
     # rows of 2**J_hf and about 3 * 2**J_lf terms in all
-    _check_work("simulate", n, (1 << max(config.J_hf, 0))
-                + 3 * (1 << max(config.J_lf, 0)))
+    _check_work("simulate", n, (1 << J_hf) + 3 * (1 << J_lf))
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
         config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
@@ -377,13 +381,13 @@ def _run_field(config: RunConfig) -> int:
         raise ConfigError(f"bad v_values list {config.v_values!r}")
     if config.u_points < 2:
         raise ConfigError(f"u_points must be >= 2, got {config.u_points}")
-    if config.J is not None:
-        J = config.J
-    else:
-        J = config.J_hf if which == "hf" else config.J_lf
+    J = config.J if config.J is not None else (
+        config.J_hf if which == "hf" else config.J_lf)
+    # each half's series refuses a J below its own floor
+    J = check_depth("J", J, 0)
     # 2**J recent-scales terms, at most 3 * 2**J far-past ones
     _check_work("field", config.u_points * len(v_values),
-                {"hf": 1, "total": 4}.get(which, 3) << max(J, 0))
+                {"hf": 1, "total": 4}.get(which, 3) << J)
     u_grid = np.linspace(0.0, 1.0, config.u_points)
     # an hf field reads no far-past row, and its rows and z1 do not depend
     # on the far past's depth, so J does not size it (the lf rows depend on
@@ -407,27 +411,15 @@ def _run_field(config: RunConfig) -> int:
 def _run_converge(config: RunConfig) -> int:
     """Truncation-rate study."""
     which = config.which or "hf"
-    # the study draws one pyramid at depth Jmax + 1; one that
-    # generate_coefficients would refuse is refused before anything is
-    # sized by Jmax (no depth past log2(MAX_VALUES) fits its budget)
-    depth = config.Jmax + 1
-    if depth > MAX_VALUES.bit_length():
-        raise ConfigError(f"--Jmax {config.Jmax}: no pyramid is that deep")
-    try:
-        _check_budget(*((depth, 2) if which == "hf" else (1, max(depth, 2))),
-                      "consistent")
-    except ParameterError as exc:
-        raise ConfigError(f"--Jmax {config.Jmax}: {exc}") from None
-    J_list = list(range(config.Jmin, config.Jmax + 1))
-    # per replicate: lf sums the terms each depth step adds at 1025 points,
-    # hf convolves at most 4 * 2**J values per depth J; depths the study
-    # refuses are left to it
+    # the study refuses a depth below its floor, its stacked rows and its
+    # pyramids over the budget, all before any draw; the CLI adds the time
+    # the far past's terms and draws take
+    Jmin = check_depth("Jmin", config.Jmin, 0)
+    Jmax = check_depth("Jmax", config.Jmax, 0)
+    J_list = list(range(Jmin, Jmax + 1))
     if which == "lf":
         _check_work("converge", config.replicates,
-                    _far_past_study_work(config.Jmin, config.Jmax, 1025))
-    else:
-        gained = (2 << max(config.Jmax, 0)) - (1 << max(config.Jmin, 0))
-        _check_work("converge", config.replicates, 4 * gained)
+                    _far_past_study_work(Jmin, Jmax, 1025))
     report = convergence_study(
         which, config.alpha, (config.v, config.v), J_list,
         config.replicates, config.seed)
@@ -466,6 +458,13 @@ def _run_scale_check(config: RunConfig) -> int:
     """Marginal scale against theory."""
     which = config.which or "hf"
     J = config.J if config.J is not None else (14 if which == "hf" else 9)
+    if config.mode == "consistent":
+        # one stable draw per replicate and weight row: the 2**J cells (hf)
+        # or the far-past union's 3 * 2**J - 2 gaps (lf)
+        cells = 1 << check_depth("J", J, 0)
+        _check_work("scale-check", config.n_samples,
+                    (cells if which == "hf" else 3 * cells - 2)
+                    / DRAWS_PER_ENTRY)
     pairs = SCALE_CHECK_PAIRS
     theory = {}
     for (u, v) in pairs:

@@ -52,7 +52,7 @@ import numpy as np
 from .errors import DepthError, ParameterError
 from .kernels import (KernelParams, big_theta, box, check_alpha, theta,
                       theta_taylor)
-from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows
+from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows, check_depth
 
 METHODS = ("naive", "abel")
 
@@ -96,8 +96,7 @@ def check_uv(u, v, alpha: float):
 def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    if not (isinstance(J, (int, np.integer)) and J >= j_min):
-        raise ParameterError(f"J must be an integer >= {j_min}, got {J}")
+    check_depth("J", J, j_min)
     if J > stored:
         raise DepthError(
             f"depth {J} exceeds the pyramid's {half} depth {stored}")

@@ -20,6 +20,9 @@ bits, and a draw can hand its blocks, in order, to a consumer instead of
 returning them (see ``sample_sas``).  Both grids of ``consistent`` mode
 are running sums of one such draw, summed as it is drawn (``_walk``), and
 ``analysis``'s Monte Carlo never holds a chunk of draws.
+
+Every depth and count of the package is held against the memory budget
+``MAX_VALUES`` here, by ``check_depth`` and ``check_size``.
 """
 
 from __future__ import annotations
@@ -40,8 +43,10 @@ MODES = ("consistent", "independent")
 
 # memory guard shared by every routine that sizes an array from a depth or a
 # point count: the most float64 values one array (or one pyramid) may hold,
-# and the most values one stable draw may make
+# and the most values one stable draw may make.  A depth J sizes 2**J values
+# or more, so no depth past MAX_DEPTH fits.
 MAX_VALUES = 2 ** 26
+MAX_DEPTH = MAX_VALUES.bit_length()
 
 # sample_sas streams every draw through blocks of _BLOCK values, so that a
 # worker's block of angles with its exponentials and two scratch buffers
@@ -81,6 +86,24 @@ def check_seed(seed) -> int:
         raise ParameterError(
             f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def check_depth(name: str, J, floor: int) -> int:
+    """Refuse a depth J that is not an integer from floor to MAX_DEPTH,
+    before anything forms 2**J; return it as int."""
+    if not (isinstance(J, (int, np.integer)) and J >= floor):
+        raise ParameterError(f"{name} must be an integer >= {floor}, got {J}")
+    if J > MAX_DEPTH:
+        raise ParameterError(f"{name} = {J} sizes arrays of 2**{J} values, "
+                             f"over the budget of {MAX_VALUES}")
+    return int(J)
+
+
+def check_size(n: int, what: str) -> None:
+    """Refuse n > MAX_VALUES as "<what> <n> values, over the budget"."""
+    if n > MAX_VALUES:
+        raise ParameterError(
+            f"{what} {n} values, over the budget of {MAX_VALUES}")
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -242,8 +265,8 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
     into the output, which is the draw's only n-sized array.
 
     ``size=None`` returns a python float, otherwise an array of that shape.
-    Another generator, a negative dimension or a size of more than
-    MAX_VALUES values is refused before any draw.
+    Another generator, a negative dimension or a size that ``check_size``
+    refuses is refused before any draw.
     """
     if not isinstance(getattr(rng, "bit_generator", None), np.random.Philox):
         raise ParameterError(
@@ -254,9 +277,7 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
     if any(d < 0 for d in shape):
         raise ParameterError(f"a draw of size {size} has a negative dimension")
     n = math.prod(shape)
-    if n > MAX_VALUES:
-        raise ParameterError(
-            f"a draw of {n} values is over the budget of {MAX_VALUES}")
+    check_size(n, "a draw of")
     out = None
     if consume is None:
         out, shape = np.empty(n), (n,)
@@ -398,35 +419,23 @@ def _walk(alpha: float, level: int, n: int, keep: np.ndarray,
     return values
 
 
-def _check_budget(J_hf: int, J_lf: int, mode: str) -> None:
-    """Refuse depths whose pyramid would hold more than MAX_VALUES float64
-    values (its coefficients and, in consistent mode, the process values
-    its rows read), or whose consistent far past would draw more."""
-    need = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
-    if mode == "consistent":
-        need += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
-    if need > MAX_VALUES:
-        raise ParameterError(
-            f"pyramid would hold {need} values, over the budget of "
-            f"{MAX_VALUES}; lower the depths")
-    if mode == "consistent" and 4 ** J_lf > MAX_VALUES:
-        raise ParameterError(
-            f"the far-past grid needs {4 ** J_lf} draws, over the budget of "
-            f"{MAX_VALUES}; lower J_lf")
-
-
 def _check_pyramid(alpha: float, J_hf: int, J_lf: int, mode: str) -> None:
     """Refuse, before anything is drawn or sized, what
     generate_coefficients refuses: alpha outside (1, 2), depths below 1
-    (J_hf) or 2 (J_lf), an unknown mode, or depths over _check_budget."""
+    (J_hf) or 2 (J_lf) or past MAX_DEPTH, an unknown mode, or a pyramid
+    (its coefficients and, in consistent mode, the process values its rows
+    read) or consistent far-past grid over MAX_VALUES."""
     check_alpha(alpha)
-    if not (isinstance(J_hf, (int, np.integer)) and J_hf >= 1):
-        raise ParameterError(f"J_hf must be an integer >= 1, got {J_hf}")
-    if not (isinstance(J_lf, (int, np.integer)) and J_lf >= 2):
-        raise ParameterError(f"J_lf must be an integer >= 2, got {J_lf}")
+    check_depth("J_hf", J_hf, 1)
+    check_depth("J_lf", J_lf, 2)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    _check_budget(J_hf, J_lf, mode)
+    need = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
+    if mode == "consistent":
+        need += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
+    check_size(need, "pyramid would hold")
+    if mode == "consistent":
+        check_size(4 ** J_lf, "the far-past grid would draw")
 
 
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from haarlmsm import analysis, series
+from haarlmsm import analysis, series, stable_rng
 from haarlmsm.analysis import (
     ConvergenceReport,
     convergence_study,
@@ -24,6 +24,7 @@ from haarlmsm.analysis import (
 )
 from haarlmsm.errors import ParameterError, StatisticsError
 from haarlmsm.kernels import KernelParams, theta
+from haarlmsm.lmsm import synthesize_path
 from haarlmsm.series import far_past_terms, x1_partial, x2_partial
 from haarlmsm.stable_rng import (
     generate_coefficients,
@@ -342,6 +343,58 @@ def test_mc_x2_matches_exact_scale_with_common_draws():
         assert abs(devs[5, i] - devs[6, i]) < 0.025
 
 
+@pytest.mark.parametrize("call", [
+    lambda: mc_x1_samples([(2.0, 0.7)], ALPHA, 4, 4, 1),
+    lambda: mc_x1_samples([(0.5, 0.3)], ALPHA, 4, 4, 1),
+    lambda: mc_x2_samples([(-3.0, 0.7)], ALPHA, [2], 4, 1),
+], ids=["hf u past 1", "hf v below 1/alpha", "lf u below 0"])
+def test_mc_drivers_refuse_what_the_scales_refuse(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+def _pyramid_and_sums():
+    pyr = generate_coefficients(ALPHA, 3, 3, "independent", 5)
+    return pyr, prefix_sums(pyr)
+
+
+# every library entry point that sizes anything by a depth J
+_DEPTH_CALLS = {
+    "generate_coefficients J_hf":
+        lambda J: generate_coefficients(ALPHA, J, 2, "consistent", 0),
+    "generate_coefficients J_lf":
+        lambda J: generate_coefficients(ALPHA, 3, J, "consistent", 0),
+    "synthesize_path J_hf": lambda J: synthesize_path(ALPHA, 0.75, J_hf=J),
+    "synthesize_path J_lf": lambda J: synthesize_path(ALPHA, 0.75, J_lf=J),
+    "x1_partial": lambda J: x1_partial(0.5, 0.75, *_pyramid_and_sums(), J),
+    "x2_partial": lambda J: x2_partial(0.5, 0.75, *_pyramid_and_sums(), J),
+    "truncated_scale_hf consistent":
+        lambda J: truncated_scale_hf(0.5, 0.75, ALPHA, J, "consistent"),
+    "truncated_scale_hf independent":
+        lambda J: truncated_scale_hf(0.5, 0.75, ALPHA, J, "independent"),
+    "truncated_scale_lf consistent":
+        lambda J: truncated_scale_lf(0.5, 0.75, ALPHA, J, "consistent"),
+    "truncated_scale_lf independent":
+        lambda J: truncated_scale_lf(0.5, 0.75, ALPHA, J, "independent"),
+    "mc_x1_samples": lambda J: mc_x1_samples([(0.5, 0.75)], ALPHA, J, 8, 1),
+    "mc_x2_samples":
+        lambda J: mc_x2_samples([(0.5, 0.75)], ALPHA, [2, J], 8, 1),
+    "convergence_study hf":
+        lambda J: convergence_study("hf", ALPHA, (0.75, 0.75), [4, J], 8, 1),
+    "convergence_study lf":
+        lambda J: convergence_study("lf", ALPHA, (0.75, 0.75), [4, J], 8, 1),
+}
+
+
+@pytest.mark.parametrize("J", [15000, 10 ** 9])
+@pytest.mark.parametrize("call", list(_DEPTH_CALLS))
+def test_depths_past_the_budget_are_parameter_errors(call, J):
+    # refused by the one depth check before any 2**J is formed (2**15000
+    # has more digits than an int may print)
+    with pytest.raises(ParameterError, match="over the budget"):
+        _DEPTH_CALLS[call](J)
+
+
 def test_convergence_study_validation():
     with pytest.raises(StatisticsError):
         convergence_study("hf", ALPHA, (0.75, 0.75), [4, 5], 7, 1)
@@ -362,7 +415,7 @@ def test_convergence_study_validation():
 def test_far_past_study_sizes_its_stacks_by_the_row_list(monkeypatch):
     # per replicate, the stacked depth-(J+1) rows (closed form) or the
     # 1025-point lines of differences, whichever is longer
-    monkeypatch.setattr(analysis, "MAX_VALUES", 0)
+    monkeypatch.setattr(stable_rng, "MAX_VALUES", 0)
     for J in range(1, 15):
         with pytest.raises(ParameterError) as info:
             convergence_study("lf", ALPHA, (0.75, 0.75), [J], 8, 1)

@@ -26,6 +26,8 @@ from haarlmsm.cli import (
 )
 from haarlmsm.errors import ConfigError
 from haarlmsm.lmsm import PathSample, path_to_csv, read_path_csv
+from haarlmsm.series import WHICH
+from haarlmsm.stable_rng import MODES
 
 
 def test_hurst_spec_kinds():
@@ -500,6 +502,59 @@ def test_converge_depth_past_any_pyramid_refused_first(which, Jmax,
     _assert_refused(["converge", "--which", which, "--Jmin", "4", "--Jmax",
                      str(Jmax), "--replicates", "8"], tmp_path, capsys)
     assert time.perf_counter() - t0 < 1.0
+
+
+# every depth flag of every command that sizes anything by it
+_DEPTH_FLAGS = (
+    [["simulate", "--J-hf"], ["simulate", "--J-lf"]]
+    + [["field", "--which", which, "--J"] for which in WHICH]
+    + [["converge", "--which", which, "--Jmax"] for which in ("hf", "lf")]
+    + [["scale-check", "--which", which, "--mode", mode, "--J"]
+       for which in ("hf", "lf") for mode in MODES])
+
+
+@pytest.mark.parametrize("depth", [15000, 10 ** 9])
+@pytest.mark.parametrize("argv", _DEPTH_FLAGS, ids=" ".join)
+def test_depths_past_the_budget_refused_first(argv, depth, tmp_path,
+                                              capsys):
+    # refused before any 2**depth is formed: 2**15000 has more digits than
+    # an int may print, and 2**(10**9) takes 125 MB to build
+    t0 = time.perf_counter()
+    _assert_refused(argv + [str(depth)], tmp_path, capsys)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_scale_check_counts_its_draws(monkeypatch, tmp_path, capsys):
+    # consistent mode draws n_samples x 2**J (hf) or n_samples x
+    # (3 * 2**J - 2) (lf) values, priced as table entries; checked without
+    # running the draws.  Independent mode draws nothing.
+    def admitted(*args):
+        raise RuntimeError("admitted")
+
+    for name in ("mc_x1_samples", "mc_x2_samples", "truncated_scale_hf"):
+        monkeypatch.setattr(cli, name, admitted)
+    draws = cli.MAX_TABLE_ENTRIES * cli.DRAWS_PER_ENTRY
+    lf_most = draws // (3 * 2 ** 12 - 2)
+    admit = [
+        [],  # the defaults: hf at J 14, 20000 replicates
+        ["--which", "lf"],
+        ["--which", "hf", "--J", "11", "--n-samples", "8000"],
+        ["--which", "lf", "--J", "7", "--n-samples", "20000"],
+        ["--which", "hf", "--J", "16", "--n-samples", str(draws // 2 ** 16)],
+        ["--which", "lf", "--J", "12", "--n-samples", str(lf_most)],
+        ["--which", "hf", "--J", "16", "--n-samples", "100000", "--mode",
+         "independent"],
+    ]
+    for argv in admit:
+        assert main(["scale-check", *argv,
+                     "--out", str(tmp_path / "s")]) == 3, argv
+        assert capsys.readouterr().err.endswith("RuntimeError: admitted\n")
+    assert draws // 2 ** 16 == 16384
+    for argv in (["--which", "hf", "--J", "16", "--n-samples", "16385"],
+                 ["--which", "hf", "--J", "16", "--n-samples", "100000"],
+                 ["--which", "lf", "--J", "12",
+                  "--n-samples", str(lf_most + 1)]):
+        _assert_refused(["scale-check", *argv], tmp_path, capsys)
 
 
 # A fresh interpreter imports the package and runs one tiny command, then

@@ -1,6 +1,8 @@
-import os
+import ast
 import hashlib
 import math
+import os
+import pathlib
 import sys
 import threading
 import time
@@ -464,19 +466,44 @@ def test_far_past_union_is_the_closed_form():
 
 
 def test_budget_counts_the_row_list(monkeypatch):
-    # _check_budget sizes the far past in closed form, so a huge depth is
+    # _check_pyramid sizes the far past in closed form, so a huge depth is
     # refused without listing its rows; its counts are the rows' and the
-    # union's
+    # union's (from J_lf 2, the least depth it admits)
     monkeypatch.setattr(stable_rng, "MAX_VALUES", 0)
-    for J in range(1, 15):
+    for J in range(2, 15):
         coefficients = sum(n for _, n in stable_rng._lf_rows(J))
         points = stable_rng._lf_union(J).nums.size
         for mode, values in (("independent", 0),
                              ("consistent", 2 ** 3 + 1 + points)):
             with pytest.raises(ParameterError) as info:
-                stable_rng._check_budget(3, J, mode)
+                stable_rng._check_pyramid(1.5, 3, J, mode)
             need = 2 ** 3 - 1 + coefficients + 1 + values
             assert f"would hold {need} values" in str(info.value), (J, mode)
+
+
+def test_only_the_two_checks_compare_with_the_budget():
+    # a count is held against MAX_VALUES only in check_size, and a depth
+    # against MAX_DEPTH only in check_depth, so no module grows a budget
+    # check of its own again
+    owners = {"MAX_VALUES": "check_size", "MAX_DEPTH": "check_depth"}
+    found = []
+    for path in sorted(pathlib.Path(stable_rng.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        spans = {node.name: range(node.lineno, node.end_lineno + 1)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            named = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            for name in named & set(owners):
+                inside = (path.name == "stable_rng.py"
+                          and node.lineno in spans[owners[name]])
+                found.append((name, path.name, node.lineno, inside))
+    assert {name for name, *_ in found} == set(owners)
+    assert all(inside for *_, inside in found), found
 
 
 def test_depth_steps_add_each_row_position_once():
