@@ -56,10 +56,11 @@ import numpy as np
 
 from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, box, check_alpha, theta
-from .series import check_uv, far_past_terms
+from .series import DEPTH_FLOOR, check_uv, far_past_terms
 from .stable_rng import (
     StableLaw,
     _LfUnion,
+    _lf_counts,
     _lf_rows,
     _lf_steps,
     _lf_union,
@@ -98,13 +99,18 @@ def first_abs_moment(alpha: float) -> float:
     return 2.0 / math.pi * math.gamma(1.0 - 1.0 / alpha)
 
 
-def estimate_scale(samples, alpha: float) -> float:
-    """Scale estimate mean(|x|) / E|X_standard|; needs at least 1000 samples."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size < 1000:
+def check_scale_samples(n: int) -> None:
+    """Refuse fewer than the 1000 samples a scale estimate needs."""
+    if n < 1000:
         raise StatisticsError(
-            f"need at least 1000 samples for a scale estimate, got "
-            f"{samples.size}")
+            f"need at least 1000 samples for a scale estimate, got {n}")
+
+
+def estimate_scale(samples, alpha: float) -> float:
+    """Scale estimate mean(|x|) / E|X_standard|; needs the samples that
+    check_scale_samples admits."""
+    samples = np.asarray(samples, dtype=float).ravel()
+    check_scale_samples(samples.size)
     return float(np.mean(np.abs(samples)) / first_abs_moment(alpha))
 
 
@@ -180,11 +186,12 @@ def _x2_scale(u: float, v: float, alpha: float) -> float:
 
 # ------------------------------------------------ truncated-sum rewriting --
 
-def _check_depth(J, j_min: int, per_level: int) -> None:
-    """check_depth at floor j_min, then check_size of the largest array or
-    stable draw the depth sizes, about per_level * 2**J values."""
-    J = check_depth("J", J, j_min)
-    check_size(per_level << J, f"depth J = {J} needs an array of about")
+def _check_depth(J, which: str, size) -> None:
+    """check_depth at the floor of ``which`` ("hf" or "lf"), then
+    check_size of size(J), the largest array or stable draw the depth
+    sizes."""
+    J = check_depth("J", J, DEPTH_FLOOR[which])
+    check_size(size(J), f"depth J = {J} needs an array of about")
 
 
 def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
@@ -231,7 +238,7 @@ def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
     u, v, alpha = _scale_point(u, v, alpha)
-    _check_depth(J, 0, 1)
+    _check_depth(J, "hf", lambda J: 1 << J)
     if mode == "consistent":
         w = _hf_cell_averages(u, v, alpha, J)
         return float(np.sum(np.abs(w) ** alpha) * 2.0 ** (-J)) ** (1.0 / alpha)
@@ -251,7 +258,7 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
     u, v, alpha = _scale_point(u, v, alpha)
     # the union is built from three points per far-past coefficient
-    _check_depth(J, 1, 9)
+    _check_depth(J, "lf", lambda J: 3 * _lf_counts(J).coefficients)
     params = KernelParams(alpha)
     if mode == "consistent":
         union = _lf_union(J)
@@ -298,6 +305,15 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
     return out
 
 
+def _mc_points(pairs, alpha: float) -> list:
+    """Each pair's checked (u, v, alpha), refusing what the scale functions
+    refuse and an empty list."""
+    points = [_scale_point(u, v, alpha) for u, v in pairs]
+    if not points:
+        raise ParameterError("pairs must hold at least one (u, v)")
+    return points
+
+
 def mc_x1_samples(pairs, alpha: float, J: int, n: int,
                   seed: int) -> np.ndarray:
     """Replicates of the consistent-mode depth-J recent-scales truncation.
@@ -305,11 +321,12 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     Returns an (n, len(pairs)) array; column order follows ``pairs`` (a
     sequence of (u, v)).  All columns share one standard-stable draw
     matrix, so estimates across pairs use common random numbers.  J must
-    be >= 0; a pair that the scale functions refuse is refused here too.
+    be >= 0; a pair that the scale functions refuse is refused here too,
+    and so is an empty ``pairs``.
     """
     # one chunk's draw is _MC_HF_CHUNK x 2**J values
-    _check_depth(J, 0, _MC_HF_CHUNK)
-    points = [_scale_point(u, v, alpha) for u, v in pairs]
+    _check_depth(J, "hf", lambda J: _MC_HF_CHUNK << J)
+    points = _mc_points(pairs, alpha)
     W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
                   for u, v, _ in points], axis=1)
     return _mc_replicates(alpha, seed, n, _MC_HF_CHUNK, [W])[0]
@@ -321,14 +338,15 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     Returns {J: (n, len(pairs)) array}.  All depths and pairs share one
     draw of the increments over the union grid of the deepest truncation,
     so depth-to-depth comparisons are common-random-number comparisons.
-    Depths must be >= 1; pairs that the scale functions refuse are refused.
+    Depths must be >= 1; pairs that the scale functions refuse, and an
+    empty ``pairs``, are refused.
     """
-    J_list = sorted(check_depth("J", J, 1) for J in J_list)
+    J_list = sorted(check_depth("J", J, DEPTH_FLOOR["lf"]) for J in J_list)
     if not J_list:
         raise ParameterError("J_list must hold integers >= 1")
-    # one chunk's draw is _MC_LF_CHUNK x the union grid's 3 * 2**J - 2 gaps
-    _check_depth(J_list[-1], 1, 3 * _MC_LF_CHUNK)
-    points = [_scale_point(u, v, alpha) for u, v in pairs]
+    # one chunk's draw is _MC_LF_CHUNK x the union grid's gaps
+    _check_depth(J_list[-1], "lf", lambda J: _MC_LF_CHUNK * _lf_counts(J).gaps)
+    points = _mc_points(pairs, alpha)
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])
     root = union.gaps ** (1.0 / alpha)
@@ -429,7 +447,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     if not 1.0 / alpha < a <= b < 1.0:
         raise ParameterError(
             f"v_range must satisfy 1/alpha < a <= b < 1, got ({a}, {b})")
-    J_list = [check_depth(f"{which} depth", J, 0 if which == "hf" else 1)
+    J_list = [check_depth(f"{which} depth", J, DEPTH_FLOOR[which])
               for J in J_list]
     if not J_list or J_list != sorted(set(J_list)):
         raise ParameterError("J_list must be non-empty, strictly increasing")
@@ -443,7 +461,7 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     if which == "hf":
         per_rep = max(sum(1 << J for J in J_list), (1 << min(depth, 15)) + 1)
     else:
-        per_rep = max(3 * (1 << depth) - 4, u_grid.size)
+        per_rep = max(_lf_counts(depth).coefficients, u_grid.size)
     check_size(replicates * per_rep, f"{replicates} replicates need arrays of")
     seeds = [[seed, rep] for rep in range(replicates)]
     norms = np.empty((len(J_list), replicates))

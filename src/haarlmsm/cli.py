@@ -26,6 +26,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .analysis import (
+    check_scale_samples,
     convergence_study,
     estimate_scale,
     mc_x1_samples,
@@ -44,9 +45,9 @@ from .lmsm import (
     write_path_csv,
     write_text_atomic,
 )
-from .series import WHICH, _moment_order, evaluate_field
-from .stable_rng import (MODES, _lf_steps, check_depth, check_size,
-                         generate_coefficients, prefix_sums)
+from .series import DEPTH_FLOOR, WHICH, _moment_order, evaluate_field
+from .stable_rng import (MODES, _lf_counts, _lf_steps, check_depth,
+                         check_size, generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
 # and the boundary flag for profiles that graze the admissible band
@@ -338,9 +339,10 @@ def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> float:
     entries: for every depth step J -> J + 1 and row j, the stretch of
     terms it adds costs R x (its length + points) where
     series.far_past_terms sums it by R Taylor terms (at points up to
-    u = 1), else points x its length, a kernel table.  The pyramid's
-    4**(Jmax + 1) far-past draws count 1 / DRAWS_PER_ENTRY entry each."""
-    work = 4 ** (Jmax + 1) / DRAWS_PER_ENTRY
+    u = 1), else points x its length, a kernel table.  The steps of the
+    depth-(Jmax + 1) pyramid's far-past walk count 1 / DRAWS_PER_ENTRY
+    entry each."""
+    work = _lf_counts(Jmax + 1).steps / DRAWS_PER_ENTRY
     for J in range(Jmin, Jmax + 1):
         for j, lo, hi in _lf_steps(J):
             R = _moment_order(j, lo, 1.0)
@@ -357,8 +359,8 @@ def _run_simulate(config: RunConfig) -> int:
     if n < 1:
         raise ConfigError(f"n_points must be >= 1, got {n}")
     check_size(n, "n_points: a path of")
-    # rows of 2**J_hf and about 3 * 2**J_lf terms in all
-    _check_work("simulate", n, (1 << J_hf) + 3 * (1 << J_lf))
+    # rows of 2**J_hf terms and the far past's coefficients in all
+    _check_work("simulate", n, (1 << J_hf) + _lf_counts(J_lf).coefficients)
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
         config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
@@ -383,11 +385,13 @@ def _run_field(config: RunConfig) -> int:
         raise ConfigError(f"u_points must be >= 2, got {config.u_points}")
     J = config.J if config.J is not None else (
         config.J_hf if which == "hf" else config.J_lf)
-    # each half's series refuses a J below its own floor
-    J = check_depth("J", J, 0)
-    # 2**J recent-scales terms, at most 3 * 2**J far-past ones
-    _check_work("field", config.u_points * len(v_values),
-                {"hf": 1, "total": 4}.get(which, 3) << J)
+    # refused at the floor of the series that which names, before any draw
+    J = check_depth("J", J, DEPTH_FLOOR[which])
+    # 2**J recent-scales terms, at most the far past's coefficients
+    terms = 0 if which == "hf" else _lf_counts(J).coefficients
+    if which in ("hf", "total"):
+        terms += 1 << J
+    _check_work("field", config.u_points * len(v_values), terms)
     u_grid = np.linspace(0.0, 1.0, config.u_points)
     # an hf field reads no far-past row, and its rows and z1 do not depend
     # on the far past's depth, so J does not size it (the lf rows depend on
@@ -459,11 +463,13 @@ def _run_scale_check(config: RunConfig) -> int:
     which = config.which or "hf"
     J = config.J if config.J is not None else (14 if which == "hf" else 9)
     if config.mode == "consistent":
-        # one stable draw per replicate and weight row: the 2**J cells (hf)
-        # or the far-past union's 3 * 2**J - 2 gaps (lf)
-        cells = 1 << check_depth("J", J, 0)
+        # refused before any draw: too few replicates to estimate a scale,
+        # or more draws than the budget, one per replicate and weight row,
+        # the 2**J cells (hf) or the far-past union's gaps (lf)
+        check_scale_samples(config.n_samples)
+        J = check_depth("J", J, DEPTH_FLOOR[which])
         _check_work("scale-check", config.n_samples,
-                    (cells if which == "hf" else 3 * cells - 2)
+                    ((1 << J) if which == "hf" else _lf_counts(J).gaps)
                     / DRAWS_PER_ENTRY)
     pairs = SCALE_CHECK_PAIRS
     theory = {}

@@ -93,10 +93,21 @@ def check_uv(u, v, alpha: float):
         u.ndim == 0 and v.ndim == 0
 
 
-def _check_call(method: str, J, j_min: int, stored: int, half: str) -> None:
+# the least depth of each ``which`` name's series: the far past's rows
+# |j| < J hold a negative scale only from J = 2, and "total" sums both
+# halves at one depth
+DEPTH_FLOOR = {"hf": 0, "lf_plus": 1, "lf_minus": 2, "lf": 1, "total": 1}
+
+
+def _check_call(method: str, J, which: str,
+                pyramid: CoefficientPyramid) -> None:
+    """Refuse an unknown method, or a J below the floor of ``which`` or
+    past the depth the pyramid stores for its half."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
-    check_depth("J", J, j_min)
+    check_depth("J", J, DEPTH_FLOOR[which])
+    half, stored = (("recent-scales", pyramid.J_hf) if which == "hf"
+                    else ("far-past", pyramid.J_lf))
     if J > stored:
         raise DepthError(
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
@@ -211,7 +222,7 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     """Recent-scales half truncated at depth J (J = 0: the leading term
     only).  u and v are scalars (a float is returned) or equal-length 1-d
     arrays, or one of each; each row is summed for all points at once."""
-    _check_call(method, J, 0, pyramid.J_hf, "recent-scales")
+    _check_call(method, J, "hf", pyramid)
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     total = box(u, v, params) * pyramid.z1
@@ -226,14 +237,16 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     return float(total[0]) if scalar else total
 
 
-def _x2(u, v, pyramid, prefix, J, method, halves):
-    """Far-past rows of the named halves ("plus": scales 0..J-1, "minus":
-    scales -1..1-J), each half summed on its own and then added.  Every
-    term is anchored by the kernel at its k alone, kernel(k, v), which
-    does not depend on the row: every row's k are a prefix of one ks, so
-    _row_sums builds the anchor once per block of points."""
-    _check_call(method, J, 2 if halves == ("minus",) else 1, pyramid.J_lf,
-                "far-past")
+def _x2(u, v, pyramid, prefix, J, method, which):
+    """Far-past rows of the halves that ``which`` names ("lf_plus": scales
+    0..J-1, "lf_minus": scales -1..1-J, "lf": both), each half summed on
+    its own and then added.  Every term is anchored by the kernel at its
+    k alone, kernel(k, v), which does not depend on the row: every row's k
+    are a prefix of one ks, so _row_sums builds the anchor once per block
+    of points."""
+    _check_call(method, J, which, pyramid)
+    halves = {"lf_plus": ("plus",), "lf_minus": ("minus",)}.get(
+        which, ("plus", "minus"))
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"
@@ -271,21 +284,21 @@ def x2_plus_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
                     J: int, method: str = "abel"):
     """Far-past half over nonnegative scales 0..J-1, rows of length
     2**(J-j); u and v as for x1_partial."""
-    return _x2(u, v, pyramid, prefix, J, method, ("plus",))
+    return _x2(u, v, pyramid, prefix, J, method, "lf_plus")
 
 
 def x2_minus_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
                      J: int, method: str = "abel"):
     """Far-past half over negative scales -1..1-J; needs J >= 2 to be
     nonempty.  u and v as for x1_partial."""
-    return _x2(u, v, pyramid, prefix, J, method, ("minus",))
+    return _x2(u, v, pyramid, prefix, J, method, "lf_minus")
 
 
 def x2_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
                J: int, method: str = "abel"):
     """Whole far-past half at depth J (scales |j| <= J - 1); u and v as
     for x1_partial."""
-    return _x2(u, v, pyramid, prefix, J, method, ("plus", "minus"))
+    return _x2(u, v, pyramid, prefix, J, method, "lf")
 
 
 # the series behind each ``which`` name, summed when there are two

@@ -7,9 +7,13 @@ differences, so refining the truncation depth never changes coefficients
 already drawn.  The far-past rows a depth keeps are listed once, by
 ``_lf_rows``, and the points they read are derived from them: the one
 far-past grid ``_lf_union``, from which ``analysis`` also takes its exact
-scales and Monte Carlo weights.  In ``independent`` mode each
-coefficient is an independent standard draw, which is cheaper and matches
-the coefficients' marginal law but not their joint law across scales.
+scales and Monte Carlo weights.  What a depth sizes (its coefficients,
+its union points and gaps, and the steps of the walk that draws them) is
+counted once, by ``_lf_counts``: the pyramid check, the walk, and every
+size check and work estimate in ``analysis`` and ``cli`` read it.  In
+``independent`` mode each coefficient is an independent standard draw,
+which is cheaper and matches the coefficients' marginal law but not their
+joint law across scales.
 
 Every draw takes a counter-based (Philox) generator, and every grid or row
 gets its own spawned stream, so results are reproducible from a single
@@ -32,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -344,6 +348,30 @@ def _lf_rows(J: int) -> list:
     return [(j, 1 << (J - abs(j))) for j in range(1 - J, J)]
 
 
+class _LfCounts(NamedTuple):
+    """What far-past depth J sizes: its coefficients, the points of its
+    union grid and the gaps between them, and the steps of the walk that
+    draws the grid."""
+
+    coefficients: int
+    points: int
+    gaps: int
+    steps: int
+
+
+def _lf_counts(J: int) -> _LfCounts:
+    """The counts of far-past depth J >= 1; no other code forms them.
+
+    The coefficients are summed over ``_lf_rows(J)``.  The union's points,
+    from -4**J to 0 in units of 2**-J, and the walk's steps to -4**J are
+    closed forms, which ``test_far_past_union_is_the_closed_form`` pins:
+    a depth up to MAX_DEPTH is sized before its union is built.
+    """
+    points = 3 * 2 ** J - 1
+    return _LfCounts(coefficients=sum(n for _, n in _lf_rows(J)),
+                     points=points, gaps=points - 1, steps=4 ** J)
+
+
 def _lf_steps(J: int) -> list:
     """(j, lo, hi) for each depth-(J+1) row of ``_lf_rows``, in its order:
     the depth step J -> J + 1 adds its positions k = lo+1..hi."""
@@ -430,12 +458,13 @@ def _check_pyramid(alpha: float, J_hf: int, J_lf: int, mode: str) -> None:
     check_depth("J_lf", J_lf, 2)
     if mode not in MODES:
         raise ParameterError(f"mode must be one of {MODES}, got {mode!r}")
-    need = (2 ** J_hf - 1) + (3 * 2 ** J_lf - 4) + 1
+    lf = _lf_counts(J_lf)
+    need = (2 ** J_hf - 1) + lf.coefficients + 1
     if mode == "consistent":
-        need += (2 ** J_hf + 1) + (3 * 2 ** J_lf - 1)
+        need += (2 ** J_hf + 1) + lf.points
     check_size(need, "pyramid would hold")
     if mode == "consistent":
-        check_size(4 ** J_lf, "the far-past grid would draw")
+        check_size(lf.steps, "the far-past grid would draw")
 
 
 def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
@@ -466,8 +495,8 @@ def generate_coefficients(alpha: float, J_hf: int, J_lf: int, mode: str,
                           g_hf)
         # the far past starts at -2**J_lf: shift it to 0 at its last point
         union = _lf_union(J_lf)
-        lf_values = _walk(alpha, J_lf, 4 ** J_lf, union.nums - union.nums[0],
-                          g_lf)
+        lf_values = _walk(alpha, J_lf, _lf_counts(J_lf).steps,
+                          union.nums - union.nums[0], g_lf)
         lf_values -= lf_values[-1]
         lf_values[-1] = 0.0
         hf_rows = []

@@ -347,8 +347,16 @@ def test_mc_x2_matches_exact_scale_with_common_draws():
     lambda: mc_x1_samples([(2.0, 0.7)], ALPHA, 4, 4, 1),
     lambda: mc_x1_samples([(0.5, 0.3)], ALPHA, 4, 4, 1),
     lambda: mc_x2_samples([(-3.0, 0.7)], ALPHA, [2], 4, 1),
-], ids=["hf u past 1", "hf v below 1/alpha", "lf u below 0"])
-def test_mc_drivers_refuse_what_the_scales_refuse(call):
+    lambda: mc_x1_samples([], ALPHA, 4, 4, 1),
+    lambda: mc_x2_samples([], ALPHA, [2], 4, 1),
+], ids=["hf u past 1", "hf v below 1/alpha", "lf u below 0", "hf no pairs",
+        "lf no pairs"])
+def test_mc_drivers_refuse_what_the_scales_refuse(call, monkeypatch):
+    # refused before any draw
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(analysis, "sample_sas", no_draw)
     with pytest.raises(ParameterError):
         call()
 

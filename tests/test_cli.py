@@ -524,6 +524,33 @@ def test_depths_past_the_budget_refused_first(argv, depth, tmp_path,
     assert time.perf_counter() - t0 < 2.0
 
 
+@pytest.mark.parametrize("argv", [
+    # a depth below the floor of the series the field names
+    ["field", "--which", "lf", "--J", "0"],
+    ["field", "--which", "lf_plus", "--J", "0"],
+    ["field", "--which", "lf_minus", "--J", "1"],
+    ["field", "--which", "total", "--J", "0"],
+    # too few replicates for a scale estimate, at each half
+    ["scale-check", "--n-samples", "999"],
+    ["scale-check", "--which", "lf", "--n-samples", "999"],
+    ["scale-check", "--which", "hf", "--J", "13", "--n-samples", "999"],
+    # a far-past depth below its floor
+    ["scale-check", "--which", "lf", "--J", "0"],
+], ids=" ".join)
+def test_refusals_come_before_any_draw(argv, monkeypatch, tmp_path, capsys):
+    # every pyramid, Monte Carlo driver and stable draw fails if reached,
+    # so each of these exits 2 only if it is refused before drawing
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    for name in ("generate_coefficients", "synthesize_path", "mc_x1_samples",
+                 "mc_x2_samples", "convergence_study"):
+        monkeypatch.setattr(cli, name, no_draw)
+    monkeypatch.setattr(haarlmsm.stable_rng, "sample_sas", no_draw)
+    monkeypatch.setattr(haarlmsm.analysis, "sample_sas", no_draw)
+    _assert_refused(argv, tmp_path, capsys)
+
+
 def test_scale_check_counts_its_draws(monkeypatch, tmp_path, capsys):
     # consistent mode draws n_samples x 2**J (hf) or n_samples x
     # (3 * 2**J - 2) (lf) values, priced as table entries; checked without

@@ -9,6 +9,8 @@ from haarlmsm import series
 from haarlmsm.errors import DepthError, ParameterError
 from haarlmsm.kernels import KernelParams, big_theta, theta
 from haarlmsm.series import (
+    DEPTH_FLOOR,
+    WHICH,
     evaluate_field,
     x1_partial,
     x2_minus_partial,
@@ -557,6 +559,19 @@ def test_evaluate_field_validation():
             evaluate_field([np.nan], [0.8], pyr, ps, 2, which)
         with pytest.raises(ParameterError):
             evaluate_field([0.5], [np.nan], pyr, ps, 2, which)
+
+
+def test_each_which_refuses_depths_below_its_floor():
+    # the floor table names every series, and each series admits its floor
+    # and refuses the depth below it
+    assert tuple(DEPTH_FLOOR) == WHICH
+    pyr = generate_coefficients(ALPHA, 3, 3, "independent", 87)
+    ps = prefix_sums(pyr)
+    for which, floor in DEPTH_FLOOR.items():
+        assert np.all(np.isfinite(
+            evaluate_field([0.5], [0.8], pyr, ps, floor, which)))
+        with pytest.raises(ParameterError, match=f">= {floor}, got"):
+            evaluate_field([0.5], [0.8], pyr, ps, floor - 1, which)
 
 
 def test_domain_validation():

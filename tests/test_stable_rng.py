@@ -506,6 +506,81 @@ def test_only_the_two_checks_compare_with_the_budget():
     assert all(inside for *_, inside in found), found
 
 
+def test_far_past_counts_are_the_rows_and_the_union():
+    # the one counts function against what the row list and the union it
+    # derives hold; the walk runs from the union's first point to 0
+    for J in range(1, 15):
+        counts = stable_rng._lf_counts(J)
+        union = stable_rng._lf_union(J)
+        assert counts.coefficients == sum(n for _, n in
+                                          stable_rng._lf_rows(J)), J
+        assert (counts.points, counts.gaps) == (union.nums.size,
+                                                union.gaps.size), J
+        assert counts.steps == -union.nums[0], J
+
+
+def _far_past_closed_forms(tree) -> list:
+    """Line numbers of the far-past count closed forms in ``tree``: 4 ** e,
+    c << e, and c times 2 ** e or 1 << e, for a multiple c of 3 and an
+    exponent e that is not a constant."""
+
+    def constant(node, test):
+        return (isinstance(node, ast.Constant)
+                and isinstance(node.value, int) and test(node.value))
+
+    def power(node, base):
+        # base ** e, or 1 << e for base 2, e not a constant
+        return (isinstance(node, ast.BinOp)
+                and not isinstance(node.right, ast.Constant)
+                and (isinstance(node.op, ast.Pow)
+                     and constant(node.left, lambda c: c == base)
+                     or base == 2 and isinstance(node.op, ast.LShift)
+                     and constant(node.left, lambda c: c == 1)))
+
+    def of_three(node):
+        return constant(node, lambda c: c > 0 and c % 3 == 0)
+
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        if (power(node, 4)
+                or isinstance(node.op, ast.LShift) and of_three(node.left)
+                and not isinstance(node.right, ast.Constant)
+                or isinstance(node.op, ast.Mult)
+                and (of_three(node.left) and power(node.right, 2)
+                     or of_three(node.right) and power(node.left, 2))):
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_counts_function_forms_the_far_past_counts():
+    # the far past's counts (3 * 2**J - 4 coefficients, 3 * 2**J - 1 union
+    # points, 4**J walk steps) are formed in _lf_counts alone, so a new
+    # truncation shape changes one function
+    flagged = ["4 ** J", "3 * 2 ** J", "3 * (1 << J)", "(1 << J) * 3",
+               "3 << J", "9 << J", "6 * 2 ** (J + 1)", "4 ** (Jmax + 1)"]
+    passed = ["2 ** J", "1 << J", "_MC_HF_CHUNK << J", "3 * n", "4 ** 13",
+              "3 * 2 ** 26", "3 * _lf_counts(J).coefficients"]
+    for source in flagged:
+        assert _far_past_closed_forms(ast.parse(source)) == [1], source
+    for source in passed:
+        assert _far_past_closed_forms(ast.parse(source)) == [], source
+    found = []
+    for path in sorted(pathlib.Path(stable_rng.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        counts = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_lf_counts"]
+        inside = (range(counts[0].lineno, counts[0].end_lineno + 1)
+                  if counts else range(0))
+        found += [(path.name, line, line in inside)
+                  for line in _far_past_closed_forms(tree)]
+    # 3 * 2 ** J (the points) and 4 ** J (the steps), both in _lf_counts
+    assert [(name, inside) for name, _, inside in found] == \
+        [("stable_rng.py", True)] * 2, found
+
+
 def test_depth_steps_add_each_row_position_once():
     # from depth 1, the steps J -> J + 1 add every position of the
     # depth-(J+1) rows exactly once, row by row in ascending j
