@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, box, check_alpha, theta
-from .series import DEPTH_FLOOR, check_uv, far_past_terms
+from .series import DEPTH_FLOOR, _moment_order, check_uv, far_past_terms
 from .stable_rng import (
     StableLaw,
     _LfUnion,
@@ -78,6 +78,11 @@ from .stable_rng import prefix_sums  # noqa: F401
 # seed's stream depends on them
 _MC_HF_CHUNK = 1024
 _MC_LF_CHUNK = 4096
+
+# the convergence study's grids: dyadic of level min(J + 1, _HF_LEVEL) for
+# the recent scales, _LF_POINTS uniform points for the far past
+_HF_LEVEL = 15
+_LF_POINTS = 1025
 
 # Tanh-sinh rule on (0, 1) (Takahasi & Mori, Publ. RIMS 9, 1974): nodes
 # s = 1 / (1 + exp(-pi sinh t)) at t = k/64, |t| <= 4, with weights
@@ -257,8 +262,10 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
     u, v, alpha = _scale_point(u, v, alpha)
-    # the union is built from three points per far-past coefficient
-    _check_depth(J, "lf", lambda J: 3 * _lf_counts(J).coefficients)
+    # consistent mode builds the union, three points per far-past
+    # coefficient; independent mode one row of factors at a time, 2**J long
+    _check_depth(J, "lf", lambda J: 3 * _lf_counts(J).coefficients
+                 if mode == "consistent" else 1 << J)
     params = KernelParams(alpha)
     if mode == "consistent":
         union = _lf_union(J)
@@ -273,6 +280,13 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
 
 
 # ----------------------------------------------------- Monte Carlo drivers --
+
+def mc_columns(which: str, J: int) -> int:
+    """Stable draws one Monte Carlo replicate of ``which`` ("hf" or "lf")
+    makes at depth J, one per row of its weights: the 2**J cells of [0, 1],
+    or the gaps of the depth-J far-past union."""
+    return 1 << J if which == "hf" else _lf_counts(J).gaps
+
 
 def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
                    weights: list) -> list:
@@ -324,8 +338,8 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     be >= 0; a pair that the scale functions refuse is refused here too,
     and so is an empty ``pairs``.
     """
-    # one chunk's draw is _MC_HF_CHUNK x 2**J values
-    _check_depth(J, "hf", lambda J: _MC_HF_CHUNK << J)
+    # one chunk's draw is _MC_HF_CHUNK replicates' columns
+    _check_depth(J, "hf", lambda J: _MC_HF_CHUNK * mc_columns("hf", J))
     points = _mc_points(pairs, alpha)
     W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
                   for u, v, _ in points], axis=1)
@@ -344,8 +358,9 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     J_list = sorted(check_depth("J", J, DEPTH_FLOOR["lf"]) for J in J_list)
     if not J_list:
         raise ParameterError("J_list must hold integers >= 1")
-    # one chunk's draw is _MC_LF_CHUNK x the union grid's gaps
-    _check_depth(J_list[-1], "lf", lambda J: _MC_LF_CHUNK * _lf_counts(J).gaps)
+    # one chunk's draw is _MC_LF_CHUNK replicates' columns
+    _check_depth(J_list[-1], "lf",
+                 lambda J: _MC_LF_CHUNK * mc_columns("lf", J))
     points = _mc_points(pairs, alpha)
     params = KernelParams(alpha)
     union = _lf_union(J_list[-1])
@@ -456,10 +471,11 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     params = KernelParams(alpha)
     flags = []
     depth = J_list[-1] + 1
-    u_grid = np.linspace(0.0, 1.0, 1025)
+    u_grid = np.linspace(0.0, 1.0, _LF_POINTS)
     # each replicate's rows, stacked, and its lines of differences
     if which == "hf":
-        per_rep = max(sum(1 << J for J in J_list), (1 << min(depth, 15)) + 1)
+        per_rep = max(sum(1 << J for J in J_list),
+                      (1 << min(depth, _HF_LEVEL)) + 1)
     else:
         per_rep = max(_lf_counts(depth).coefficients, u_grid.size)
     check_size(replicates * per_rep, f"{replicates} replicates need arrays of")
@@ -481,9 +497,9 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
         best = np.zeros(replicates)
         for v in v_grid:
             if which == "hf":
-                # row J on the dyadic grid of level min(J + 1, 15)
+                # row J on the dyadic grid of level min(J + 1, _HF_LEVEL)
                 diff = 2.0 ** (-J * v) * _x1_row_on_dyadic(
-                    stacks[J], J, v, min(J + 1, 15), params)
+                    stacks[J], J, v, min(J + 1, _HF_LEVEL), params)
             else:
                 # the terms the depth step J -> J + 1 adds to each row
                 diff = sum(far_past_terms(u_grid, v, stacks[j], j, lo, hi,
@@ -499,9 +515,25 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
         fitted = None
         flags.append("no_slope")
     theoretical = -(a - 1.0 / alpha) if which == "hf" else -(1.0 - b)
-    grid_spec = ("dyadic level min(J+1, 15) on [0, 1]" if which == "hf"
-                 else "uniform 1025 points on [0, 1]")
+    grid_spec = (f"dyadic level min(J+1, {_HF_LEVEL}) on [0, 1]"
+                 if which == "hf" else f"uniform {_LF_POINTS} points on [0, 1]")
     return ConvergenceReport(
         which=which, alpha=alpha, v_grid=v_grid, J_list=J_list, norms=norms,
         medians=medians, fitted_slope=fitted, theoretical_slope=theoretical,
         grid_spec=grid_spec, seeds=seeds, replicates=replicates, flags=flags)
+
+
+def far_past_study_work(J_list) -> tuple:
+    """(kernel table entries, stable draws) of one replicate and exponent
+    of ``convergence_study("lf", ...)``, with nothing drawn or evaluated.
+    Each stretch a depth step of J_list adds to a row costs R x (its
+    length + _LF_POINTS) where far_past_terms sums it by R Taylor terms,
+    else _LF_POINTS x its length; the draws are the far-past walk of the
+    depth-(max(J_list) + 1) pyramid."""
+    entries = 0
+    for J in J_list:
+        for j, lo, hi in _lf_steps(J):
+            R = _moment_order(j, lo, 1.0)
+            entries += R * (hi - lo + _LF_POINTS) if R else \
+                _LF_POINTS * (hi - lo)
+    return entries, (_lf_counts(max(J_list) + 1).steps if J_list else 0)

@@ -25,29 +25,16 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import (
-    check_scale_samples,
-    convergence_study,
-    estimate_scale,
-    mc_x1_samples,
-    mc_x2_samples,
-    truncated_scale_hf,
-    truncated_scale_lf,
-    x1_theoretical_scale,
-    x2_theoretical_scale,
-)
+from .analysis import (check_scale_samples, convergence_study, estimate_scale,
+                       far_past_study_work, mc_columns, mc_x1_samples,
+                       mc_x2_samples, truncated_scale_hf, truncated_scale_lf,
+                       x1_theoretical_scale, x2_theoretical_scale)
 from .errors import ConfigError, HaarLmsmError
-from .lmsm import (
-    PROFILE_PARAMS,
-    hurst_preset,
-    read_path_csv,
-    synthesize_path,
-    write_path_csv,
-    write_text_atomic,
-)
-from .series import DEPTH_FLOOR, WHICH, _moment_order, evaluate_field
-from .stable_rng import (MODES, _lf_counts, _lf_steps, check_depth,
-                         check_size, generate_coefficients, prefix_sums)
+from .lmsm import (PROFILE_PARAMS, hurst_preset, read_path_csv,
+                   synthesize_path, write_path_csv, write_text_atomic)
+from .series import DEPTH_FLOOR, WHICH, evaluate_field, terms_per_point
+from .stable_rng import (MODES, check_depth, check_size,
+                         generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
 # and the boundary flag for profiles that graze the admissible band
@@ -324,30 +311,15 @@ def _write_csv(config: RunConfig, fallback: str, lines) -> str:
     return csv_path
 
 
-def _check_work(command: str, n_points: int, row_length: int) -> None:
-    """Refuse a run whose kernel tables, n_points x the summed length of the
-    series rows it evaluates (or of its draws, priced by DRAWS_PER_ENTRY),
-    would pass MAX_TABLE_ENTRIES."""
-    work = n_points * row_length
+def _check_work(command: str, count: int, entries: int,
+                draws: int = 0) -> None:
+    """Refuse a run whose work, count x (the kernel table entries and the
+    stable draws, DRAWS_PER_ENTRY to an entry, that each of its points or
+    replicates costs), would pass MAX_TABLE_ENTRIES."""
+    work = count * (entries + draws / DRAWS_PER_ENTRY)
     if work > MAX_TABLE_ENTRIES:
         raise ConfigError(f"{command} needs about 2**{math.log2(work):.2f} "
                           f"table entries, over the {MAX_TABLE_ENTRIES} budget")
-
-
-def _far_past_study_work(Jmin: int, Jmax: int, points: int) -> float:
-    """Work per replicate of ``converge --which lf``, in kernel table
-    entries: for every depth step J -> J + 1 and row j, the stretch of
-    terms it adds costs R x (its length + points) where
-    series.far_past_terms sums it by R Taylor terms (at points up to
-    u = 1), else points x its length, a kernel table.  The steps of the
-    depth-(Jmax + 1) pyramid's far-past walk count 1 / DRAWS_PER_ENTRY
-    entry each."""
-    work = _lf_counts(Jmax + 1).steps / DRAWS_PER_ENTRY
-    for J in range(Jmin, Jmax + 1):
-        for j, lo, hi in _lf_steps(J):
-            R = _moment_order(j, lo, 1.0)
-            work += R * (hi - lo + points) if R else points * (hi - lo)
-    return work
 
 
 def _run_simulate(config: RunConfig) -> int:
@@ -359,8 +331,8 @@ def _run_simulate(config: RunConfig) -> int:
     if n < 1:
         raise ConfigError(f"n_points must be >= 1, got {n}")
     check_size(n, "n_points: a path of")
-    # rows of 2**J_hf terms and the far past's coefficients in all
-    _check_work("simulate", n, (1 << J_hf) + _lf_counts(J_lf).coefficients)
+    _check_work("simulate", n,
+                terms_per_point(J_hf, "hf") + terms_per_point(J_lf, "lf"))
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
         config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
@@ -387,11 +359,8 @@ def _run_field(config: RunConfig) -> int:
         config.J_hf if which == "hf" else config.J_lf)
     # refused at the floor of the series that which names, before any draw
     J = check_depth("J", J, DEPTH_FLOOR[which])
-    # 2**J recent-scales terms, at most the far past's coefficients
-    terms = 0 if which == "hf" else _lf_counts(J).coefficients
-    if which in ("hf", "total"):
-        terms += 1 << J
-    _check_work("field", config.u_points * len(v_values), terms)
+    _check_work("field", config.u_points * len(v_values),
+                terms_per_point(J, which))
     u_grid = np.linspace(0.0, 1.0, config.u_points)
     # an hf field reads no far-past row, and its rows and z1 do not depend
     # on the far past's depth, so J does not size it (the lf rows depend on
@@ -423,15 +392,10 @@ def _run_converge(config: RunConfig) -> int:
     J_list = list(range(Jmin, Jmax + 1))
     if which == "lf":
         _check_work("converge", config.replicates,
-                    _far_past_study_work(Jmin, Jmax, 1025))
+                    *far_past_study_work(J_list))
     report = convergence_study(
         which, config.alpha, (config.v, config.v), J_list,
         config.replicates, config.seed)
-    gap = None
-    verdict = "NO-SLOPE"
-    if report.fitted_slope is not None:
-        gap = abs(report.fitted_slope - report.theoretical_slope)
-        verdict = "PASS" if gap <= SLOPE_TOLERANCE else "FAIL"
     lines = [f"# grid_spec: {report.grid_spec}"]
     if report.fitted_slope is not None:
         lines.append(f"# fitted_slope: {report.fitted_slope!r}")
@@ -449,11 +413,13 @@ def _run_converge(config: RunConfig) -> int:
     if report.fitted_slope is not None:
         print(f"fitted slope: {report.fitted_slope:+.4f}")
     print(f"theoretical slope: {report.theoretical_slope:+.4f}")
-    if gap is not None:
+    if report.fitted_slope is None:
+        print("single depth, no slope fitted")
+    else:
+        gap = abs(report.fitted_slope - report.theoretical_slope)
+        verdict = "PASS" if gap <= SLOPE_TOLERANCE else "FAIL"
         print(f"|fitted - theoretical| = {gap:.4f} "
               f"(tolerance {SLOPE_TOLERANCE}): {verdict}")
-    else:
-        print("single depth, no slope fitted")
     print(f"wrote {csv_path}")
     return 0
 
@@ -462,45 +428,31 @@ def _run_scale_check(config: RunConfig) -> int:
     """Marginal scale against theory."""
     which = config.which or "hf"
     J = config.J if config.J is not None else (14 if which == "hf" else 9)
+    alpha, n, pairs = config.alpha, config.n_samples, SCALE_CHECK_PAIRS
     if config.mode == "consistent":
         # refused before any draw: too few replicates to estimate a scale,
-        # or more draws than the budget, one per replicate and weight row,
-        # the 2**J cells (hf) or the far-past union's gaps (lf)
-        check_scale_samples(config.n_samples)
+        # or more draws than the budget
+        check_scale_samples(n)
         J = check_depth("J", J, DEPTH_FLOOR[which])
-        _check_work("scale-check", config.n_samples,
-                    ((1 << J) if which == "hf" else _lf_counts(J).gaps)
-                    / DRAWS_PER_ENTRY)
-    pairs = SCALE_CHECK_PAIRS
-    theory = {}
-    for (u, v) in pairs:
-        theory[u, v] = (x1_theoretical_scale(u, v, config.alpha)
-                        if which == "hf"
-                        else x2_theoretical_scale(u, v, config.alpha))
-    rows = []
+        _check_work("scale-check", n, 0, mc_columns(which, J))
+    limit = x1_theoretical_scale if which == "hf" else x2_theoretical_scale
+    theory = [limit(u, v, alpha) for u, v in pairs]
     if config.mode == "consistent":
-        if which == "hf":
-            samples = mc_x1_samples(pairs, config.alpha, J, config.n_samples,
-                                    config.seed)
-        else:
-            samples = mc_x2_samples(pairs, config.alpha, [J],
-                                    config.n_samples, config.seed)[J]
-        for i, (u, v) in enumerate(pairs):
-            est = estimate_scale(samples[:, i], config.alpha)
-            rows.append((u, v, est))
-        label = f"estimated scale ({config.n_samples} replicates)"
+        samples = (mc_x1_samples(pairs, alpha, J, n, config.seed)
+                   if which == "hf" else
+                   mc_x2_samples(pairs, alpha, [J], n, config.seed)[J])
+        estimates = [estimate_scale(column, alpha) for column in samples.T]
+        label = f"estimated scale ({n} replicates)"
     else:
         # independent mode has a closed-form truncated scale; no sampling
-        for (u, v) in pairs:
-            fn = truncated_scale_hf if which == "hf" else truncated_scale_lf
-            rows.append((u, v, fn(u, v, config.alpha, J, "independent")))
+        exact = truncated_scale_hf if which == "hf" else truncated_scale_lf
+        estimates = [exact(u, v, alpha, J, "independent") for u, v in pairs]
         label = "exact truncated scale"
     lines = ["u,v,J,estimate,target,rel_dev"]
-    print(f"{which} scale check at J={J}, alpha={config.alpha}, "
+    print(f"{which} scale check at J={J}, alpha={alpha}, "
           f"mode={config.mode} ({label})")
     print(f"{'u':>6} {'v':>6} {'estimate':>12} {'target':>12} {'rel dev':>9}")
-    for (u, v, est) in rows:
-        tgt = theory[u, v]
+    for (u, v), est, tgt in zip(pairs, estimates, theory):
         dev = est / tgt - 1.0
         print(f"{u:6.2f} {v:6.2f} {est:12.6f} {tgt:12.6f} {dev:+9.2%}")
         lines.append(f"{float(u)!r},{float(v)!r},{J},{float(est)!r},"

@@ -237,22 +237,28 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     return float(total[0]) if scalar else total
 
 
+def _lf_parts(J: int, which: str) -> list:
+    """The far-past rows (j, n) that ``which`` sums at depth J, one list
+    per half, each in the order its terms are added: the rows j >= 0
+    ascending (lf_plus), the rows j < 0 descending (lf_minus), both (lf,
+    total) or none (hf)."""
+    plus = [r for r in _lf_rows(J) if r[0] >= 0]
+    minus = [r for r in _lf_rows(J)[::-1] if r[0] < 0]
+    return {"hf": [], "lf_plus": [plus], "lf_minus": [minus]}.get(
+        which, [plus, minus])
+
+
 def _x2(u, v, pyramid, prefix, J, method, which):
-    """Far-past rows of the halves that ``which`` names ("lf_plus": scales
-    0..J-1, "lf_minus": scales -1..1-J, "lf": both), each half summed on
-    its own and then added.  Every term is anchored by the kernel at its
-    k alone, kernel(k, v), which does not depend on the row: every row's k
-    are a prefix of one ks, so _row_sums builds the anchor once per block
-    of points."""
+    """Far-past rows of the halves that ``which`` names, as _lf_parts
+    lists them, each half summed on its own and then added.  Every term is
+    anchored by the kernel at its k alone, kernel(k, v), which does not
+    depend on the row: every row's k are a prefix of one ks, so _row_sums
+    builds the anchor once per block of points."""
     _check_call(method, J, which, pyramid)
-    halves = {"lf_plus": ("plus",), "lf_minus": ("minus",)}.get(
-        which, ("plus", "minus"))
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"
-    parts = [[r for r in _lf_rows(J) if r[0] >= 0] if half == "plus"
-             else [r for r in _lf_rows(J)[::-1] if r[0] < 0]
-             for half in halves]
+    parts = _lf_parts(J, which)
     rows = [r for part in parts for r in part]
     # row j's table holds k = 1..n against the coefficients (naive), or
     # k = 2..n against the running sums (abel); lams holds either row
@@ -306,6 +312,14 @@ _HALVES = {"hf": (x1_partial,), "lf_plus": (x2_plus_partial,),
            "lf_minus": (x2_minus_partial,), "lf": (x2_partial,),
            "total": (x1_partial, x2_partial)}
 WHICH = tuple(_HALVES)
+
+
+def terms_per_point(J: int, which: str) -> int:
+    """Kernel table terms one point of ``which`` costs at depth J: 2**J for
+    the recent scales (the box leading term and the rows of 2**j, j < J)
+    and n for each far-past row (j, n) that _lf_parts lists."""
+    hf = 1 << J if x1_partial in _HALVES[which] else 0
+    return hf + sum(n for part in _lf_parts(J, which) for _, n in part)
 
 
 def evaluate_field(u_grid, v_grid, pyramid: CoefficientPyramid,

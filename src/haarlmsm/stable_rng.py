@@ -10,7 +10,7 @@ far-past grid ``_lf_union``, from which ``analysis`` also takes its exact
 scales and Monte Carlo weights.  What a depth sizes (its coefficients,
 its union points and gaps, and the steps of the walk that draws them) is
 counted once, by ``_lf_counts``: the pyramid check, the walk, and every
-size check and work estimate in ``analysis`` and ``cli`` read it.  In
+size check and work estimate in ``analysis`` read it.  In
 ``independent`` mode each coefficient is an independent standard draw,
 which is cheaper and matches the coefficients' marginal law but not their
 joint law across scales.

@@ -403,6 +403,24 @@ def test_depths_past_the_budget_are_parameter_errors(call, J):
         _DEPTH_CALLS[call](J)
 
 
+def test_truncated_lf_scale_sizes_each_mode_by_its_arrays(monkeypatch):
+    # consistent mode builds the union, three points per far-past
+    # coefficient, so J 23 is over the budget; independent mode builds one
+    # row of factors at a time, the longest of 2**J, so J 23 to 26 pass the
+    # size check and reach their first kernel call
+    def admitted(*args, **kwargs):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(analysis, "theta", admitted)
+    with pytest.raises(ParameterError, match="over the budget"):
+        truncated_scale_lf(0.5, 0.75, ALPHA, 23, "consistent")
+    for J in (23, 26):
+        with pytest.raises(RuntimeError, match="admitted"):
+            truncated_scale_lf(0.5, 0.75, ALPHA, J, "independent")
+    with pytest.raises(ParameterError, match="over the budget"):
+        truncated_scale_lf(0.5, 0.75, ALPHA, 27, "independent")
+
+
 def test_convergence_study_validation():
     with pytest.raises(StatisticsError):
         convergence_study("hf", ALPHA, (0.75, 0.75), [4, 5], 7, 1)

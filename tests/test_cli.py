@@ -1,5 +1,6 @@
 """End-to-end checks for the command-line interface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -478,12 +479,64 @@ def test_far_past_study_estimate_counts_moment_rows(monkeypatch, tmp_path,
     assert capsys.readouterr().err.endswith("RuntimeError: admitted\n")
     # a table for every stretch: 1025 points x 3 * 2**J terms per depth J
     tables = 1025 * 3 * (2 ** 11 - 2 ** 4)
-    per_rep = cli._far_past_study_work(4, 10, 1025)
+    entries, draws = haarlmsm.analysis.far_past_study_work(range(4, 11))
+    per_rep = entries + draws / cli.DRAWS_PER_ENTRY
     assert 43 * per_rep <= cli.MAX_TABLE_ENTRIES < 43 * tables
     # the pyramid's 4**(Jmax + 1) draws count too: 100 replicates to depth
     # 12 would draw for minutes
     _assert_refused(["converge", "--which", "lf", "--Jmin", "4", "--Jmax",
                      "12", "--replicates", "100"], tmp_path, capsys)
+
+
+def test_field_prices_only_the_rows_its_half_sums(monkeypatch, tmp_path,
+                                                  capsys):
+    # lf_plus sums the far-past rows j >= 0 and lf_minus the rows j < 0,
+    # so at 65 x 3 points each is priced at its own rows, not the whole
+    # far past: lf_plus to J 19 and lf_minus to J 20 (2**27.61 entries)
+    # are admitted, one depth more is refused; checked without a draw
+    def admitted(*args, **kwargs):
+        raise RuntimeError("admitted")
+
+    for name in ("generate_coefficients", "evaluate_field"):
+        monkeypatch.setattr(cli, name, admitted)
+    for which, most in (("lf_plus", 19), ("lf_minus", 20)):
+        argv = ["field", "--which", which, "--mode", "independent"]
+        assert main(argv + ["--J", str(most),
+                            "--out", str(tmp_path / "f")]) == 3, which
+        assert capsys.readouterr().err.endswith("RuntimeError: admitted\n")
+        _assert_refused(argv + ["--J", str(most + 1)], tmp_path, capsys)
+
+
+def test_field_terms_per_point_are_its_rows():
+    # restated from the row list: 2**J recent-scales terms for hf and
+    # total, n for each far-past row of the sign the name sums
+    for J in range(2, 20):
+        rows = haarlmsm.stable_rng._lf_rows(J)
+        plus = sum(n for j, n in rows if j >= 0)
+        minus = sum(n for j, n in rows if j < 0)
+        want = {"hf": 2 ** J, "lf_plus": plus, "lf_minus": minus,
+                "lf": plus + minus, "total": 2 ** J + plus + minus}
+        assert {which: haarlmsm.series.terms_per_point(J, which)
+                for which in WHICH} == want, J
+
+
+def test_cli_counts_no_far_past_rows_of_its_own():
+    # each work estimate is one call into the module whose loop it prices,
+    # so the CLI reads none of the far past's row, step and moment helpers
+    path = os.path.join(os.path.dirname(cli.__file__), "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    helpers = {"_lf_counts", "_lf_steps", "_lf_rows", "_moment_order"}
+    assert "far_past_study_work" in names
+    assert names.isdisjoint(helpers), names & helpers
 
 
 @pytest.mark.parametrize("which", ["hf", "lf"])
