@@ -4,15 +4,15 @@ Scale identities.  At a fixed position u the limiting laws of the two
 series halves are symmetric stable with computable scales:
 ``x1_theoretical_scale`` is closed-form, ``x2_theoretical_scale`` integrates
 the defining kernel integral with one fixed double-exponential (tanh-sinh)
-rule, checked against the same rule at twice the step.  The *truncated* sums
-are also stable for each fixed truncation depth, and in consistent mode
-their exact scales follow from rewriting the sum as a weighted integral of
-the driving process; ``truncated_scale_hf`` / ``truncated_scale_lf`` return
-them.  Monte Carlo drivers (``mc_x1_samples``, ``mc_x2_samples``) draw many
-replicates of the truncated sums through the same weighted-increment
-rewriting, which is orders of magnitude cheaper than evaluating the series
-per replicate and is validated against the series evaluators pathwise in
-the test suite.
+rule, checked against the same rule at twice the step.  A truncation of
+either half at a fixed (u, v) is a weight vector over independent standard
+stable draws (``_weights``; the coefficients in independent mode, the
+driving process's increments in consistent mode), checked against the
+series evaluators pathwise in the test suite.  Its exact scale is the
+alpha-norm of the weights (``truncated_scale_hf``, ``truncated_scale_lf``),
+and a Monte Carlo replicate (``mc_x1_samples``, ``mc_x2_samples``) is
+their product with one draw, orders of magnitude cheaper than evaluating
+the series per replicate.
 
 Convergence rates.  ``convergence_study`` measures sup-norm differences
 between consecutive truncation depths across independent replicates and
@@ -58,6 +58,7 @@ from .errors import ComputeError, ParameterError, StatisticsError
 from .kernels import KernelParams, box, check_alpha, theta
 from .series import DEPTH_FLOOR, _moment_order, check_uv, far_past_terms
 from .stable_rng import (
+    MODES,
     StableLaw,
     _LfUnion,
     _lf_counts,
@@ -189,94 +190,90 @@ def _x2_scale(u: float, v: float, alpha: float) -> float:
     return u ** v * fine ** (1.0 / alpha)
 
 
-# ------------------------------------------------ truncated-sum rewriting --
+# ------------------------------------------------- truncated-sum weights --
 
-def _check_depth(J, which: str, size) -> None:
-    """check_depth at the floor of ``which`` ("hf" or "lf"), then
-    check_size of size(J), the largest array or stable draw the depth
-    sizes."""
+def _weights(which: str, u: float, v: float, alpha: float, J: int,
+             mode: str, union: _LfUnion = None):
+    """Yields, in blocks, the weights W of the depth-J truncation of
+    ``which`` ("hf" or "lf") at (u, v): the truncation is sum W_i X_i over
+    independent standard stable X_i.
+
+    Independent mode: one block per coefficient row, against its unit
+    coefficients; for hf box(u) (against z1), then 2**(-j v)
+    theta(2**j u - k) for each j < J; for lf 2**(-j v) (theta(2**j u + k)
+    - theta(k)), k = 1..n, for each row (j, n) of _lf_rows(J).
+
+    Consistent mode: one block, against the process increments over their
+    scales.  For hf, the 2**J cell averages of the kernel,
+    2**(-J p) box(2**J u - i) with p = v - 1/alpha (the tail series far
+    left of u, no cancelling difference), times 2**(-J/alpha).  For lf,
+    -C_i gap_i**(1/alpha) over the gaps of ``union`` (the depth-J one by
+    default; a shallower one is refused): each coefficient puts its factor
+    on the three points it reads, and C is their running sum.
+    """
+    if mode not in MODES:
+        raise ParameterError(f"unknown mode {mode!r}")
+    params = KernelParams(alpha)
+    if which == "hf" and mode == "consistent":
+        x = u * 2.0 ** J - np.arange(1 << J, dtype=float)
+        yield (2.0 ** (-J * (v - 1.0 / alpha)) * box(x, v, params)
+               * 2.0 ** (-J / alpha))
+    elif which == "hf":
+        yield np.atleast_1d(box(u, v, params))
+        for j in range(J):
+            ks = np.arange(1 << j, dtype=float)
+            yield 2.0 ** (-j * v) * theta(2.0 ** j * u - ks, v, params)
+    else:
+        if mode == "consistent":
+            union = _lf_union(J) if union is None else union
+            if union.J < J:
+                raise ParameterError(
+                    f"union built at depth {union.J} cannot serve depth {J}")
+            c = np.zeros(union.nums.shape[0])
+        for j, n in _lf_rows(J):
+            ks = np.arange(1, n + 1, dtype=float)
+            w = theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
+            if mode == "independent":
+                yield 2.0 ** (-j * v) * w
+                continue
+            g = -(2.0 ** (j / alpha)) * 2.0 ** (-j * v) * w
+            for ix, weight in zip(union.row_maps[j], (g, -2.0 * g, g)):
+                np.add.at(c, ix[:n], weight)
+        if mode == "consistent":
+            yield -np.cumsum(c)[:-1] * union.gaps ** (1.0 / alpha)
+
+
+def _weight_evals(which: str, J: int) -> int:
+    """Kernel values one pair's _weights take at depth J: 2**J box or
+    theta values for hf, two theta values per coefficient for lf."""
+    return 1 << J if which == "hf" else 2 * _lf_counts(J).coefficients
+
+
+def _truncated_scale(which: str, u, v, alpha, J, mode: str) -> float:
+    """The alpha-norm of the depth-J truncation's _weights: its exact
+    stable scale."""
+    u, v, alpha = _scale_point(u, v, alpha)
     J = check_depth("J", J, DEPTH_FLOOR[which])
-    check_size(size(J), f"depth J = {J} needs an array of about")
-
-
-def _hf_cell_averages(u: float, v: float, alpha: float, J: int) -> np.ndarray:
-    """Averages of s -> (u - s)_+**p over the 2**J dyadic cells of [0, 1].
-
-    The depth-J consistent truncation equals the integral of the cellwise
-    average of the kernel against the driving process, so these averages
-    times the cell increments reproduce it exactly.  Cell i's average is
-    2**(-J p) box(2**J u - i), p = v - 1/alpha: a cell far left of u is the
-    box kernel's tail series, with no cancelling difference.
-    """
-    x = u * 2.0 ** J - np.arange(1 << J, dtype=float)
-    return 2.0 ** (-J * (v - 1.0 / alpha)) * box(x, v, KernelParams(alpha))
-
-
-def _lf_row_factors(u: float, v: float, J: int, params: KernelParams):
-    """Yields (j, n, theta(2**j u + k) - theta(k) at k = 1..n) for each
-    far-past row (j, n) of depth J: the factors of its coefficients."""
-    for j, n in _lf_rows(J):
-        ks = np.arange(1, n + 1, dtype=float)
-        yield j, n, theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
-
-
-def _lf_cumulative_weights(union: _LfUnion, u: float, v: float, alpha: float,
-                           J_eval: int, params: KernelParams) -> np.ndarray:
-    """Weights C with depth-J_eval far-past sum = -sum_i C_i dZ_i.
-
-    Each coefficient contributes its kernel-difference factor at the three
-    points it reads; expressing the process values through the increments
-    between consecutive union points gives one weight per increment.
-    """
-    if J_eval > union.J:
-        raise ParameterError(
-            f"union built at depth {union.J} cannot serve depth {J_eval}")
-    c = np.zeros(union.nums.shape[0])
-    for j, n, w in _lf_row_factors(u, v, J_eval, params):
-        g = -(2.0 ** (j / alpha)) * 2.0 ** (-j * v) * w
-        for ix, weight in zip(union.row_maps[j], (g, -2.0 * g, g)):
-            np.add.at(c, ix[:n], weight)
-    return np.cumsum(c)[:-1]
+    # consistent lf builds the union, three points per far-past
+    # coefficient; every other block is at most 2**J long
+    check_size(3 * _lf_counts(J).coefficients
+               if which == "lf" and mode == "consistent" else 1 << J,
+               f"depth J = {J} needs an array of about")
+    acc = sum(float(np.sum(np.abs(w) ** alpha))
+              for w in _weights(which, u, v, alpha, J, mode))
+    return acc ** (1.0 / alpha)
 
 
 def truncated_scale_hf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J recent-scales truncation (J >= 0)."""
-    u, v, alpha = _scale_point(u, v, alpha)
-    _check_depth(J, "hf", lambda J: 1 << J)
-    if mode == "consistent":
-        w = _hf_cell_averages(u, v, alpha, J)
-        return float(np.sum(np.abs(w) ** alpha) * 2.0 ** (-J)) ** (1.0 / alpha)
-    if mode == "independent":
-        params = KernelParams(alpha)
-        acc = box(u, v, params) ** alpha
-        for j in range(J):
-            ks = np.arange(1 << j, dtype=float)
-            w = theta(2.0 ** j * u - ks, v, params)
-            acc += 2.0 ** (-j * v * alpha) * float(np.sum(np.abs(w) ** alpha))
-        return acc ** (1.0 / alpha)
-    raise ParameterError(f"unknown mode {mode!r}")
+    return _truncated_scale("hf", u, v, alpha, J, mode)
 
 
 def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
                        mode: str = "consistent") -> float:
     """Exact stable scale of the depth-J far-past truncation (J >= 1)."""
-    u, v, alpha = _scale_point(u, v, alpha)
-    # consistent mode builds the union, three points per far-past
-    # coefficient; independent mode one row of factors at a time, 2**J long
-    _check_depth(J, "lf", lambda J: 3 * _lf_counts(J).coefficients
-                 if mode == "consistent" else 1 << J)
-    params = KernelParams(alpha)
-    if mode == "consistent":
-        union = _lf_union(J)
-        C = _lf_cumulative_weights(union, u, v, alpha, J, params)
-        return float(np.sum(np.abs(C) ** alpha * union.gaps)) ** (1.0 / alpha)
-    if mode == "independent":
-        acc = 0.0
-        for j, _, w in _lf_row_factors(u, v, J, params):
-            acc += 2.0 ** (-j * v * alpha) * float(np.sum(np.abs(w) ** alpha))
-        return acc ** (1.0 / alpha)
-    raise ParameterError(f"unknown mode {mode!r}")
+    return _truncated_scale("lf", u, v, alpha, J, mode)
 
 
 # ----------------------------------------------------- Monte Carlo drivers --
@@ -319,13 +316,25 @@ def _mc_replicates(alpha: float, seed: int, n: int, chunk: int,
     return out
 
 
-def _mc_points(pairs, alpha: float) -> list:
-    """Each pair's checked (u, v, alpha), refusing what the scale functions
-    refuse and an empty list."""
+def _mc_samples(which: str, pairs, alpha: float, J_list, n: int,
+                seed: int) -> dict:
+    """{J: (n, len(pairs)) replicates} of the consistent-mode depth-J
+    truncations of ``which``, each pair's weights at every depth of J_list
+    against one draw over the deepest depth's increments."""
+    J_list = sorted(check_depth("J", J, DEPTH_FLOOR[which]) for J in J_list)
+    if not J_list:
+        raise ParameterError("J_list must hold integers >= 1")
+    chunk = _MC_HF_CHUNK if which == "hf" else _MC_LF_CHUNK
+    # one chunk's draw is chunk replicates' columns
+    check_size(chunk * mc_columns(which, J_list[-1]),
+               f"depth J = {J_list[-1]} needs an array of about")
     points = [_scale_point(u, v, alpha) for u, v in pairs]
     if not points:
         raise ParameterError("pairs must hold at least one (u, v)")
-    return points
+    union = _lf_union(J_list[-1]) if which == "lf" else None
+    W = [np.stack([next(_weights(which, u, v, alpha, J, "consistent", union))
+                   for u, v, _ in points], axis=1) for J in J_list]
+    return dict(zip(J_list, _mc_replicates(alpha, seed, n, chunk, W)))
 
 
 def mc_x1_samples(pairs, alpha: float, J: int, n: int,
@@ -338,12 +347,7 @@ def mc_x1_samples(pairs, alpha: float, J: int, n: int,
     be >= 0; a pair that the scale functions refuse is refused here too,
     and so is an empty ``pairs``.
     """
-    # one chunk's draw is _MC_HF_CHUNK replicates' columns
-    _check_depth(J, "hf", lambda J: _MC_HF_CHUNK * mc_columns("hf", J))
-    points = _mc_points(pairs, alpha)
-    W = np.stack([_hf_cell_averages(u, v, alpha, J) * 2.0 ** (-J / alpha)
-                  for u, v, _ in points], axis=1)
-    return _mc_replicates(alpha, seed, n, _MC_HF_CHUNK, [W])[0]
+    return _mc_samples("hf", pairs, alpha, [J], n, seed).popitem()[1]
 
 
 def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
@@ -355,20 +359,7 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     Depths must be >= 1; pairs that the scale functions refuse, and an
     empty ``pairs``, are refused.
     """
-    J_list = sorted(check_depth("J", J, DEPTH_FLOOR["lf"]) for J in J_list)
-    if not J_list:
-        raise ParameterError("J_list must hold integers >= 1")
-    # one chunk's draw is _MC_LF_CHUNK replicates' columns
-    _check_depth(J_list[-1], "lf",
-                 lambda J: _MC_LF_CHUNK * mc_columns("lf", J))
-    points = _mc_points(pairs, alpha)
-    params = KernelParams(alpha)
-    union = _lf_union(J_list[-1])
-    root = union.gaps ** (1.0 / alpha)
-    W = [np.stack([-_lf_cumulative_weights(union, u, v, alpha, J, params)
-                   * root for u, v, _ in points], axis=1) for J in J_list]
-    return dict(zip(J_list,
-                    _mc_replicates(alpha, seed, n, _MC_LF_CHUNK, W)))
+    return _mc_samples("lf", pairs, alpha, J_list, n, seed)
 
 
 # ------------------------------------------------------ convergence study --

@@ -25,14 +25,16 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import (check_scale_samples, convergence_study, estimate_scale,
-                       far_past_study_work, mc_columns, mc_x1_samples,
-                       mc_x2_samples, truncated_scale_hf, truncated_scale_lf,
-                       x1_theoretical_scale, x2_theoretical_scale)
+from .analysis import (_weight_evals, check_scale_samples, convergence_study,
+                       estimate_scale, far_past_study_work, mc_columns,
+                       mc_x1_samples, mc_x2_samples, truncated_scale_hf,
+                       truncated_scale_lf, x1_theoretical_scale,
+                       x2_theoretical_scale)
 from .errors import ConfigError, HaarLmsmError
 from .lmsm import (PROFILE_PARAMS, hurst_preset, read_path_csv,
                    synthesize_path, write_path_csv, write_text_atomic)
-from .series import DEPTH_FLOOR, WHICH, evaluate_field, terms_per_point
+from .series import (DEPTH_FLOOR, WHICH, check_uv, evaluate_field,
+                     terms_per_point)
 from .stable_rng import (MODES, check_depth, check_size,
                          generate_coefficients, prefix_sums)
 
@@ -353,6 +355,7 @@ def _run_field(config: RunConfig) -> int:
         v_values = sorted(float(x) for x in config.v_values.split(","))
     except ValueError:
         raise ConfigError(f"bad v_values list {config.v_values!r}")
+    check_uv(0.0, v_values, config.alpha)
     if config.u_points < 2:
         raise ConfigError(f"u_points must be >= 2, got {config.u_points}")
     J = config.J if config.J is not None else (
@@ -429,12 +432,14 @@ def _run_scale_check(config: RunConfig) -> int:
     which = config.which or "hf"
     J = config.J if config.J is not None else (14 if which == "hf" else 9)
     alpha, n, pairs = config.alpha, config.n_samples, SCALE_CHECK_PAIRS
+    # refused before any draw or kernel value: too few replicates to
+    # estimate a scale, or more draws or kernel values than the budget
+    J = check_depth("J", J, DEPTH_FLOOR[which])
     if config.mode == "consistent":
-        # refused before any draw: too few replicates to estimate a scale,
-        # or more draws than the budget
         check_scale_samples(n)
-        J = check_depth("J", J, DEPTH_FLOOR[which])
         _check_work("scale-check", n, 0, mc_columns(which, J))
+    else:
+        _check_work("scale-check", len(pairs), _weight_evals(which, J))
     limit = x1_theoretical_scale if which == "hf" else x2_theoretical_scale
     theory = [limit(u, v, alpha) for u, v in pairs]
     if config.mode == "consistent":

@@ -1,5 +1,6 @@
 """Tests for scale oracles, Monte Carlo drivers, and convergence studies."""
 
+import ast
 import os
 
 import numpy as np
@@ -17,9 +18,8 @@ from haarlmsm.analysis import (
     truncated_scale_lf,
     x1_theoretical_scale,
     x2_theoretical_scale,
-    _hf_cell_averages,
-    _lf_cumulative_weights,
     _row_medians,
+    _weights,
     _x1_row_on_dyadic,
 )
 from haarlmsm.errors import ParameterError, StatisticsError
@@ -27,6 +27,7 @@ from haarlmsm.kernels import KernelParams, theta
 from haarlmsm.lmsm import synthesize_path
 from haarlmsm.series import far_past_terms, x1_partial, x2_partial
 from haarlmsm.stable_rng import (
+    MODES,
     generate_coefficients,
     make_rng,
     prefix_sums,
@@ -230,28 +231,78 @@ def test_truncated_lf_scale_frozen_regression():
             assert abs(truncated_scale_lf(u, v, ALPHA, J) - ref) < 1e-10
 
 
-def test_hf_weight_route_reproduces_series():
-    # the cell-average rewriting must give the same number as evaluating
-    # the truncated series on the same realization
-    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314)
-    ps = prefix_sums(pyr)
-    dz = np.diff(pyr.hf_values)
-    for (u, v) in ((0.25, 0.7), (0.63, 0.8), (1.0, 0.75)):
-        w = _hf_cell_averages(u, v, ALPHA, 10)
-        direct = x1_partial(u, v, pyr, ps, 10)
-        assert abs(float(w @ dz) - direct) <= 1e-10 * max(1.0, abs(direct))
+def _weight_route_points(alpha):
+    # (u, v) across the band (1/alpha, 1) of each alpha
+    lo = 1.0 / alpha
+    return [(u, lo + t * (1.0 - lo))
+            for u, t in ((0.25, 0.2), (0.63, 0.5), (1.0, 0.9))]
 
 
-def test_lf_weight_route_reproduces_series():
-    pyr = generate_coefficients(ALPHA, 10, 6, "consistent", 314)
+def _assert_weights_reproduce(which, alpha, J, mode, drivers, series_at):
+    # the weights dotted with the standardized drivers of the realization
+    # give the naive series on it, to roundoff of their terms
+    for u, v in _weight_route_points(alpha):
+        w = np.concatenate(list(_weights(which, u, v, alpha, J, mode)))
+        direct = series_at(u, v)
+        assert w.size == drivers.size
+        assert abs(float(w @ drivers) - direct) <= \
+            1e-13 * float(np.sum(np.abs(w * drivers))), (u, v)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("mode", MODES)
+def test_hf_weight_route_reproduces_series(mode, alpha):
+    # consistent: the cell increments over their scale 2**(-J/alpha);
+    # independent: z1, then the rows
+    J = 10
+    pyr = generate_coefficients(alpha, J, 6, mode, 314)
     ps = prefix_sums(pyr)
-    union = _lf_union(6)
-    params = KernelParams(ALPHA)
-    dz = np.diff(pyr.lf_values)
-    for (u, v) in ((0.25, 0.7), (0.63, 0.8), (1.0, 0.75)):
-        C = _lf_cumulative_weights(union, u, v, ALPHA, 6, params)
-        direct = x2_partial(u, v, pyr, ps, 6)
-        assert abs(float(-(C @ dz)) - direct) <= 1e-10 * max(1.0, abs(direct))
+    drivers = (np.diff(pyr.hf_values) * 2.0 ** (J / alpha)
+               if mode == "consistent" else
+               np.concatenate([[pyr.z1], *pyr.hf]))
+    _assert_weights_reproduce(
+        "hf", alpha, J, mode, drivers,
+        lambda u, v: x1_partial(u, v, pyr, ps, J, method="naive"))
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize("mode", MODES)
+def test_lf_weight_route_reproduces_series(mode, alpha):
+    # consistent: the increments between union points over their scales
+    # gap**(1/alpha); independent: the rows in _lf_rows order
+    J = 6
+    pyr = generate_coefficients(alpha, 10, J, mode, 314)
+    ps = prefix_sums(pyr)
+    drivers = (np.diff(pyr.lf_values) / _lf_union(J).gaps ** (1.0 / alpha)
+               if mode == "consistent" else np.concatenate(pyr.lf))
+    _assert_weights_reproduce(
+        "lf", alpha, J, mode, drivers,
+        lambda u, v: x2_partial(u, v, pyr, ps, J, method="naive"))
+
+
+def test_weights_refuse_a_shallower_union():
+    # a deeper union serves a shallower depth, never the other way round
+    next(_weights("lf", 0.5, 0.8, ALPHA, 5, "consistent", _lf_union(6)))
+    with pytest.raises(ParameterError, match="depth 5 cannot serve depth 6"):
+        next(_weights("lf", 0.5, 0.8, ALPHA, 6, "consistent", _lf_union(5)))
+
+
+def test_kernels_are_called_only_for_weights_and_dyadic_rows():
+    # the scales and the Monte Carlo take every kernel value through
+    # _weights, so its count prices them all; the convergence study's FFT
+    # rows are the one other caller
+    with open(analysis.__file__) as fh:
+        tree = ast.parse(fh.read(), analysis.__file__)
+
+    def calls(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and getattr(n.func, "id", None) in ("box", "theta")]
+
+    allowed = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+               and n.name in ("_weights", "_x1_row_on_dyadic")]
+    assert len(allowed) == 2
+    inside = [line for fn in allowed for line in calls(fn)]
+    assert inside and sorted(inside) == sorted(calls(tree))
 
 
 def test_mc_x1_matches_exact_scale():

@@ -589,6 +589,11 @@ def test_depths_past_the_budget_refused_first(argv, depth, tmp_path,
     ["scale-check", "--which", "hf", "--J", "13", "--n-samples", "999"],
     # a far-past depth below its floor
     ["scale-check", "--which", "lf", "--J", "0"],
+    # an exponent outside (1/alpha, 1) or NaN, however deep the pyramid
+    ["field", "--v-values", "0.5"],
+    ["field", "--v-values", "nan"],
+    ["field", "--v-values", "0.7,1.0"],
+    ["field", "--which", "hf", "--J", "16", "--v-values", "0.5,0.7"],
 ], ids=" ".join)
 def test_refusals_come_before_any_draw(argv, monkeypatch, tmp_path, capsys):
     # every pyramid, Monte Carlo driver and stable draw fails if reached,
@@ -635,6 +640,28 @@ def test_scale_check_counts_its_draws(monkeypatch, tmp_path, capsys):
                  ["--which", "lf", "--J", "12",
                   "--n-samples", str(lf_most + 1)]):
         _assert_refused(["scale-check", *argv], tmp_path, capsys)
+
+
+def test_scale_check_prices_independent_weights(monkeypatch, tmp_path,
+                                                capsys):
+    # independent mode takes 2**J kernel values per pair (hf) or two per
+    # far-past coefficient (lf), priced for its six pairs as table entries
+    # before any kernel value is taken
+    def kernel(*args, **kwargs):
+        raise RuntimeError("kernel")
+
+    monkeypatch.setattr(haarlmsm.analysis, "theta", kernel)
+    monkeypatch.setattr(haarlmsm.analysis, "box", kernel)
+    head = ["scale-check", "--mode", "independent", "--which"]
+    for which, J in (("hf", 25), ("lf", 22)):
+        assert main([*head, which, "--J", str(J),
+                     "--out", str(tmp_path / "s")]) == 3, which
+        assert capsys.readouterr().err.endswith("RuntimeError: kernel\n")
+    for which, J, need in (("hf", 26, "2**28.58"), ("lf", 23, "2**28.17")):
+        assert main([*head, which, "--J", str(J),
+                     "--out", str(tmp_path / "s")]) == 2, which
+        assert f"needs about {need} table entries" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # A fresh interpreter imports the package and runs one tiny command, then

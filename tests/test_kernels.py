@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from haarlmsm import kernels
-from haarlmsm.analysis import _hf_cell_averages
+from haarlmsm.analysis import _weights
 from haarlmsm.errors import ParameterError
 from haarlmsm.kernels import (
     D5,
@@ -490,7 +490,8 @@ def test_box_and_cell_averages_match_40_digit_references():
         got = box(x, v, KernelParams(alpha))
         assert abs(got / want - 1.0) <= 1e-14, (alpha, v, x)
     for (alpha, v, u, J, i), want in HF_CELL_AVERAGES_40_DIGITS.items():
-        got = _hf_cell_averages(u, v, alpha, J)[i]
+        got = next(_weights("hf", u, v, alpha, J, "consistent"))[i] \
+            * 2.0 ** (J / alpha)
         assert abs(got / want - 1.0) <= 1e-14, (alpha, v, u, J, i)
 
 
