@@ -49,7 +49,7 @@ asymptotic rate already at J = 6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -156,12 +156,7 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
     relative error stays at one rounding next to the band edge; a v that
     does not exceed 1/alpha exactly raises ParameterError.
     """
-    return _x2_scale(*_scale_point(u, v, alpha))
-
-
-@lru_cache(maxsize=None)
-def _x2_scale(u: float, v: float, alpha: float) -> float:
-    """x2_theoretical_scale at a checked float point, cached by its value."""
+    u, v, alpha = _scale_point(u, v, alpha)
     # p correctly rounded: v - 1.0 / alpha would carry the rounding of
     # 1/alpha, a large share of p next to the band edge.  fractions is
     # imported here to keep decimal off every command's start-up.
@@ -404,8 +399,7 @@ class ConvergenceReport:
     ``norms[p, r]`` is the sup-grid norm of the depth J_list[p] + 1 field
     minus the depth J_list[p] field in replicate r, maximized over the
     exponent grid.  ``fitted_slope`` is the least-squares slope of
-    log2(median norm) against J, or None when J_list has a single entry
-    (flagged ``no_slope``).
+    log2(median norm) against J, or None when J_list has a single entry.
     """
 
     which: str
@@ -419,7 +413,6 @@ class ConvergenceReport:
     grid_spec: str
     seeds: list
     replicates: int
-    flags: list = field(default_factory=list)
 
 
 def convergence_study(which: str, alpha: float, v_range, J_list,
@@ -435,12 +428,12 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     and shared by the replicates, which changes no bit of the norms against
     evaluating each replicate on its own.  ``v_range`` is (a, b); norms are
     maximized over the exponents {a, (a+b)/2, b}.  Fewer than 8 replicates
-    raises StatisticsError; a single-entry J_list yields no slope and is
-    flagged.  The fitted slope is compared against -(a - 1/alpha) for the
-    recent-scales half (its slowest decay sits at the lower exponent) and
-    -(1 - b) for the far past.  A study whose stacked rows, or lines of
-    differences, would hold more than MAX_VALUES values in all is refused
-    before any draw.
+    raises StatisticsError; a single-entry J_list yields no slope.  The
+    fitted slope is compared against -(a - 1/alpha) for the recent-scales
+    half (its slowest decay sits at the lower exponent) and -(1 - b) for
+    the far past.  A study whose stacked rows, or lines of differences,
+    would hold more than MAX_VALUES values in all is refused before any
+    draw.
     """
     if which not in ("hf", "lf"):
         raise ParameterError(f"which must be 'hf' or 'lf', got {which!r}")
@@ -460,7 +453,6 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
     # not np.unique, which imports numpy.ma
     v_grid = np.array(sorted({a, 0.5 * (a + b), b}))
     params = KernelParams(alpha)
-    flags = []
     depth = J_list[-1] + 1
     u_grid = np.linspace(0.0, 1.0, _LF_POINTS)
     # each replicate's rows, stacked, and its lines of differences
@@ -504,14 +496,13 @@ def convergence_study(which: str, alpha: float, v_range, J_list,
                                   np.log2(medians), 1)[0])
     else:
         fitted = None
-        flags.append("no_slope")
     theoretical = -(a - 1.0 / alpha) if which == "hf" else -(1.0 - b)
     grid_spec = (f"dyadic level min(J+1, {_HF_LEVEL}) on [0, 1]"
                  if which == "hf" else f"uniform {_LF_POINTS} points on [0, 1]")
     return ConvergenceReport(
         which=which, alpha=alpha, v_grid=v_grid, J_list=J_list, norms=norms,
         medians=medians, fitted_slope=fitted, theoretical_slope=theoretical,
-        grid_spec=grid_spec, seeds=seeds, replicates=replicates, flags=flags)
+        grid_spec=grid_spec, seeds=seeds, replicates=replicates)
 
 
 def far_past_study_work(J_list) -> tuple:

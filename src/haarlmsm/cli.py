@@ -35,7 +35,7 @@ from .lmsm import (PROFILE_PARAMS, hurst_preset, read_path_csv,
                    synthesize_path, write_path_csv, write_text_atomic)
 from .series import (DEPTH_FLOOR, WHICH, check_uv, evaluate_field,
                      terms_per_point)
-from .stable_rng import (MODES, check_depth, check_size,
+from .stable_rng import (MODES, _check_pyramid, check_depth, check_size,
                          generate_coefficients, prefix_sums)
 
 # Fig. 1 style demonstration setups: exponent profile, stability index,
@@ -327,8 +327,8 @@ def _check_work(command: str, count: int, entries: int,
 def _run_simulate(config: RunConfig) -> int:
     """Synthesize one path to CSV+SVG."""
     H = parse_hurst_spec(config.hurst)
-    J_hf = check_depth("J_hf", config.J_hf, 1)
-    J_lf = check_depth("J_lf", config.J_lf, 2)
+    J_hf, J_lf = config.J_hf, config.J_lf
+    _check_pyramid(config.alpha, J_hf, J_lf, config.mode)
     n = config.n_points if config.n_points is not None else (1 << J_hf) + 1
     if n < 1:
         raise ConfigError(f"n_points must be >= 1, got {n}")
@@ -337,7 +337,7 @@ def _run_simulate(config: RunConfig) -> int:
                 terms_per_point(J_hf, "hf") + terms_per_point(J_lf, "lf"))
     t_grid = np.linspace(0.0, 1.0, n)
     sample = synthesize_path(
-        config.alpha, H, t_grid=t_grid, J_hf=config.J_hf, J_lf=config.J_lf,
+        config.alpha, H, t_grid=t_grid, J_hf=J_hf, J_lf=J_lf,
         seed=config.seed, mode=config.mode,
         allow_boundary=config.allow_boundary)
     sample.config["cli"] = _config_echo(config)
@@ -358,6 +358,8 @@ def _run_field(config: RunConfig) -> int:
     check_uv(0.0, v_values, config.alpha)
     if config.u_points < 2:
         raise ConfigError(f"u_points must be >= 2, got {config.u_points}")
+    check_size(config.u_points * len(v_values), "a field of")
+    _check_pyramid(config.alpha, config.J_hf, config.J_lf, config.mode)
     J = config.J if config.J is not None else (
         config.J_hf if which == "hf" else config.J_lf)
     # refused at the floor of the series that which names, before any draw
@@ -369,8 +371,8 @@ def _run_field(config: RunConfig) -> int:
     # on the far past's depth, so J does not size it (the lf rows depend on
     # J_hf in independent mode, so J still sizes J_hf for the lf fields)
     pyr = generate_coefficients(
-        config.alpha, max(J, config.J_hf, 1),
-        max(config.J_lf if which == "hf" else J, config.J_lf, 2),
+        config.alpha, max(J, config.J_hf),
+        config.J_lf if which == "hf" else max(J, config.J_lf),
         config.mode, config.seed)
     ps = prefix_sums(pyr)
     values = evaluate_field(u_grid, v_values, pyr, ps, J, which)

@@ -47,11 +47,10 @@ from .errors import ParameterError
 # Weights of the five-term form of big_theta over offsets l/2, l = 0..4.
 D5 = (1.0, -2.0, 0.0, 2.0, -1.0)
 
-_MIN_SWITCH_X = 4.0
 # a tail term below this fraction of the sum is under half an ulp of it
 _TAIL_TOL = 1e-17
-# stencil moments stored: the kernels' slowest tail (x = 4) needs 33 and
-# 66, theta_taylor's at r = 30 and k = 17 needs 84
+# stencil moments stored: the kernels' slowest tail (just past x = 8)
+# needs 23 and 35, theta_taylor's at r = 30 and k = 17 needs 84
 _MOMENTS = 128
 
 
@@ -63,25 +62,26 @@ def check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Stability index and the crossover point of the large-x evaluation.
+    """Stability index of the kernels.
 
-    ``switch_x`` may be anything >= 4 (the tail series converges for any
-    x > 2).  The default sits low on purpose: the direct bracket loses about
+    The kernels take the closed form up to x = ``switch_x`` and the tail
+    series beyond it.  The crossover is fixed at 8, a class constant and
+    not a field.  It sits low on purpose: the direct bracket loses about
     2*log2(x) bits to cancellation, which already costs eight digits of the
     result near x ~ 1e4, while the tail series holds full precision from
-    x = 4 on.  Direct evaluation below 8 stays comfortably accurate.
+    x = 4 on (it converges for any x > 2).  Direct evaluation below 8
+    stays comfortably accurate.  ``theta_taylor`` takes k above the
+    crossover, so the far-past moment rule's lo >= 16 (its first k is
+    lo + 1) needs it below 17.
     """
 
     alpha: float
-    switch_x: float = 8.0
+    switch_x = 8.0
 
     def __post_init__(self):
         check_alpha(self.alpha)
         # a numpy float32 alpha would put every 1/alpha in float32
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not self.switch_x >= _MIN_SWITCH_X:
-            raise ParameterError(
-                f"switch_x must be at least 4, got {self.switch_x}")
 
 
 def _check_v(v, alpha: float) -> None:

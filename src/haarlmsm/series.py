@@ -99,10 +99,11 @@ def check_uv(u, v, alpha: float):
 DEPTH_FLOOR = {"hf": 0, "lf_plus": 1, "lf_minus": 2, "lf": 1, "total": 1}
 
 
-def _check_call(method: str, J, which: str,
-                pyramid: CoefficientPyramid) -> None:
-    """Refuse an unknown method, or a J below the floor of ``which`` or
-    past the depth the pyramid stores for its half."""
+def _check_call(method: str, J, which: str, pyramid: CoefficientPyramid,
+                prefix: PrefixSums) -> None:
+    """Refuse an unknown method, a J below the floor of ``which`` or past
+    the depth the pyramid stores for its half, or running sums whose
+    alpha or depths are not the pyramid's."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     check_depth("J", J, DEPTH_FLOOR[which])
@@ -111,6 +112,11 @@ def _check_call(method: str, J, which: str,
     if J > stored:
         raise DepthError(
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
+    got = (prefix.alpha, prefix.J_hf, prefix.J_lf)
+    want = (pyramid.alpha, pyramid.J_hf, pyramid.J_lf)
+    if got != want:
+        raise ParameterError(f"prefix sums of (alpha, J_hf, J_lf) = {got} "
+                             f"do not match the pyramid's {want}")
 
 
 def _row_sums(kernel, u, v, rows, params, anchored=False):
@@ -222,7 +228,7 @@ def x1_partial(u, v, pyramid: CoefficientPyramid, prefix: PrefixSums,
     """Recent-scales half truncated at depth J (J = 0: the leading term
     only).  u and v are scalars (a float is returned) or equal-length 1-d
     arrays, or one of each; each row is summed for all points at once."""
-    _check_call(method, J, "hf", pyramid)
+    _check_call(method, J, "hf", pyramid, prefix)
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     total = box(u, v, params) * pyramid.z1
@@ -254,7 +260,7 @@ def _x2(u, v, pyramid, prefix, J, method, which):
     anchored by the kernel at its k alone, kernel(k, v), which does not
     depend on the row: every row's k are a prefix of one ks, so _row_sums
     builds the anchor once per block of points."""
-    _check_call(method, J, which, pyramid)
+    _check_call(method, J, which, pyramid, prefix)
     u, v, scalar = check_uv(u, v, pyramid.alpha)
     params = KernelParams(pyramid.alpha)
     naive = method == "naive"

@@ -594,16 +594,27 @@ def test_depths_past_the_budget_refused_first(argv, depth, tmp_path,
     ["field", "--v-values", "nan"],
     ["field", "--v-values", "0.7,1.0"],
     ["field", "--which", "hf", "--J", "16", "--v-values", "0.5,0.7"],
+    # a pyramid depth below its floor, however deep --J sizes the pyramid
+    ["field", "--which", "hf", "--J", "3", "--J-hf", "0"],
+    ["field", "--which", "hf", "--J", "3", "--J-hf", "-5"],
+    ["field", "--which", "hf", "--J", "3", "--J-lf", "-7"],
+    ["field", "--which", "lf", "--J", "3", "--J-lf", "1"],
+    # a grid of 2e8 values, past the values budget though its work of one
+    # term a value is under the work budget
+    ["field", "--which", "hf", "--J", "0", "--u-points", "200000000",
+     "--v-values", "0.7"],
 ], ids=" ".join)
 def test_refusals_come_before_any_draw(argv, monkeypatch, tmp_path, capsys):
-    # every pyramid, Monte Carlo driver and stable draw fails if reached,
-    # so each of these exits 2 only if it is refused before drawing
+    # every pyramid, Monte Carlo driver, stable draw and field grid fails
+    # if reached, so each of these exits 2 only if it is refused before
+    # drawing or allocating
     def no_draw(*args, **kwargs):
         raise AssertionError("drew")
 
     for name in ("generate_coefficients", "synthesize_path", "mc_x1_samples",
                  "mc_x2_samples", "convergence_study"):
         monkeypatch.setattr(cli, name, no_draw)
+    monkeypatch.setattr(cli.np, "linspace", no_draw)
     monkeypatch.setattr(haarlmsm.stable_rng, "sample_sas", no_draw)
     monkeypatch.setattr(haarlmsm.analysis, "sample_sas", no_draw)
     _assert_refused(argv, tmp_path, capsys)

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 from decimal import Decimal, localcontext
 
@@ -24,6 +25,13 @@ from haarlmsm.series import check_uv
 from oracles import theta_taylor_rows, truncated_power
 
 ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx, box)
+
+# each kernel's stencil weights over offsets l/2, and whether it is the
+# integrated form (exponent q = 1 + v - 1/alpha, divided by q) or the
+# derivative (exponent v - 1/alpha)
+STENCILS = ((theta, (1.0, -2.0, 1.0), True), (big_theta, D5, True),
+            (dtheta_dx, (1.0, -2.0, 1.0), False), (dbig_theta_dx, D5, False),
+            (box, (1.0, 0.0, -1.0), True))
 
 
 def test_truncated_power_basics():
@@ -113,19 +121,22 @@ def test_derivative_matches_finite_difference():
 
 
 def test_tail_series_agrees_with_direct():
-    """Crossover at 8 against pure closed forms, all five kernels.
+    """The tail series past the crossover at 8 against the float64 closed
+    form, a stencil sum of truncated powers, all five kernels.
 
     The window stops at 32 because beyond that the closed forms themselves
     start losing digits to cancellation (2-3 decimal digits per decade of x)
     and would no longer serve as a 1e-9 reference.
     """
-    early = KernelParams(alpha=1.5, switch_x=8.0)
-    late = KernelParams(alpha=1.5, switch_x=1e9)
+    params = KernelParams(alpha=1.5)
     xs = np.geomspace(8.01, 24.0, 200)
     for v in (0.62, 0.7, 0.75, 0.9):
-        for f in ALL_FUNCS:
-            a = f(xs, v, early)
-            b = f(xs, v, late)
+        for f, weights, divide in STENCILS:
+            e = 1.0 + v - 1.0 / 1.5 if divide else v - 1.0 / 1.5
+            direct = sum(w * truncated_power(xs - 0.5 * l, e)
+                         for l, w in enumerate(weights))
+            b = direct / e if divide else direct
+            a = f(xs, v, params)
             rel = np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
             assert np.max(rel) < 1e-9, (f.__name__, v)
 
@@ -147,30 +158,33 @@ def test_kernels_match_high_precision_closed_form():
     """All five kernels against the closed form in 50-digit decimal.
 
     The tail series must hold full double precision everywhere beyond
-    switch_x, including just past it in a call whose other arguments are
-    huge, since the term count is fixed per call from the smallest one.
+    the crossover, including just past it in a call whose other arguments
+    are huge, since the term count is fixed per call from the smallest one.
     """
-    cases = ((theta, (1.0, -2.0, 1.0), True), (big_theta, D5, True),
-             (dtheta_dx, (1.0, -2.0, 1.0), False), (dbig_theta_dx, D5, False),
-             (box, (1.0, 0.0, -1.0), True))
     near = 1.0 + np.array([1e-12, 1e-6, 1e-2])
     xs = np.concatenate([np.geomspace(1e-3, 1e6, 64), 4.0 * near, 8.0 * near])
+    tail = xs > 8.0
     for alpha in (1.05, 1.5, 1.95):
         for v in (1.0 / alpha + 0.01, 0.75, 0.99):
-            for f, weights, divide in cases:
+            for f, weights, divide in STENCILS:
                 e = (1.0 + v - 1.0 / alpha) if divide else v - 1.0 / alpha
                 want = np.array([_stencil_50_digits(x, e, weights, divide)
                                  for x in xs])
-                for switch_x in (4.0, 8.0):
-                    got = f(xs, v, KernelParams(alpha, switch_x))
-                    rel = np.abs(got - want) / np.abs(want)
-                    tail = xs > switch_x
-                    assert np.max(rel[tail]) <= 4e-15, (f.__name__, alpha, v)
-                    assert np.max(rel[~tail]) <= 1e-10, (f.__name__, alpha, v)
+                got = f(xs, v, KernelParams(alpha))
+                rel = np.abs(got - want) / np.abs(want)
+                assert np.max(rel[tail]) <= 4e-15, (f.__name__, alpha, v)
+                assert np.max(rel[~tail]) <= 1e-10, (f.__name__, alpha, v)
+
+
+def test_crossover_is_a_constant():
+    # the kernels take alpha alone; the crossover at 8 is a class constant
+    # that callers, and tracers counting each branch's values, read
+    assert list(inspect.signature(KernelParams).parameters) == ["alpha"]
+    assert KernelParams(1.5).switch_x == 8.0
 
 
 def test_large_x_power_law():
-    params = KernelParams(alpha=1.5, switch_x=1e3)
+    params = KernelParams(alpha=1.5)
     v = 0.75
     p = v - 1.0 / 1.5
     x = 1e5
@@ -185,8 +199,6 @@ def test_parameter_errors():
         KernelParams(alpha=1.0)
     with pytest.raises(ParameterError):
         KernelParams(alpha=2.0)
-    with pytest.raises(ParameterError):
-        KernelParams(alpha=1.5, switch_x=2.0)
     params = KernelParams(alpha=1.5)
     with pytest.raises(ParameterError):
         theta(1.0, 1.0, params)
@@ -208,8 +220,6 @@ def test_parameter_errors():
     for f in (theta, big_theta):
         with pytest.raises(ParameterError, match="x must be finite"):
             f(np.array([2.0, 1e300]), 0.99, params)
-        with pytest.raises(ParameterError, match="x must be finite"):
-            f(1e300, 0.99, KernelParams(alpha=1.5, switch_x=1e301))
     # a float32 alpha gives the float call's bits, and a v at or below the
     # float64 1/alpha is refused even when it passes the float32 1/alpha
     a32 = np.float32(1.7)
@@ -222,7 +232,7 @@ def test_parameter_errors():
 
 
 def test_scalar_and_array_paths_agree():
-    params = KernelParams(alpha=1.7, switch_x=8.0)
+    params = KernelParams(alpha=1.7)
     xs = np.array([0.3, 0.9, 4.0, 9.0, 1e4])
     for f in ALL_FUNCS:
         arr = f(xs, 0.8, params)
@@ -235,7 +245,7 @@ def test_array_v_matches_scalar_v():
     """A v that broadcasts against x gives, element by element, the bits of
     a call with that v as a scalar, on both branches of the stencil."""
     rng = np.random.default_rng(5)
-    params = KernelParams(alpha=1.5, switch_x=8.0)
+    params = KernelParams(alpha=1.5)
     x = np.concatenate([rng.uniform(-2.0, 12.0, 300),
                         rng.uniform(8.0, 1e5, 100)])
     v = rng.uniform(1.0 / 1.5 - 1.0 + 1e-3, 1.0 - 1e-3, x.size)

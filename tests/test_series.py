@@ -530,6 +530,24 @@ def test_depth_and_argument_errors():
         x1_partial(0.5, 0.8, pyr, ps, 2, method="exact")
 
 
+def test_prefix_sums_of_another_pyramid_refused():
+    # the abel route reads the running sums, not the pyramid's rows, so
+    # sums of another alpha or depth would give another field's values;
+    # both routes, on both halves and in a field, refuse them
+    pyr = generate_coefficients(ALPHA, 8, 6, "independent", 88)
+    for alpha, J_hf, J_lf in ((ALPHA, 4, 6), (ALPHA, 8, 3), (1.7, 8, 6)):
+        ps = prefix_sums(generate_coefficients(alpha, J_hf, J_lf,
+                                               "independent", 88))
+        for method in series.METHODS:
+            with pytest.raises(ParameterError, match="prefix sums"):
+                x1_partial(0.3, 0.8, pyr, ps, 3, method)
+            with pytest.raises(ParameterError, match="prefix sums"):
+                x2_partial(0.3, 0.8, pyr, ps, 3, method)
+        for which in WHICH:
+            with pytest.raises(ParameterError, match="prefix sums"):
+                evaluate_field([0.3], [0.8], pyr, ps, 2, which)
+
+
 def test_evaluate_field_matches_scalars():
     pyr = generate_coefficients(ALPHA, 4, 3, "consistent", 86)
     ps = prefix_sums(pyr)
