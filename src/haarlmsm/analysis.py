@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,7 +97,6 @@ _TS_WEIGHTS = (np.pi / 64.0 * np.cosh(_TS_T) * _TS_NODES
 
 # ---------------------------------------------------------------- scales --
 
-@lru_cache(maxsize=None)
 def first_abs_moment(alpha: float) -> float:
     """E|X| for the unit-scale symmetric stable law: (2/pi) Gamma(1 - 1/alpha)."""
     check_alpha(alpha)
@@ -326,6 +324,9 @@ def _mc_samples(which: str, pairs, alpha: float, J_list, n: int,
     points = [_scale_point(u, v, alpha) for u, v in pairs]
     if not points:
         raise ParameterError("pairs must hold at least one (u, v)")
+    # one weight column per pair and depth, each a row per draw column
+    check_size(len(J_list) * len(points) * mc_columns(which, J_list[-1]),
+               f"{len(points)} pairs at {len(J_list)} depths need weights of")
     union = _lf_union(J_list[-1]) if which == "lf" else None
     W = [np.stack([next(_weights(which, u, v, alpha, J, "consistent", union))
                    for u, v, _ in points], axis=1) for J in J_list]

@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
 from typing import get_type_hints
 
@@ -306,7 +306,8 @@ def _out_paths(config: RunConfig, fallback: str):
 
 def _write_csv(config: RunConfig, fallback: str, lines) -> str:
     """Write the '# config:' echo line and then ``lines`` to the run's CSV
-    path, atomically; returns the path."""
+    path, atomically; returns the path.  ``config`` holds the settings the
+    run used, defaults resolved (its which and J)."""
     csv_path, _ = _out_paths(config, fallback)
     echo = "# config: " + json.dumps(_config_echo(config), sort_keys=True)
     write_text_atomic(csv_path, "\n".join([echo, *lines]) + "\n")
@@ -380,7 +381,7 @@ def _run_field(config: RunConfig) -> int:
     for u, vals in zip(u_grid, values):
         row = ",".join(repr(float(x)) for x in vals)
         lines.append(f"{float(u)!r},{row}")
-    csv_path = _write_csv(config, "field", lines)
+    csv_path = _write_csv(replace(config, which=which, J=J), "field", lines)
     print(f"wrote {csv_path} "
           f"({config.u_points}x{len(v_values)} {which} values at J={J})")
     return 0
@@ -411,7 +412,7 @@ def _run_converge(config: RunConfig) -> int:
         cells = [str(J), repr(float(report.medians[p]))]
         cells += [repr(float(x)) for x in report.norms[p]]
         lines.append(",".join(cells))
-    csv_path = _write_csv(config, "converge", lines)
+    csv_path = _write_csv(replace(config, which=which), "converge", lines)
     print(f"convergence study {report.which}: alpha={config.alpha} "
           f"v={config.v} J={config.Jmin}..{config.Jmax} "
           f"replicates={config.replicates} seed={config.seed}")
@@ -464,7 +465,8 @@ def _run_scale_check(config: RunConfig) -> int:
         print(f"{u:6.2f} {v:6.2f} {est:12.6f} {tgt:12.6f} {dev:+9.2%}")
         lines.append(f"{float(u)!r},{float(v)!r},{J},{float(est)!r},"
                      f"{float(tgt)!r},{float(dev)!r}")
-    csv_path = _write_csv(config, "scale-check", lines)
+    csv_path = _write_csv(replace(config, which=which, J=J), "scale-check",
+                          lines)
     print(f"wrote {csv_path}")
     return 0
 

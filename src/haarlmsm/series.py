@@ -52,7 +52,8 @@ import numpy as np
 from .errors import DepthError, ParameterError
 from .kernels import (KernelParams, big_theta, box, check_alpha, theta,
                       theta_taylor)
-from .stable_rng import CoefficientPyramid, PrefixSums, _lf_rows, check_depth
+from .stable_rng import (CoefficientPyramid, PrefixSums, _lf_rows,
+                         check_depth, check_size)
 
 METHODS = ("naive", "abel")
 
@@ -102,8 +103,8 @@ DEPTH_FLOOR = {"hf": 0, "lf_plus": 1, "lf_minus": 2, "lf": 1, "total": 1}
 def _check_call(method: str, J, which: str, pyramid: CoefficientPyramid,
                 prefix: PrefixSums) -> None:
     """Refuse an unknown method, a J below the floor of ``which`` or past
-    the depth the pyramid stores for its half, or running sums whose
-    alpha or depths are not the pyramid's."""
+    the depth the pyramid stores for its half, or running sums of another
+    pyramid."""
     if method not in METHODS:
         raise ParameterError(f"method must be one of {METHODS}, got {method!r}")
     check_depth("J", J, DEPTH_FLOOR[which])
@@ -112,11 +113,9 @@ def _check_call(method: str, J, which: str, pyramid: CoefficientPyramid,
     if J > stored:
         raise DepthError(
             f"depth {J} exceeds the pyramid's {half} depth {stored}")
-    got = (prefix.alpha, prefix.J_hf, prefix.J_lf)
-    want = (pyramid.alpha, pyramid.J_hf, pyramid.J_lf)
-    if got != want:
-        raise ParameterError(f"prefix sums of (alpha, J_hf, J_lf) = {got} "
-                             f"do not match the pyramid's {want}")
+    if prefix.pyramid is not pyramid:
+        raise ParameterError("prefix sums of another pyramid: pass "
+                             "prefix_sums(pyramid)")
 
 
 def _row_sums(kernel, u, v, rows, params, anchored=False):
@@ -338,6 +337,7 @@ def evaluate_field(u_grid, v_grid, pyramid: CoefficientPyramid,
     """
     if which not in WHICH:
         raise ParameterError(f"which must be one of {WHICH}, got {which!r}")
+    check_size(len(u_grid) * len(v_grid), "a field of")
     values = np.empty((len(u_grid), len(v_grid)))
     for iv, v in enumerate(v_grid):
         values[:, iv] = sum(f(u_grid, v, pyramid, prefix, J)

@@ -6,11 +6,12 @@ every detail coefficient is read off that one realization through second
 differences, so refining the truncation depth never changes coefficients
 already drawn.  The far-past rows a depth keeps are listed once, by
 ``_lf_rows``, and the points they read are derived from them: the one
-far-past grid ``_lf_union``, from which ``analysis`` also takes its exact
-scales and Monte Carlo weights.  What a depth sizes (its coefficients,
-its union points and gaps, and the steps of the walk that draws them) is
-counted once, by ``_lf_counts``: the pyramid check, the walk, and every
-size check and work estimate in ``analysis`` read it.  In
+far-past grid ``_lf_union``, read off the rows in ascending order with no
+sort, from which ``analysis`` also takes its exact scales and Monte Carlo
+weights.  What a depth sizes (its coefficients, its union points and gaps,
+and the steps of the walk that draws them) is counted once, by
+``_lf_counts``: the pyramid check, the walk, and every size check and work
+estimate in ``analysis`` read it.  In
 ``independent`` mode each coefficient is an independent standard draw,
 which is cheaper and matches the coefficients' marginal law but not their
 joint law across scales.
@@ -303,17 +304,19 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
 
 
 class _Rows:
-    """Row lookup by scale, shared by the pyramid and its prefix sums."""
+    """Row lookup by scale, shared by the pyramid and its prefix sums; the
+    bounds are read off the rows: J_hf recent-scale, 2 J_lf - 1 far-past."""
 
     def hf_row(self, j: int) -> np.ndarray:
-        if not 0 <= j < self.J_hf:
-            raise ParameterError(f"no coarse-side row {j} (J_hf = {self.J_hf})")
+        if not 0 <= j < len(self.hf):
+            raise ParameterError(f"no coarse-side row {j} of {len(self.hf)}")
         return self.hf[j]
 
     def lf_row(self, j: int) -> np.ndarray:
-        if not -self.J_lf < j < self.J_lf:
-            raise ParameterError(f"no far-past row {j} (J_lf = {self.J_lf})")
-        return self.lf[j + self.J_lf - 1]
+        J_lf = (len(self.lf) + 1) // 2
+        if not -J_lf < j < J_lf:
+            raise ParameterError(f"no far-past row {j} (J_lf = {J_lf})")
+        return self.lf[j + J_lf - 1]
 
 
 @dataclass(eq=False)
@@ -396,14 +399,20 @@ class _LfUnion:
 
 @lru_cache(maxsize=4)
 def _lf_union(J: int) -> _LfUnion:
-    raw = {}
+    raw, parts = {}, []
     for j, n in _lf_rows(J):
         step = 1 << (J - j)
         left = -np.arange(1, n + 1, dtype=np.int64) * step
         raw[j] = (left, left + step // 2, left + step)
-    # not np.unique (imports numpy.ma) nor np.sort (maps 0.4 MB of SIMD code)
-    nums = np.array(sorted(set(np.concatenate(
-        [p for abm in raw.values() for p in abm]).tolist())), dtype=np.int64)
+        # row j >= 0 reads the multiples of step / 2 from -n step to 0; the
+        # next finer row reads those from n step / 4 on, and a row j < 0 a
+        # subset of row 0's, so the parts ascend with no sort (np.sort maps
+        # 0.4 MB of SIMD code) and no set (np.unique imports numpy.ma)
+        if j >= 0:
+            stop = 1 if j == J - 1 else -(n * step // 4)
+            parts.append(np.arange(-n * step, stop, step // 2,
+                                   dtype=np.int64))
+    nums = np.concatenate(parts)
     row_maps = {j: tuple(np.searchsorted(nums, p) for p in abm)
                 for j, abm in raw.items()}
     return _LfUnion(J=J, nums=nums, gaps=np.diff(nums * 2.0 ** (-J)),
@@ -531,19 +540,16 @@ class PrefixSums(_Rows):
 
     Coarse-side row j holds lambda_k = sum of the first k + 1 coefficients;
     far-past row j holds lambda_k = sum of coefficients at positions
-    -1..-k, stored at entry k - 1.
+    -1..-k, stored at entry k - 1.  ``pyramid`` is the pyramid summed; the
+    series refuse sums of any other.
     """
 
-    alpha: float
-    J_hf: int
-    J_lf: int
+    pyramid: CoefficientPyramid
     hf: list
     lf: list
 
 
 def prefix_sums(pyramid: CoefficientPyramid) -> PrefixSums:
     """Cumulative sums of every row of the pyramid."""
-    return PrefixSums(alpha=pyramid.alpha, J_hf=pyramid.J_hf,
-                      J_lf=pyramid.J_lf,
-                      hf=[np.cumsum(r) for r in pyramid.hf],
+    return PrefixSums(pyramid, hf=[np.cumsum(r) for r in pyramid.hf],
                       lf=[np.cumsum(r) for r in pyramid.lf])

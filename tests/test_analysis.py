@@ -394,14 +394,20 @@ def test_mc_x2_matches_exact_scale_with_common_draws():
     lambda: mc_x2_samples([(-3.0, 0.7)], ALPHA, [2], 4, 1),
     lambda: mc_x1_samples([], ALPHA, 4, 4, 1),
     lambda: mc_x2_samples([], ALPHA, [2], 4, 1),
+    # stacked weights (pairs x depths x the deepest depth's draw columns)
+    # over MAX_VALUES, though one chunk's draw is not
+    lambda: mc_x1_samples([(0.5, 0.75)] * 3000, ALPHA, 15, 1000, 1),
+    lambda: mc_x2_samples([(0.5, 0.75)] * 600, ALPHA, range(3, 13), 1000, 1),
 ], ids=["hf u past 1", "hf v below 1/alpha", "lf u below 0", "hf no pairs",
-        "lf no pairs"])
+        "lf no pairs", "hf weights over the budget",
+        "lf weights over the budget"])
 def test_mc_drivers_refuse_what_the_scales_refuse(call, monkeypatch):
-    # refused before any draw
+    # refused before any weight is built or any draw made
     def no_draw(*args, **kwargs):
         raise AssertionError("drew")
 
     monkeypatch.setattr(analysis, "sample_sas", no_draw)
+    monkeypatch.setattr(analysis, "_weights", no_draw)
     with pytest.raises(ParameterError):
         call()
 

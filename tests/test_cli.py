@@ -412,6 +412,24 @@ def test_field_takes_its_depth_flags(tmp_path):
     assert echoed["J_hf"] == 5 and echoed["J_lf"] == 4
 
 
+@pytest.mark.parametrize("argv, used", [
+    (["field", "--J-hf", "3", "--J-lf", "2", "--u-points", "3",
+      "--v-values", "0.8"], {"which": "total", "J": 2}),
+    (["scale-check", "--mode", "independent"], {"which": "hf", "J": 14}),
+    (["converge", "--Jmin", "2", "--Jmax", "3", "--replicates", "8"],
+     {"which": "hf"}),
+], ids=["field", "scale-check", "converge"])
+def test_headers_echo_the_defaulted_which_and_depth(argv, used, tmp_path,
+                                                    capsys):
+    # the header names the half and the depth that the run tabulated,
+    # also when they were left to their defaults
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    first = (tmp_path / "run.csv").read_text().splitlines()[0]
+    echoed = json.loads(first[len("# config: "):])
+    assert {k: echoed.get(k) for k in used} == used
+
+
 def test_hf_field_sizes_the_far_past_by_J_lf(tmp_path):
     """An hf field reads no far-past row: --J sizes the recent scales only,
     so J 14 runs (its far past would be refused at depth 14), and the

@@ -532,12 +532,14 @@ def test_depth_and_argument_errors():
 
 def test_prefix_sums_of_another_pyramid_refused():
     # the abel route reads the running sums, not the pyramid's rows, so
-    # sums of another alpha or depth would give another field's values;
-    # both routes, on both halves and in a field, refuse them
+    # sums of another alpha, depth or draw would give another field's
+    # values; both routes, on both halves and in a field, refuse them,
+    # also the sums of a same-shape pyramid drawn from another seed
     pyr = generate_coefficients(ALPHA, 8, 6, "independent", 88)
-    for alpha, J_hf, J_lf in ((ALPHA, 4, 6), (ALPHA, 8, 3), (1.7, 8, 6)):
+    for alpha, J_hf, J_lf, seed in ((ALPHA, 4, 6, 88), (ALPHA, 8, 3, 88),
+                                    (1.7, 8, 6, 88), (ALPHA, 8, 6, 89)):
         ps = prefix_sums(generate_coefficients(alpha, J_hf, J_lf,
-                                               "independent", 88))
+                                               "independent", seed))
         for method in series.METHODS:
             with pytest.raises(ParameterError, match="prefix sums"):
                 x1_partial(0.3, 0.8, pyr, ps, 3, method)
@@ -565,7 +567,7 @@ def test_evaluate_field_matches_scalars():
     assert np.array_equal(lf, plus + minus)
 
 
-def test_evaluate_field_validation():
+def test_evaluate_field_validation(monkeypatch):
     pyr = generate_coefficients(ALPHA, 3, 3, "independent", 87)
     ps = prefix_sums(pyr)
     with pytest.raises(ParameterError):
@@ -577,6 +579,16 @@ def test_evaluate_field_validation():
             evaluate_field([np.nan], [0.8], pyr, ps, 2, which)
         with pytest.raises(ParameterError):
             evaluate_field([0.5], [np.nan], pyr, ps, 2, which)
+
+    # 70000 x 1000 values pass MAX_VALUES: refused before the array is made
+    def no_array(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(series.np, "empty", no_array)
+    for which in WHICH:
+        with pytest.raises(ParameterError, match="a field of"):
+            evaluate_field(np.zeros(70000), np.full(1000, 0.8), pyr, ps, 2,
+                           which)
 
 
 def test_each_which_refuses_depths_below_its_floor():

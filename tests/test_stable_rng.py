@@ -646,7 +646,7 @@ def test_unit_coefficient_scale():
 def test_prefix_sums_shapes_and_values():
     pyr = generate_coefficients(1.5, 4, 3, "independent", 65)
     ps = prefix_sums(pyr)
-    assert ps.alpha == 1.5
+    assert ps.pyramid.alpha == 1.5
     for j in range(4):
         assert np.array_equal(ps.hf_row(j), np.cumsum(pyr.hf_row(j)))
     for j in range(-2, 3):
