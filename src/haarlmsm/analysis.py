@@ -59,11 +59,12 @@ from .series import DEPTH_FLOOR, _moment_order, check_uv, far_past_terms
 from .stable_rng import (
     MODES,
     StableLaw,
-    _LfUnion,
     _lf_counts,
+    _lf_index,
+    _lf_points,
+    _lf_reads,
     _lf_rows,
     _lf_steps,
-    _lf_union,
     check_depth,
     check_seed,
     check_size,
@@ -186,7 +187,7 @@ def x2_theoretical_scale(u: float, v: float, alpha: float) -> float:
 # ------------------------------------------------- truncated-sum weights --
 
 def _weights(which: str, u: float, v: float, alpha: float, J: int,
-             mode: str, union: _LfUnion = None):
+             mode: str, grid: int = None):
     """Yields, in blocks, the weights W of the depth-J truncation of
     ``which`` ("hf" or "lf") at (u, v): the truncation is sum W_i X_i over
     independent standard stable X_i.
@@ -200,9 +201,9 @@ def _weights(which: str, u: float, v: float, alpha: float, J: int,
     scales.  For hf, the 2**J cell averages of the kernel,
     2**(-J p) box(2**J u - i) with p = v - 1/alpha (the tail series far
     left of u, no cancelling difference), times 2**(-J/alpha).  For lf,
-    -C_i gap_i**(1/alpha) over the gaps of ``union`` (the depth-J one by
-    default; a shallower one is refused): each coefficient puts its factor
-    on the three points it reads, and C is their running sum.
+    -C_i gap_i**(1/alpha) over the gaps of the depth-``grid`` far-past grid
+    (J by default; a shallower one is refused): each coefficient puts its
+    factor on the three points it reads, and C is their running sum.
     """
     if mode not in MODES:
         raise ParameterError(f"unknown mode {mode!r}")
@@ -218,11 +219,11 @@ def _weights(which: str, u: float, v: float, alpha: float, J: int,
             yield 2.0 ** (-j * v) * theta(2.0 ** j * u - ks, v, params)
     else:
         if mode == "consistent":
-            union = _lf_union(J) if union is None else union
-            if union.J < J:
+            grid = J if grid is None else grid
+            if grid < J:
                 raise ParameterError(
-                    f"union built at depth {union.J} cannot serve depth {J}")
-            c = np.zeros(union.nums.shape[0])
+                    f"far-past grid of depth {grid} cannot serve depth {J}")
+            c = np.zeros(_lf_counts(grid).points)
         for j, n in _lf_rows(J):
             ks = np.arange(1, n + 1, dtype=float)
             w = theta(2.0 ** j * u + ks, v, params) - theta(ks, v, params)
@@ -230,10 +231,11 @@ def _weights(which: str, u: float, v: float, alpha: float, J: int,
                 yield 2.0 ** (-j * v) * w
                 continue
             g = -(2.0 ** (j / alpha)) * 2.0 ** (-j * v) * w
-            for ix, weight in zip(union.row_maps[j], (g, -2.0 * g, g)):
-                np.add.at(c, ix[:n], weight)
+            for a, weight in zip(_lf_reads(j, n, grid), (g, -2.0 * g, g)):
+                np.add.at(c, _lf_index(grid, a), weight)
         if mode == "consistent":
-            yield -np.cumsum(c)[:-1] * union.gaps ** (1.0 / alpha)
+            gaps = np.diff(_lf_points(grid) * 2.0 ** (-grid))
+            yield -np.cumsum(c)[:-1] * gaps ** (1.0 / alpha)
 
 
 def _weight_evals(which: str, J: int) -> int:
@@ -247,7 +249,7 @@ def _truncated_scale(which: str, u, v, alpha, J, mode: str) -> float:
     stable scale."""
     u, v, alpha = _scale_point(u, v, alpha)
     J = check_depth("J", J, DEPTH_FLOOR[which])
-    # consistent lf builds the union, three points per far-past
+    # consistent lf indexes the three points of each far-past
     # coefficient; every other block is at most 2**J long
     check_size(3 * _lf_counts(J).coefficients
                if which == "lf" and mode == "consistent" else 1 << J,
@@ -274,7 +276,7 @@ def truncated_scale_lf(u: float, v: float, alpha: float, J: int,
 def mc_columns(which: str, J: int) -> int:
     """Stable draws one Monte Carlo replicate of ``which`` ("hf" or "lf")
     makes at depth J, one per row of its weights: the 2**J cells of [0, 1],
-    or the gaps of the depth-J far-past union."""
+    or the gaps of the depth-J far-past grid."""
     return 1 << J if which == "hf" else _lf_counts(J).gaps
 
 
@@ -327,8 +329,8 @@ def _mc_samples(which: str, pairs, alpha: float, J_list, n: int,
     # one weight column per pair and depth, each a row per draw column
     check_size(len(J_list) * len(points) * mc_columns(which, J_list[-1]),
                f"{len(points)} pairs at {len(J_list)} depths need weights of")
-    union = _lf_union(J_list[-1]) if which == "lf" else None
-    W = [np.stack([next(_weights(which, u, v, alpha, J, "consistent", union))
+    W = [np.stack([next(_weights(which, u, v, alpha, J, "consistent",
+                                 J_list[-1]))
                    for u, v, _ in points], axis=1) for J in J_list]
     return dict(zip(J_list, _mc_replicates(alpha, seed, n, chunk, W)))
 
@@ -350,7 +352,7 @@ def mc_x2_samples(pairs, alpha: float, J_list, n: int, seed: int) -> dict:
     """Replicates of consistent-mode far-past truncations at several depths.
 
     Returns {J: (n, len(pairs)) array}.  All depths and pairs share one
-    draw of the increments over the union grid of the deepest truncation,
+    draw of the increments over the far-past grid of the deepest truncation,
     so depth-to-depth comparisons are common-random-number comparisons.
     Depths must be >= 1; pairs that the scale functions refuse, and an
     empty ``pairs``, are refused.

@@ -1,8 +1,10 @@
 """Test oracles kept here because no command uses them: a whole-array
 stable grid and scalar reads of it that the package's streamed grids and
-row code must reproduce; the series halves summed one row at a time on
-either route, which the packed rows of ``series`` must reproduce; and a
-probe of the memory a call holds at its peak; theta's Taylor
+row code must reproduce; the far-past grid as a sorted set, looked up
+by searchsorted, which the closed forms of ``stable_rng`` must reproduce;
+the series halves summed one row at a time on
+either route, which the packed rows of ``series`` must reproduce; probes
+of the memory a call holds at its peak and after it returns; theta's Taylor
 coefficients one order at a time, which the one tail table of
 ``kernels.theta_taylor`` must reproduce; and the truncated power, the
 independent reference for the recent-scales leading term u**q / q that
@@ -17,6 +19,21 @@ from haarlmsm.errors import HaarLmsmError, ParameterError
 from haarlmsm import kernels
 from haarlmsm.kernels import KernelParams, big_theta, check_alpha, theta
 from haarlmsm.stable_rng import MAX_VALUES, StableLaw, sample_sas
+
+
+def far_past_union(J: int):
+    """The points the depth-J far-past rows read, as the sorted set of every
+    (left, mid, right) point of every row, in units of 2**-J, and {j: the
+    (3, n) indices of row j's points in it}, found by searchsorted."""
+    reads = {}
+    for j in range(1 - J, J):
+        step = 2 ** (J - j)
+        left = -np.arange(1, 2 ** (J - abs(j)) + 1, dtype=np.int64) * step
+        reads[j] = (left, left + step // 2, left + step)
+    nums = np.unique(np.concatenate([p for abm in reads.values()
+                                     for p in abm]))
+    return nums, {j: np.stack([np.searchsorted(nums, p) for p in abm])
+                  for j, abm in reads.items()}
 
 
 def truncated_power(s, kappa):
@@ -204,5 +221,17 @@ def traced_peak(fn) -> int:
         tracemalloc.reset_peak()
         fn()
         return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def traced_held(fn) -> int:
+    """Bytes that fn's allocations still hold after it returns, its return
+    value dropped, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -33,10 +33,10 @@ from haarlmsm.stable_rng import (
     prefix_sums,
     sample_sas,
     StableLaw,
+    _lf_points,
     _lf_rows,
-    _lf_union,
 )
-from oracles import build_levy_grid, traced_peak
+from oracles import build_levy_grid, traced_held, traced_peak
 
 ALPHA = 1.5
 
@@ -267,7 +267,8 @@ def test_lf_weight_route_reproduces_series(mode, alpha):
     J = 6
     pyr = generate_coefficients(alpha, 10, J, mode, 314)
     ps = prefix_sums(pyr)
-    drivers = (np.diff(pyr.lf_values) / _lf_union(J).gaps ** (1.0 / alpha)
+    gaps = np.diff(_lf_points(J) * 2.0 ** (-J))
+    drivers = (np.diff(pyr.lf_values) / gaps ** (1.0 / alpha)
                if mode == "consistent" else np.concatenate(pyr.lf))
     _assert_weights_reproduce(
         "lf", alpha, J, mode, drivers,
@@ -276,9 +277,17 @@ def test_lf_weight_route_reproduces_series(mode, alpha):
 
 def test_weights_refuse_a_shallower_union():
     # a deeper union serves a shallower depth, never the other way round
-    next(_weights("lf", 0.5, 0.8, ALPHA, 5, "consistent", _lf_union(6)))
+    next(_weights("lf", 0.5, 0.8, ALPHA, 5, "consistent", 6))
     with pytest.raises(ParameterError, match="depth 5 cannot serve depth 6"):
-        next(_weights("lf", 0.5, 0.8, ALPHA, 6, "consistent", _lf_union(5)))
+        next(_weights("lf", 0.5, 0.8, ALPHA, 6, "consistent", 5))
+
+
+def test_exact_lf_scale_holds_nothing_after_it_returns():
+    # the far-past grid is indexed in closed form as each row is read, and
+    # nothing of it is cached, so nothing of it outlives the call
+    held = traced_held(
+        lambda: truncated_scale_lf(0.5, 0.75, ALPHA, 14, "consistent"))
+    assert held <= 2 ** 20
 
 
 def test_kernels_are_called_only_for_weights_and_dyadic_rows():

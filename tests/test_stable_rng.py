@@ -20,8 +20,8 @@ from haarlmsm.stable_rng import (
     prefix_sums,
     sample_sas,
 )
-from oracles import (ResolutionError, build_levy_grid, grid_times,
-                     zeta_from_levy)
+from oracles import (ResolutionError, build_levy_grid, far_past_union,
+                     grid_times, zeta_from_levy)
 from oracles import traced_peak as _traced_peak
 
 # first absolute moment of the unit-scale law at alpha = 1.5,
@@ -398,7 +398,6 @@ def test_far_past_holds_no_grid(cpus):
     # the 4**J increments are summed block by block as they are drawn, so
     # a pyramid holds its union points and rows, and a few blocks
     J = 12
-    stable_rng._lf_union(J)  # cached, shared by every pyramid of depth J
     peak = _traced_peak(
         lambda: generate_coefficients(1.5, 1, J, "consistent", 3))
     union_points, lf_coefficients = 3 * 2 ** J - 1, 3 * 2 ** J - 4
@@ -447,22 +446,38 @@ def _closed_form_union(J):
 
 
 def test_far_past_union_is_the_closed_form():
-    # the rows |j| < J to positions k <= 2**(J - |j|), and the union of the
-    # three points each coefficient reads, which the rows derive
+    # the rows |j| < J to positions k <= 2**(J - |j|), the union of the
+    # three points each coefficient reads, and each row's indices into it
     for J in range(1, 15):
         assert stable_rng._lf_rows(J) == [(j, 2 ** (J - abs(j)))
                                           for j in range(1 - J, J)]
-        union = stable_rng._lf_union(J)
+        points = stable_rng._lf_points(J)
         nums = _closed_form_union(J)
-        assert union.nums.dtype == nums.dtype
-        assert np.array_equal(union.nums, nums)
-        assert np.array_equal(union.gaps, np.diff(nums * 2.0 ** (-J)))
-        assert list(union.row_maps) == list(range(1 - J, J))
-        for j, maps in union.row_maps.items():
-            left = -np.arange(1, 2 ** (J - abs(j)) + 1) * 2 ** (J - j)
+        assert points.dtype == nums.dtype
+        assert np.array_equal(points, nums)
+        assert np.array_equal(np.diff(points * 2.0 ** (-J)),
+                              np.diff(nums) * 2.0 ** (-J))
+        for j, n in stable_rng._lf_rows(J):
+            maps = stable_rng._lf_index(J, stable_rng._lf_reads(j, n, J))
+            left = -np.arange(1, n + 1) * 2 ** (J - j)
             for ix, point in zip(maps, (left, left + 2 ** (J - j - 1),
                                         left + 2 ** (J - j))):
                 assert np.array_equal(nums[ix], point), (J, j)
+
+
+def test_far_past_grid_matches_the_searchsorted_oracle():
+    # to J 16, past which an int32 exponent would overflow 4**e
+    for J in range(1, 17):
+        nums, row_maps = far_past_union(J)
+        points = stable_rng._lf_points(J)
+        assert points.dtype == nums.dtype and np.array_equal(points, nums)
+        assert np.array_equal(np.diff(points * 2.0 ** (-J)),
+                              np.diff(nums * 2.0 ** (-J)))
+        assert list(row_maps) == [j for j, _ in stable_rng._lf_rows(J)]
+        for j, n in stable_rng._lf_rows(J):
+            ix = stable_rng._lf_index(J, stable_rng._lf_reads(j, n, J))
+            assert ix.dtype == np.int64
+            assert np.array_equal(ix, row_maps[j]), (J, j)
 
 
 def test_budget_counts_the_row_list(monkeypatch):
@@ -472,7 +487,7 @@ def test_budget_counts_the_row_list(monkeypatch):
     monkeypatch.setattr(stable_rng, "MAX_VALUES", 0)
     for J in range(2, 15):
         coefficients = sum(n for _, n in stable_rng._lf_rows(J))
-        points = stable_rng._lf_union(J).nums.size
+        points = stable_rng._lf_points(J).size
         for mode, values in (("independent", 0),
                              ("consistent", 2 ** 3 + 1 + points)):
             with pytest.raises(ParameterError) as info:
@@ -511,12 +526,14 @@ def test_far_past_counts_are_the_rows_and_the_union():
     # derives hold; the walk runs from the union's first point to 0
     for J in range(1, 15):
         counts = stable_rng._lf_counts(J)
-        union = stable_rng._lf_union(J)
+        points = stable_rng._lf_points(J)
         assert counts.coefficients == sum(n for _, n in
                                           stable_rng._lf_rows(J)), J
-        assert (counts.points, counts.gaps) == (union.nums.size,
-                                                union.gaps.size), J
-        assert counts.steps == -union.nums[0], J
+        assert (counts.points, counts.gaps) == (points.size,
+                                                np.diff(points).size), J
+        assert counts.steps == -points[0], J
+        ends = stable_rng._lf_index(J, np.array([counts.steps, 0]))
+        assert ends.tolist() == [0, counts.points - 1], J
 
 
 def _far_past_closed_forms(tree) -> list:
@@ -556,8 +573,9 @@ def _far_past_closed_forms(tree) -> list:
 
 def test_only_the_counts_function_forms_the_far_past_counts():
     # the far past's counts (3 * 2**J - 4 coefficients, 3 * 2**J - 1 union
-    # points, 4**J walk steps) are formed in _lf_counts alone, so a new
-    # truncation shape changes one function
+    # points, 4**J walk steps) are formed in _lf_counts alone, and the
+    # bands of 4**e of its grid in _lf_points alone, so a new truncation
+    # shape changes these two functions
     flagged = ["4 ** J", "3 * 2 ** J", "3 * (1 << J)", "(1 << J) * 3",
                "3 << J", "9 << J", "6 * 2 ** (J + 1)", "4 ** (Jmax + 1)"]
     passed = ["2 ** J", "1 << J", "_MC_HF_CHUNK << J", "3 * n", "4 ** 13",
@@ -569,16 +587,19 @@ def test_only_the_counts_function_forms_the_far_past_counts():
     found = []
     for path in sorted(pathlib.Path(stable_rng.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        counts = [node for node in ast.walk(tree)
+        owners = {node.name: range(node.lineno, node.end_lineno + 1)
+                  for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef)
-                  and node.name == "_lf_counts"]
-        inside = (range(counts[0].lineno, counts[0].end_lineno + 1)
-                  if counts else range(0))
-        found += [(path.name, line, line in inside)
+                  and node.name in ("_lf_counts", "_lf_points")}
+        found += [(path.name, line,
+                   next((name for name, span in owners.items()
+                         if line in span), None))
                   for line in _far_past_closed_forms(tree)]
-    # 3 * 2 ** J (the points) and 4 ** J (the steps), both in _lf_counts
-    assert [(name, inside) for name, _, inside in found] == \
-        [("stable_rng.py", True)] * 2, found
+    # 3 * 2 ** J (the points) and 4 ** J (the steps) in _lf_counts, and
+    # the bands' ends 4 ** (e + 1) and 4 ** e in _lf_points
+    assert sorted((name, owner) for name, _, owner in found) == \
+        [("stable_rng.py", "_lf_counts")] * 2 + \
+        [("stable_rng.py", "_lf_points")] * 2, found
 
 
 def test_depth_steps_add_each_row_position_once():
