@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache
@@ -544,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv) -> RunConfig:
     """Resolve defaults, preset, --config file and flags, later winning,
-    then refuse a setting outside its fixed set of names."""
+    then refuse a setting outside its fixed set of names, or an out path
+    that ends in a path separator."""
     ns = _build_parser().parse_args(argv)
     if not ns.command:
         raise ConfigError("a command is required")
@@ -565,6 +567,10 @@ def build_config(argv) -> RunConfig:
         if key in takes and value is not None and value not in allowed:
             raise ConfigError(
                 f"{key} must be one of {allowed}, got {value!r}")
+    # a directory name would make the hidden files <dir>/.csv and .svg
+    if config.out and config.out[-1] in (os.sep, os.altsep):
+        raise ConfigError(f"out must name a file, not a directory: "
+                          f"{config.out!r}")
     return config
 
 

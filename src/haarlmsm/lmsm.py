@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,12 +63,22 @@ class HurstFunction:
 
 
 def _evaluate(fn, t: np.ndarray) -> np.ndarray:
-    """A profile's values fn(t) as floats, with numpy's overflow and
-    invalid-value warnings off: a steep logistic's exp overflows to inf,
-    and h / inf is its exact limit 0.0; a non-finite value (sine cycles
-    inf) is refused by validate_params."""
+    """A profile's values fn(t) as floats of t's shape, with numpy's
+    overflow and invalid-value warnings off: a steep logistic's exp
+    overflows to inf, and h / inf is its exact limit 0.0; a non-finite
+    value (sine cycles inf) is refused by validate_params.  Values that
+    broadcast to t's shape (one value, say) are broadcast; any other shape
+    is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(fn(t), dtype=float)
+        values = np.asarray(fn(t), dtype=float)
+    if values.shape == t.shape:
+        return values
+    try:
+        return np.broadcast_to(values, t.shape).copy()
+    except ValueError:
+        raise ParameterError(
+            f"a profile returned values of shape {values.shape} for times "
+            f"of shape {t.shape}") from None
 
 
 def _need(parameters: dict, name: str):
@@ -148,7 +157,8 @@ def validate_params(alpha: float, H: HurstFunction, *,
     Returns the list of violations (empty when clean).  Unless
     ``allow_boundary`` is set, any violation raises ParameterError with all
     of them listed on one line.  A non-finite declared bound or sampled
-    value raises even then, because clipping cannot repair it.
+    value, or a declared lower bound above the upper one, raises even
+    then, because clipping cannot repair it.
     """
     check_alpha(alpha)
     lo = 1.0 / alpha + EPS_MARGIN
@@ -161,6 +171,10 @@ def validate_params(alpha: float, H: HurstFunction, *,
     if non_finite:
         msgs.append(f"declared bounds ({dlo:.6g}, {dhi:.6g}) or sampled "
                     f"values are not finite")
+    disordered = dlo > dhi
+    if disordered:
+        msgs.append(f"declared lower bound {dlo:.6g} is above the declared "
+                    f"upper bound {dhi:.6g}")
     if dlo < lo:
         msgs.append(f"declared lower bound {dlo:.6g} is below "
                     f"1/alpha + margin = {lo:.6g}")
@@ -175,7 +189,7 @@ def validate_params(alpha: float, H: HurstFunction, *,
     if vals[i_max] > hi:
         msgs.append(f"sampled value {vals[i_max]:.6g} at t = {t[i_max]:.4f} "
                     f"is above 1 - margin = {hi:.6g}")
-    if msgs and (non_finite or not allow_boundary):
+    if msgs and (non_finite or disordered or not allow_boundary):
         raise ParameterError(
             "regularity profile leaves the admissible band: "
             + "; ".join(msgs))
@@ -186,6 +200,8 @@ def clamp_hurst(H: HurstFunction, alpha: float) -> tuple:
     """Clip the profile into [1/alpha + EPS_MARGIN, 1 - EPS_MARGIN].
 
     Returns (clipped profile, fraction of a dense sampling that moved).
+    Both declared bounds are clipped into the band too, so they stay in
+    order.
     """
     lo = 1.0 / alpha + EPS_MARGIN
     hi = 1.0 - EPS_MARGIN
@@ -203,8 +219,8 @@ def clamp_hurst(H: HurstFunction, alpha: float) -> tuple:
     frac = float(np.mean((raw < lo) | (raw > hi)))
     clipped = HurstFunction(
         kind=H.kind, fn=f,
-        declared_bounds=(max(H.declared_bounds[0], lo),
-                         min(H.declared_bounds[1], hi)),
+        declared_bounds=tuple(min(max(b, lo), hi)
+                              for b in H.declared_bounds),
         params=dict(H.params))
     return clipped, frac
 
@@ -284,10 +300,12 @@ def path_to_csv(sample: PathSample) -> str:
 
 def write_text_atomic(path, text: str) -> None:
     """Write text through a temp file in the same directory plus a rename,
-    so readers never see a partial file.  Newlines are written as given."""
+    so readers never see a partial file.  Newlines are written as given.
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    creates a file, and is removed if the write fails."""
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)

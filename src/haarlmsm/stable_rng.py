@@ -22,9 +22,11 @@ integer seed and independent of evaluation order.  A stable draw of n
 values reads all n uniform angles and then all n exponentials from its
 stream, in blocks; large draws are split across two threads with identical
 bits, and a draw can hand its blocks, in order, to a consumer instead of
-returning them (see ``sample_sas``).  Both grids of ``consistent`` mode
-are running sums of one such draw, summed as it is drawn (``_walk``), and
-``analysis``'s Monte Carlo never holds a chunk of draws.
+returning them (see ``sample_sas``).  A split draw that fails joins both
+threads and then raises the first exception either met, as a serial draw
+raises it.  Both grids of ``consistent`` mode are running sums of one such
+draw, summed as it is drawn (``_walk``), and ``analysis``'s Monte Carlo
+never holds a chunk of draws.
 
 Every depth and count of the package is held against the memory budget
 ``MAX_VALUES`` here, by ``check_depth`` and ``check_size``.
@@ -142,27 +144,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_two_threads(work) -> None:
-    """Run work on a second thread and on this one at once; join the second
-    and re-raise its exception, if it hit one."""
-    failed = []
-
-    def run():
-        try:
-            work()
-        except BaseException as exc:
-            failed.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        work()
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
-
-
 def _philox_after(state: dict, n: int) -> np.random.Philox:
     """A Philox at ``state`` advanced by exactly n 64-bit outputs.
 
@@ -198,8 +179,8 @@ class _BlockStream:
     out its values in block order.  It runs the formula outside the lock,
     waits until every earlier block has been consumed, and passes the block
     to ``consume``; so blocks are consumed one at a time, in order,
-    whichever worker made them.  A worker that fails stops the others at
-    their next wait.
+    whichever worker made them.  A worker that fails keeps its exception in
+    ``error``, which stops the others at their next wait; ``run`` raises it.
     """
 
     def __init__(self, law, shape, rows, rng, ahead, consume):
@@ -209,7 +190,20 @@ class _BlockStream:
         self.lock = threading.Lock()
         self.turn = threading.Condition()
         self.consumed = 0  # rows handed on so far
-        self.failed = False
+        self.error = None  # the first exception a worker met
+
+    def run(self, workers: int) -> None:
+        """Run ``work`` on workers - 1 helper threads and on this one, join
+        the helpers, and raise the first exception any worker met."""
+        helpers = [threading.Thread(target=self.work)
+                   for _ in range(workers - 1)]
+        for helper in helpers:
+            helper.start()
+        self.work()
+        for helper in helpers:
+            helper.join()
+        if self.error is not None:
+            raise self.error
 
     def work(self) -> None:
         per_row = math.prod(self.shape[1:])
@@ -217,7 +211,8 @@ class _BlockStream:
         try:
             while True:
                 with self.lock:
-                    i = None if self.failed else next(self.starts, None)
+                    i = (None if self.error is not None
+                         else next(self.starts, None))
                     if i is None:
                         return
                     m = min(self.rows, self.shape[0] - i)
@@ -227,18 +222,18 @@ class _BlockStream:
                 _cms(self.law.alpha, self.law.scale, u, w[:k], x[:k], c[:k])
                 with self.turn:
                     self.turn.wait_for(
-                        lambda: self.consumed == i or self.failed)
-                    if self.failed:
+                        lambda: self.consumed == i or self.error is not None)
+                    if self.error is not None:
                         return
                 self.consume(i, u.reshape((m,) + self.shape[1:]))
                 with self.turn:
                     self.consumed = i + m
                     self.turn.notify_all()
-        except BaseException:
+        except BaseException as exc:
             with self.turn:
-                self.failed = True
+                if self.error is None:
+                    self.error = exc
                 self.turn.notify_all()
-            raise
 
 
 def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
@@ -257,7 +252,11 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
     Philox positioned after the n angles, so the values and the final
     state do not depend on how the draw is split.  A draw of at least 2**16
     values, on a process that may run on two or more CPUs, has two worker
-    threads, else one, the calling thread.
+    threads, else one, the calling thread.  A failure in either worker (an
+    exception from ``consume``, say, or an interrupt) stops the other at
+    its next block; once every worker is joined, ``sample_sas`` raises the
+    first exception a worker met, unwrapped, and leaves ``rng`` part way
+    through the draw's angles.
 
     ``consume(start, block)``, if given, receives every block instead of an
     output, and ``sample_sas`` returns None: a block is max(1, _BLOCK //
@@ -292,10 +291,7 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
     rows = max(1, _BLOCK // max(per_row, 1))
     ahead = np.random.Generator(_philox_after(rng.bit_generator.state, n))
     stream = _BlockStream(law, shape, rows, rng, ahead, consume)
-    if n >= _SPLIT_MIN and _usable_cpus() >= 2:
-        _on_two_threads(stream.work)
-    else:
-        stream.work()
+    stream.run(2 if n >= _SPLIT_MIN and _usable_cpus() >= 2 else 1)
     rng.bit_generator.state = ahead.bit_generator.state
     if out is None:
         return None

@@ -25,7 +25,7 @@ from haarlmsm.cli import (
     read_config_file,
     render_path_svg,
 )
-from haarlmsm.errors import ConfigError
+from haarlmsm.errors import ComputeError, ConfigError
 from haarlmsm.lmsm import PathSample, path_to_csv, read_path_csv
 from haarlmsm.series import WHICH
 from haarlmsm.stable_rng import MODES
@@ -210,6 +210,19 @@ def test_render_edge_cases(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io:")
     assert main(["render"]) == 2
 
+    # a config line that is not JSON, and rows of three columns
+    for name, text, detail in (
+            ("json", "# config: {alpha\nt,y1,y2,y\n0.0,1.0,2.0,3.0\n",
+             "bad config line"),
+            ("cols", '# config: {}\nt,y1,y2,y\n0.0,1.0,2.0\n',
+             "4 columns")):
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        assert main(["render", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and detail in err
+        assert not (tmp_path / f"{name}.svg").exists()
+
 
 def test_render_rereuns_byte_identical(tmp_path):
     src = tmp_path / "p.csv"
@@ -286,6 +299,28 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
                  "--seed", "0", "--out", out]) == 0
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "render"])
+def test_out_naming_a_directory_is_refused(command, monkeypatch, tmp_path,
+                                           capsys):
+    # --out dir/ would write the hidden files dir/.csv and dir/.svg: it is
+    # refused before any draw or read, from the flag or the config file
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(haarlmsm.stable_rng, "sample_sas", no_draw)
+    monkeypatch.setattr(cli, "read_path_csv", no_draw)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={out}{os.sep}\n")
+    for args in (["--out", f"{out}{os.sep}"], ["--config", str(cfg)]):
+        argv = [command] + (["any.csv"] if command == "render" else [])
+        assert main(argv + args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: out") and err.count("\n") == 1
+        assert os.listdir(out) == []
 
 
 def test_run_config_defaults():
@@ -394,6 +429,15 @@ def test_unexpected_exception_is_a_compute_error(monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "render", boom)
     assert main(["render", "any.csv"]) == 3
     assert capsys.readouterr().err == "error: compute: RuntimeError: boom\n"
+
+    # the package's own compute failure is not a ValueError: exit 3 too
+    def no_convergence(config):
+        raise ComputeError("quadrature did not converge")
+
+    monkeypatch.setitem(cli._HANDLERS, "render", no_convergence)
+    assert main(["render", "any.csv"]) == 3
+    assert capsys.readouterr().err == \
+        "error: compute: quadrature did not converge\n"
 
     def interrupt(config):
         raise KeyboardInterrupt

@@ -1,8 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from haarlmsm.errors import ConfigError, ParameterError
 from haarlmsm.lmsm import (
+    HurstFunction,
     clamp_hurst,
     hurst_preset,
     path_to_csv,
@@ -10,6 +14,7 @@ from haarlmsm.lmsm import (
     synthesize_path,
     validate_params,
     write_path_csv,
+    write_text_atomic,
 )
 from haarlmsm.series import x1_partial, x2_partial
 from haarlmsm.stable_rng import generate_coefficients, prefix_sums
@@ -93,6 +98,48 @@ def test_clamp_restores_band():
     assert clipped(1.0) == lo
     assert clipped(0.0) == 0.9
     assert 0.0 < frac < 0.5
+
+
+@pytest.mark.parametrize("kind, params, end", [
+    ("constant", {"value": 0.2}, "lo"),
+    ("linear", {"start": 1.2, "slope": 0.1}, "hi"),
+])
+def test_clamp_clips_both_declared_bounds_into_the_band(kind, params, end):
+    # a profile wholly outside the band is clipped to one end of it, and so
+    # are both of its declared bounds, which stay in order
+    alpha = 1.5
+    band = {"lo": 1.0 / alpha + 1e-6, "hi": 1.0 - 1e-6}
+    s = synthesize_path(alpha, hurst_preset(kind, params),
+                        np.linspace(0, 1, 5), J_hf=3, J_lf=2, seed=1,
+                        allow_boundary=True)
+    assert s.config["hurst"]["declared_bounds"] == [band[end]] * 2
+    clipped, frac = clamp_hurst(hurst_preset(kind, params), alpha)
+    assert clipped.declared_bounds == (band[end],) * 2 and frac == 1.0
+    assert validate_params(alpha, clipped) == []
+
+
+def test_declared_bounds_out_of_order_are_refused():
+    h = HurstFunction("custom", lambda t: np.full_like(t, 0.75), (0.8, 0.7))
+    for allow in (False, True):
+        with pytest.raises(ParameterError, match="above the declared upper"):
+            validate_params(1.5, h, allow_boundary=allow)
+
+
+def test_profile_values_broadcast_to_the_times():
+    # one value for every t is the constant profile; values of another
+    # length are refused, naming both shapes
+    one = HurstFunction("custom", lambda t: 0.75, (0.75, 0.75))
+    assert validate_params(1.5, one) == []
+    t = np.linspace(0.0, 1.0, 9)
+    got = synthesize_path(1.5, one, t, J_hf=3, J_lf=2, seed=5)
+    want = synthesize_path(1.5, 0.75, t, J_hf=3, J_lf=2, seed=5)
+    assert np.array_equal(got.y, want.y)
+    assert one(t).shape == (9,) and one(0.5) == 0.75
+    two = HurstFunction("custom", lambda t: np.array([0.7, 0.8]), (0.7, 0.8))
+    with pytest.raises(ParameterError, match=r"\(2,\).*\(4097,\)"):
+        validate_params(1.5, two)
+    with pytest.raises(ParameterError, match=r"\(2,\).*\(9,\)"):
+        two(t)
 
 
 def test_synthesis_basics():
@@ -184,6 +231,51 @@ def test_csv_rejects_malformed(tmp_path):
     bad.write_text("# config: 5\nt,y1,y2,y\n0.0,0.0,0.0,0.0\n")
     with pytest.raises(ConfigError):
         read_path_csv(bad)
+    bad.write_text("# config: {alpha\nt,y1,y2,y\n0.0,0.0,0.0,0.0\n")
+    with pytest.raises(ConfigError, match="bad config line"):
+        read_path_csv(bad)
+    bad.write_text("# config: {}\nt,y1,y2,y\n0.0,0.0,0.0\n")
+    with pytest.raises(ConfigError, match="4 columns"):
+        read_path_csv(bad)
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    # the atomic writer's file has the mode a plain open gives a new file
+    old = os.umask(0o022)
+    try:
+        for mask in (0o022, 0o027, 0o002):
+            os.umask(mask)
+            atomic, plain = tmp_path / f"a{mask}", tmp_path / f"p{mask}"
+            write_text_atomic(atomic, "x\n")
+            with open(plain, "w") as fh:
+                fh.write("x\n")
+            mode = stat.S_IMODE(os.stat(plain).st_mode)
+            assert stat.S_IMODE(os.stat(atomic).st_mode) == mode
+            assert mode == 0o666 & ~mask
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("fail", ["encode", "rename"])
+def test_a_failed_write_keeps_the_old_file(fail, tmp_path, monkeypatch):
+    # a text the encoder refuses (a lone surrogate) or a failed rename
+    # leaves the old target's bytes and no temp file
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old\n")
+    text = "new\n"
+    if fail == "encode":
+        text += "\ud800"
+        error = UnicodeEncodeError
+    else:
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        error = OSError
+    with pytest.raises(error):
+        write_text_atomic(target, text)
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_bytes() == b"old\n"
 
 
 def test_csv_decimal_separator_is_dot():

@@ -197,6 +197,41 @@ def test_a_failing_consumer_stops_the_draw(cpus):
     assert calls == [0, block, 2 * block, 3 * block]
 
 
+def test_a_consumer_failing_on_the_helper_thread_stops_the_draw(monkeypatch):
+    # the formula is slowed on the calling thread only, so the helper makes
+    # blocks too; the consumer fails on the first block it gets off the
+    # calling thread, and that exception must reach the caller once both
+    # workers are joined, with no block consumed after it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    caller = threading.current_thread()
+    cms = stable_rng._cms
+
+    def slow_on_caller(*args):
+        if threading.current_thread() is caller:
+            time.sleep(0.02)
+        cms(*args)
+
+    monkeypatch.setattr(stable_rng, "_cms", slow_on_caller)
+    calls = []
+
+    def consume(start, values):
+        on_caller = threading.current_thread() is caller
+        calls.append((start, on_caller))
+        if not on_caller:
+            raise ValueError("off the calling thread")
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="off the calling thread"):
+        sample_sas(StableLaw(1.5), make_rng(9), 2 ** 17, consume=consume)
+    assert threading.active_count() == threads
+    block = stable_rng._BLOCK
+    assert [start for start, _ in calls] == list(
+        range(0, len(calls) * block, block))
+    assert [on for _, on in calls] == [True] * (len(calls) - 1) + [False]
+
+
 def _live_state(bg):
     """What decides a Philox's next outputs: the counter, the key, the
     buffered outputs not yet read and the spare 32-bit half."""
