@@ -298,10 +298,14 @@ def render_path_svg(sample) -> str:
 
 # ------------------------------------------------------------- workflows --
 
+def _out_base(out: str) -> str:
+    """The path that the run's .csv and .svg share: ``out`` less a
+    trailing .csv or .svg."""
+    return out[:-4] if out.endswith((".csv", ".svg")) else out
+
+
 def _out_paths(config: RunConfig, fallback: str):
-    base = config.out or (config.preset or fallback)
-    if base.endswith(".csv") or base.endswith(".svg"):
-        base = base[:-4]
+    base = _out_base(config.out or (config.preset or fallback))
     return base + ".csv", base + ".svg"
 
 
@@ -546,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def build_config(argv) -> RunConfig:
     """Resolve defaults, preset, --config file and flags, later winning,
     then refuse a setting outside its fixed set of names, or an out path
-    that ends in a path separator."""
+    whose file name is empty once a .csv or .svg suffix is stripped."""
     ns = _build_parser().parse_args(argv)
     if not ns.command:
         raise ConfigError("a command is required")
@@ -567,10 +571,11 @@ def build_config(argv) -> RunConfig:
         if key in takes and value is not None and value not in allowed:
             raise ConfigError(
                 f"{key} must be one of {allowed}, got {value!r}")
-    # a directory name would make the hidden files <dir>/.csv and .svg
-    if config.out and config.out[-1] in (os.sep, os.altsep):
-        raise ConfigError(f"out must name a file, not a directory: "
-                          f"{config.out!r}")
+    # a directory name, or one followed by a bare suffix, would make the
+    # hidden files <dir>/.csv and .svg
+    if config.out and _out_base(config.out)[-1:] in ("", os.sep, os.altsep):
+        raise ConfigError(f"out must name a file, not a directory or a bare "
+                          f"suffix: {config.out!r}")
     return config
 
 

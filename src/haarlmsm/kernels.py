@@ -15,14 +15,21 @@ weights (1, -2, 1) for the theta pair, ``D5`` for the big_theta pair or
 p = v - 1/alpha for the derivatives.  For large x the closed form
 subtracts terms of size x^e that agree to roughly e*log2(x) bits, so
 beyond ``KernelParams.switch_x`` one shared core sums the binomial tail
-series x^e sum_n C(e,n) (-1/(2x))^n m_n over the stencil's integer
-moments m_n = sum_l w_l l^n.  The leading moments vanish, so no
-cancelling head remains and the terms past the first have one sign; the
-terms shrink like (l_max/(2x))^n, so each row of the table fixes its term
-count from its smallest tail argument and its exponent.  The tail loop
-updates its table in place, with no allocation per term; the closed form
-forms each stencil term (x - l/2)_+^e over the whole direct branch, with
-no gather or scatter per term.
+series about the stencil's centre c, 1/2 for theta and box and 1 for
+big_theta: at y = x - c the sum is y^e sum_n C(e,n) (-1/y)^n M_n over the
+central moments M_n = sum_l w_l (l/2 - c)^n.  These sit on offsets
+|l/2 - c| <= 1 instead of l/2 <= 2, and theta is symmetric about c while
+big_theta and box are antisymmetric, so every other moment vanishes and
+each kept term is about (l_max/(2y))^2 of the one before: just past x = 8
+theta and box sum 8 terms and big_theta 11, against 21 and 32 about 0.
+The leading moments vanish too, so no cancelling head remains; past the
+first, the kept terms have one sign, so the bound on the first term left
+out bounds all the rest, and each row of the table fixes its term count
+from its smallest y and its exponent.  The tail loop updates its table in
+place, with no allocation per term, and forms y in the copy that selects
+the tail's arguments; the closed form forms each stencil term
+(x - l/2)_+^e over the whole direct branch, with no gather or scatter per
+term.
 
 The tail series takes any exponent, not only the kernels' q and p: for
 e < -1 the binomial ratio |C(e,n+1) / C(e,n)| exceeds 1, and the term
@@ -49,9 +56,10 @@ D5 = (1.0, -2.0, 0.0, 2.0, -1.0)
 
 # a tail term below this fraction of the sum is under half an ulp of it
 _TAIL_TOL = 1e-17
-# stencil moments stored: the kernels' slowest tail (just past x = 8)
-# needs 23 and 35, theta_taylor's at r = 30 and k = 17 needs 84
-_MOMENTS = 128
+# central moments stored, n < _MOMENTS: the kernels' slowest tail (big_theta
+# just past x = 8) reads n <= 23, theta_taylor's at R = 30 and k = 17
+# n <= 36 (84 about 0); R = 30 at k = 9 (n <= 82) is refused
+_MOMENTS = 64
 
 
 def check_alpha(alpha: float) -> None:
@@ -96,104 +104,123 @@ def _check_v(v, alpha: float) -> None:
             f"v must lie in (1/alpha - 1, 1) = ({lo:.6g}, 1), got {v[bad][0]}")
 
 
-_Stencil = namedtuple("_Stencil", "terms l_max n0 k moments")
+_Stencil = namedtuple("_Stencil", "terms centre l_max n0 k moments")
 
 
-def _term_count(k: float, l_max: int, x_min: float, e: float,
-                n0: int) -> int:
-    """Tail terms past the leading one that take k (g l_max / (2 x_min))^n
-    under _TAIL_TOL, g bounding |C(e,i+1) / C(e,i)| over i >= n0: 1 for
-    e > -1, else (n0 - e) / (n0 + 1), where the ratio (i - e) / (i + 1)
-    peaks.  ParameterError where this bound does not shrink."""
+def _term_count(k: float, l_max: float, y_min: float, e: float, n0: int,
+                centre: float = 0.0) -> int:
+    """Tail terms past the leading one, in steps of one n, that take
+    k (g l_max / (2 y_min))^n under _TAIL_TOL, g bounding |C(e,i+1) /
+    C(e,i)| over i >= n0: 1 for e > -1, else (n0 - e) / (n0 + 1), where the
+    ratio (i - e) / (i + 1) peaks.  ParameterError, naming x = centre +
+    y_min, where this bound does not shrink."""
     g = 1.0 if e > -1.0 else (n0 - e) / (n0 + 1.0)
-    shrink = math.log(0.5 * l_max * g) - math.log(x_min)
+    shrink = math.log(0.5 * l_max * g) - math.log(y_min)
     if not shrink < 0.0:
         raise ParameterError(f"the tail series bound does not converge at "
-                             f"x = {x_min}, exponent {e}")
+                             f"x = {centre + y_min}, exponent {e}")
     return math.ceil(math.log(_TAIL_TOL / k) / shrink)
 
 
-def _stencil(terms) -> _Stencil:
-    """Tail-series data of the weights w_l at offsets l/2.
+def _stencil(terms, centre: float) -> _Stencil:
+    """Tail-series data of the weights w_l at offsets l/2, expanded about
+    the centre c.
 
     ``terms`` lists the nonzero (l, w_l) in the order the closed form adds
-    them; n0 is the first n with m_n != 0.  Each tail term obeys
-    |term_n / term_n0| <= k (g l_max b)^(n - n0), as |C(e,n+1) / C(e,n)|
-    <= g (see _term_count) and |m_n| <= sum_l |w_l| l_max^n.  The first
-    _MOMENTS float moments are summed from the largest offset down, powers
-    by repeated products.
+    them.  The central moments M_n = sum_l w_l (l/2 - c)^n sit on offsets
+    |l/2 - c| <= l_max / 2 = 1/2 (theta, box) or 1 (big_theta); they are
+    dyadic, so their float sums are exact while M_n fits 53 bits (every n
+    for theta and box, n <= 54 for big_theta).  n0 is the first n with
+    M_n != 0, and M_n vanishes for every odd n - n0: the stencil is
+    symmetric (theta) or antisymmetric (big_theta, box) about c.  Each
+    tail term obeys |term_n / term_n0| <= k (g l_max / (2 y))^(n - n0), as
+    |C(e,n+1) / C(e,n)| <= g (see _term_count) and |M_n| <= sum_l |w_l|
+    (l_max / 2)^n.  ``moments`` holds (-1)^n M_n / n! for n < _MOMENTS,
+    the tail's falling factorials taking the place of its binomials.
     """
-    l_max = max(l for l, _ in terms)
-    exact = [sum(w * l ** n for l, w in terms) for n in range(len(terms))]
-    n0 = next(n for n, m in enumerate(exact) if m)
-    k = sum(abs(w) for _, w in terms) * l_max ** n0 / abs(exact[n0])
-    moments, pows = [], {l: 1.0 for l, _ in terms}
-    down = sorted(terms, reverse=True)
+    offsets = [(0.5 * l - centre, w) for l, w in terms]
+    half = max(abs(d) for d, _ in offsets)
+    central, pows = [], [1.0] * len(offsets)
     for _ in range(_MOMENTS):
         m = 0.0
-        for l, w in down:
-            m += w * pows[l]
-            pows[l] *= l
-        moments.append(m)
-    return _Stencil(terms, l_max, n0, k, tuple(moments))
+        for (_, w), pw in zip(offsets, pows):
+            m += w * pw
+        central.append(m)
+        pows = [pw * d for (d, _), pw in zip(offsets, pows)]
+    n0 = next(n for n, m in enumerate(central) if m)
+    k = sum(abs(w) for _, w in terms) * half ** n0 / abs(central[n0])
+    moments = tuple((m if n % 2 == 0 else -m) / math.factorial(n)
+                    for n, m in enumerate(central))
+    return _Stencil(terms, centre, 2.0 * half, n0, k, moments)
 
 
 # the closed form's rounding follows its summation order: (1, -2, 1) is
 # added from offset 1 down, D5 and the box's (1, -1) from offset 0 up, so
 # the box below 1 is x**q / q to the bit
-_THETA = _stencil(((2, 1.0), (1, -2.0), (0, 1.0)))
-_BIG_THETA = _stencil(tuple((l, w) for l, w in enumerate(D5) if w))
-_BOX = _stencil(((0, 1.0), (2, -1.0)))
+_THETA = _stencil(((2, 1.0), (1, -2.0), (0, 1.0)), 0.5)
+_BIG_THETA = _stencil(tuple((l, w) for l, w in enumerate(D5) if w), 1.0)
+_BOX = _stencil(((0, 1.0), (2, -1.0)), 0.5)
 
 
-def _tail(t, e, st: _Stencil):
-    """sum_{n>=n0} C(e,n) (-b)^n m_n at b = 1/(2t), summed forward in n.
+def _tail(y, e, st: _Stencil):
+    """sum_n C(e,n) (-1/y)^n M_n over n = n0, n0 + 2, ..., summed forward:
+    the stencil sum_l w_l (x - l/2)^e over y^e, at y = x - c.
 
-    This is the bracket sum_l w_l (1 - l b)^e with the vanishing moments
-    cancelled analytically, so no cancelling head remains.  ``e`` is one
-    exponent or one per element of t, giving one row of sums, or a column
-    (R, 1) of exponents in decreasing order, giving an (R, t.size) table.
-    Each row of the table runs the term count of its smallest exponent
-    and its smallest t; a smaller exponent needs more terms, so the rows
+    This is the bracket sum_l w_l (1 - (l/2 - c) / y)^e with the vanishing
+    moments cancelled analytically, so no cancelling head remains.  The
+    ratio of consecutive kept terms, (e - n)(e - n - 1) / ((n + 1)(n + 2))
+    y^-2 M_(n+2) / M_n, is positive for n > e, so past the leading term
+    the terms keep one sign and the bound on each bounds the rest.  ``e``
+    is one exponent or one per element of y, giving one row of sums, or a
+    column (R, 1) of exponents in decreasing order, giving an (R, y.size)
+    table.  Each row sums the terms n - n0 <= count of the term count that
+    _term_count gives for its smallest exponent and its smallest y: just
+    past x = 8, for e in (-1, 2), 7 past the leading one for theta and box
+    and 10 for big_theta.  A smaller exponent needs more terms, so the rows
     still running are a suffix of the table.  The loop updates them in
-    place, and every element sees the same operations in the same order
-    in any table.
+    place, and every element sees the same operations in the same order in
+    any table.
     """
-    b = 0.5 / t
-    c0 = e
+    # c_n = (e)_n y^-n with the falling factorial (e)_n = e (e - 1) ...
+    # (e - n + 1), against the stored (-1)^n M_n / n!
+    b = np.divide(1.0, y)
+    z = b * b
+    lead = e
     for i in range(1, st.n0):
-        c0 = c0 * (e - i)
-    c0 = c0 / math.factorial(st.n0)
-    # the leading power is formed from b > 0, its sign carried by c0:
-    # numpy's power of a negative base takes a slow path, 46x the time of
-    # b**3 on a 31k-element table (3.9 against 0.084 ms, numpy 2.4,
-    # AVX-512).  Theta's (c0 * b) * b rounds unlike c0 * b**2 and keeps
-    # its form, so theta, dtheta_dx and theta_taylor keep their bits
-    coef = c0 * b * b if st.n0 == 2 \
-        else (-1.0) ** st.n0 * c0 * b ** st.n0
-    total = coef * st.moments[st.n0]
-    # an empty t needs no terms: its bound shrinks at x = inf
-    t_min = np.min(t, initial=np.inf)
-    ends = []  # the n each row stops before
+        lead = lead * (e - i)
+    c = lead * (b if st.n0 % 2 else z)
+    for _ in range((st.n0 - 1) // 2):
+        c *= z
+    del b, lead
+    total = c * st.moments[st.n0]
+    # an empty y needs no terms: its bound shrinks at y = inf
+    y_min = np.min(y, initial=np.inf)
+    ends = []  # the last n each row sums
     for row in e if np.ndim(e) == 2 else [e]:
-        count = _term_count(st.k, st.l_max, t_min, np.min(row), st.n0)
-        if st.n0 + 1 + count > len(st.moments):
-            raise ParameterError(f"the tail series at x = {t_min} needs "
-                                 f"{count} terms, over the stored moments")
-        ends.append(st.n0 + count)
-    nb = -b
-    de, scratch = np.empty(np.shape(e)), np.empty(total.shape)
+        count = _term_count(st.k, st.l_max, y_min, np.min(row), st.n0,
+                            st.centre)
+        end = st.n0 + 2 * (count // 2)
+        if end >= len(st.moments):
+            raise ParameterError(
+                f"the tail series at x = {st.centre + y_min} needs "
+                f"{count // 2} terms, over the stored moments")
+        ends.append(end)
+    d, d2 = np.empty(np.shape(e)), np.empty(np.shape(e))
+    scratch = np.empty(total.shape)
     start = st.n0
-    # terms start..end-1 run on rows first.. (ends rise, so those rows
+    # terms start+2..end run on rows first.. (ends rise, so those rows
     # are the ones still running; one row has first = 0)
     for first, end in enumerate(ends):
-        c, tot, s = coef[first:], total[first:], scratch[first:]
-        ef, d = (e[first:], de[first:]) if np.ndim(e) else (e, de)
-        for n in range(start, end):
-            c *= np.subtract(ef, n, out=d)
-            c /= n + 1.0
-            c *= nb
-            tot += np.multiply(c, st.moments[n + 1], out=s)
+        cf, tot, s = c[first:], total[first:], scratch[first:]
+        ef, df, d2f = ((e[first:], d[first:], d2[first:])
+                       if np.ndim(e) == 2 else (e, d, d2))
+        for n in range(start, end, 2):
+            # c_(n+2) = c_n (e - n)(e - n - 1) / y^2
+            np.subtract(ef, n, out=df)
+            df *= np.subtract(ef, n + 1, out=d2f)
+            cf *= df
+            cf *= z
+            tot += np.multiply(cf, st.moments[n + 2], out=s)
         start = max(start, end)
     return total
 
@@ -201,9 +228,10 @@ def _tail(t, e, st: _Stencil):
 def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
     """sum_l w_l (x - l/2)_+^e at e = q = 1 + v - 1/alpha, divided by q when
     ``integrated``, else at e = v - 1/alpha: zero for x <= 0, closed form
-    up to switch_x, x^e times the tail series beyond.  Elementwise in x and
-    in a v that broadcasts against it (a scalar v stays one exponent);
-    scalar in, float out; ParameterError for a non-finite x or value."""
+    up to switch_x, y^e times the tail series beyond, at y = x - c.
+    Elementwise in x and in a v that broadcasts against it (a scalar v
+    stays one exponent); scalar in, float out; ParameterError for a
+    non-finite x or value."""
     _check_v(v, params.alpha)
     e = 1.0 + v - 1.0 / params.alpha if integrated else v - 1.0 / params.alpha
     div = e if integrated else 1.0
@@ -230,9 +258,13 @@ def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
                 acc += term
             out[lo] = acc
         if hi.any():
-            t = flat[hi]
+            # y = x - c in the copy that the mask made, not a new array
+            y = flat[hi]
+            y -= st.centre
             eh = e[hi] if np.ndim(e) else e
-            out[hi] = np.power(t, eh) * _tail(t, eh, st)
+            acc = _tail(y, eh, st)
+            acc *= np.power(y, eh)
+            out[hi] = acc
     # a NaN or -inf x gives 0, so x is checked too (min and max keep NaN)
     if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())
                           and np.isfinite(out).all()):
@@ -286,10 +318,10 @@ def theta_taylor(k, v, R: int, params: KernelParams) -> np.ndarray:
     at every k of a 1-d array above switch_x (an empty k gives R empty
     rows) and one scalar v.
 
-    Row r is C(q,r)/q k^(q-r) times the tail series at exponent q - r, so
-    theta(k + eps) - theta(k) = sum_r eps^r row_r for |eps| < k - 1.  All
-    R series are one (R, k.size) tail table, each row summed to its own
-    term count.
+    Row r is C(q,r)/q (k - 1/2)^(q-r) times the centred tail series at
+    exponent q - r, so theta(k + eps) - theta(k) = sum_r eps^r row_r for
+    |eps| < k - 1.  All R series are one (R, k.size) tail table, each row
+    summed to its own term count.
     """
     _check_v(v, params.alpha)
     k = np.asarray(k, dtype=float)
@@ -302,9 +334,10 @@ def theta_taylor(k, v, R: int, params: KernelParams) -> np.ndarray:
     # C(q,r)/q for r = 1..R, as c_(r+1) = c_r (q - r) / (r + 1)
     c = list(itertools.accumulate(range(1, R), initial=1.0,
                                   func=lambda c, r: c * (q - r) / (r + 1.0)))
-    out = np.power(k, e)
+    y = k - _THETA.centre
+    out = np.power(y, e)
     out *= np.array(c[:R])[:, None]
-    out *= _tail(k, e, _THETA)
+    out *= _tail(y, e, _THETA)
     return out
 
 

@@ -6,11 +6,14 @@ the series halves summed one row at a time on
 either route, which the packed rows of ``series`` must reproduce; probes
 of the memory a call holds at its peak and after it returns; theta's Taylor
 coefficients one order at a time, which the one tail table of
-``kernels.theta_taylor`` must reproduce; and the truncated power, the
-independent reference for the recent-scales leading term u**q / q that
-``kernels.box`` gives."""
+``kernels.theta_taylor`` must reproduce; the kernels' tail series expanded
+about 0 over integer moments, which the centred series must agree with;
+and the truncated power, the independent reference for the recent-scales
+leading term u**q / q that ``kernels.box`` gives."""
 
+import math
 import tracemalloc
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,21 +198,74 @@ def x2_rows(u, v, pyramid, prefix, J: int, halves, method: str) -> np.ndarray:
 
 
 def theta_taylor_rows(k, v, R: int, params: KernelParams) -> np.ndarray:
-    """kernels.theta_taylor one order r at a time: C(q,r)/q k^(q-r) times
-    the tail series at the one exponent q - r."""
+    """kernels.theta_taylor one order r at a time: C(q,r)/q (k - 1/2)^(q-r)
+    times the centred tail series at the one exponent q - r."""
     kernels._check_v(v, params.alpha)
     k = np.asarray(k, dtype=float)
     if np.ndim(v) or k.ndim != 1 or not k.min() > params.switch_x:
         raise ParameterError(f"theta_taylor takes one v and k above "
                              f"switch_x = {params.switch_x}")
     q = 1.0 + v - 1.0 / params.alpha
+    y = k - kernels._THETA.centre
     out = np.empty((R, k.size))
     c = 1.0  # C(q,r)/q
     for r in range(1, R + 1):
-        out[r - 1] = c * np.power(k, q - r) * kernels._tail(k, q - r,
-                                                             kernels._THETA)
+        out[r - 1] = c * np.power(y, q - r) * kernels._tail(y, q - r,
+                                                            kernels._THETA)
         c = c * (q - r) / (r + 1.0)
     return out
+
+
+_Uncentred = namedtuple("_Uncentred", "l_max n0 k moments")
+
+
+def uncentred_stencil(weights) -> _Uncentred:
+    """Tail data of the weights w_l at offsets l/2, l = 0, 1, ..., about 0:
+    the integer moments m_n = sum_l w_l l^n for n < 128, summed from the
+    largest offset down, powers by repeated products; n0 is the first n
+    with m_n != 0, and |term_n / term_n0| <= k (g l_max / (2 x))^(n - n0)
+    (see kernels._term_count)."""
+    terms = [(l, w) for l, w in enumerate(weights) if w]
+    l_max = max(l for l, _ in terms)
+    exact = [sum(w * l ** n for l, w in terms) for n in range(len(terms))]
+    n0 = next(n for n, m in enumerate(exact) if m)
+    k = sum(abs(w) for _, w in terms) * l_max ** n0 / abs(exact[n0])
+    moments, pows = [], {l: 1.0 for l, _ in terms}
+    down = sorted(terms, reverse=True)
+    for _ in range(128):
+        m = 0.0
+        for l, w in down:
+            m += w * pows[l]
+            pows[l] *= l
+        moments.append(m)
+    return _Uncentred(l_max, n0, k, tuple(moments))
+
+
+def uncentred_tail(t, e, st: _Uncentred):
+    """sum_{n>=n0} C(e,n) (-b)^n m_n at b = 1/(2t), summed forward in n to
+    the term count of the smallest t and exponent, one exponent or one per
+    element of t (the bracket sum_l w_l (1 - l b)^e)."""
+    b = 0.5 / t
+    c0 = e
+    for i in range(1, st.n0):
+        c0 = c0 * (e - i)
+    coef = (-1.0) ** st.n0 * (c0 / math.factorial(st.n0)) * b ** st.n0
+    total = coef * st.moments[st.n0]
+    count = kernels._term_count(st.k, st.l_max, np.min(t), np.min(e), st.n0)
+    if st.n0 + 1 + count > len(st.moments):
+        raise ParameterError(f"the uncentred tail at x = {np.min(t)} needs "
+                             f"{count} terms, over the stored moments")
+    for n in range(st.n0, st.n0 + count):
+        coef = coef * (e - n) / (n + 1.0) * -b
+        total = total + coef * st.moments[n + 1]
+    return total
+
+
+def uncentred_stencil_sum(weights, x, e):
+    """sum_l w_l (x - l/2)^e at x > 2 as x^e times the tail series about
+    0, at one exponent or one per element of x."""
+    x = np.asarray(x, dtype=float)
+    return np.power(x, e) * uncentred_tail(x, e, uncentred_stencil(weights))
 
 
 def traced_peak(fn) -> int:

@@ -304,8 +304,9 @@ def test_atomic_write_leaves_no_droppings(tmp_path):
 @pytest.mark.parametrize("command", ["simulate", "render"])
 def test_out_naming_a_directory_is_refused(command, monkeypatch, tmp_path,
                                            capsys):
-    # --out dir/ would write the hidden files dir/.csv and dir/.svg: it is
-    # refused before any draw or read, from the flag or the config file
+    # --out dir/, dir/.csv or dir/.svg would write the hidden files dir/.csv
+    # and dir/.svg: each is refused before any draw or read, from the flag
+    # or the config file
     def no_draw(*args, **kwargs):
         raise AssertionError("drew")
 
@@ -315,7 +316,8 @@ def test_out_naming_a_directory_is_refused(command, monkeypatch, tmp_path,
     out.mkdir()
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out={out}{os.sep}\n")
-    for args in (["--out", f"{out}{os.sep}"], ["--config", str(cfg)]):
+    for args in (["--out", f"{out}{os.sep}"], ["--config", str(cfg)],
+                 ["--out", str(out / ".csv")], ["--out", str(out / ".svg")]):
         argv = [command] + (["any.csv"] if command == "render" else [])
         assert main(argv + args) == 2
         err = capsys.readouterr().err
@@ -791,19 +793,19 @@ def test_commands_load_no_scipy(argv, tmp_path):
 _FROZEN_OUTPUTS = [
     (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
       "--mode", "consistent"],
-     {".csv": "a203096d72b94bf2", ".svg": "26c1fc4c0974c0de"}),
+     {".csv": "791c9818a1a20e07", ".svg": "26c1fc4c0974c0de"}),
     (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
       "--mode", "independent"],
-     {".csv": "96a29b6793933fa0", ".svg": "9e67f0b1152bb570"}),
+     {".csv": "253c06f24042adcd", ".svg": "9e67f0b1152bb570"}),
     (["field", "--which", "total", "--alpha", "1.5", "--J", "4",
       "--u-points", "9", "--v-values", "0.7,0.9"],
-     {".csv": "b83ecdf37c8c085a"}),
+     {".csv": "c27a25227b9fe31f"}),
     (["converge", "--which", "lf", "--alpha", "1.5", "--v", "0.75",
       "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
-     {".csv": "d4117b29cfd002df"}),
+     {".csv": "5a892e667cc2941d"}),
     (["converge", "--which", "hf", "--alpha", "1.5", "--v", "0.75",
       "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
-     {".csv": "946d780569f189f5"}),
+     {".csv": "b62915ba6b99a08c"}),
 ]
 
 

@@ -22,7 +22,8 @@ from haarlmsm.kernels import (
     theta_taylor,
 )
 from haarlmsm.series import check_uv
-from oracles import theta_taylor_rows, truncated_power
+from oracles import (theta_taylor_rows, traced_peak, truncated_power,
+                     uncentred_stencil, uncentred_stencil_sum, uncentred_tail)
 
 ALL_FUNCS = (theta, big_theta, dtheta_dx, dbig_theta_dx, box)
 
@@ -333,7 +334,7 @@ def test_theta_taylor_refuses_what_it_cannot_sum():
         theta_taylor(np.array([20.0]), 1.0, 3, params)
     # the bound shrinks, but needs more terms than the stencil stores
     with pytest.raises(ParameterError, match="stored moments"):
-        theta_taylor(np.array([9.0]), 0.75, 20, params)
+        theta_taylor(np.array([9.0]), 0.75, 40, params)
     # at exponent -58 the binomial ratio reaches 20, past x / l_max * 2
     with pytest.raises(ParameterError, match="does not converge"):
         kernels._term_count(8.0, 2, 17.0, -58.0, 2)
@@ -343,9 +344,9 @@ def test_theta_taylor_refuses_what_it_cannot_sum():
 @given(alpha=st.floats(1.01, 1.99), v_frac=st.floats(0.0, 1.0),
        lo=st.integers(9, 4096), span_frac=st.floats(0.0, 1.0),
        R=st.integers(1, 30))
-# R 20 at k = 9 needs more terms than the stencil stores; R 30 at k = 17
-# needs the most terms it does store (84)
-@example(alpha=1.5, v_frac=0.5, lo=9, span_frac=0.0, R=20)
+# R 30 at k = 9 needs more terms than the stencil stores (n <= 82); R 30 at
+# k = 17, the far past's first k, reads n <= 36
+@example(alpha=1.5, v_frac=0.5, lo=9, span_frac=0.0, R=30)
 @example(alpha=1.99, v_frac=1e-9, lo=17, span_frac=0.5, R=30)
 # the band's first float, where q can be 1 and row 2's exponent -1
 @example(alpha=1.5, v_frac=0.0, lo=22, span_frac=1.0, R=3)
@@ -376,14 +377,98 @@ def test_theta_taylor_of_no_k_is_empty_rows():
 
 
 def test_term_count_bound_unchanged_above_minus_one():
-    """For e > -1 the count is the bound k (l_max / (2 x))^n alone, so
-    the four kernels run the terms they always did."""
-    for k, l_max, n0 in ((8.0, 2, 2), (32.0, 4, 3)):
+    """For e > -1 the count is the bound k (l_max / (2 y))^n alone, at the
+    centred stencils' (k, 2 max|l/2 - c|, n0)."""
+    stencils = ((kernels._THETA, (2.0, 1.0, 2)),
+                (kernels._BIG_THETA, (4.0, 2.0, 3)),
+                (kernels._BOX, (1.0, 1.0, 1)))
+    for st, (k, l_max, n0) in stencils:
+        assert (st.k, st.l_max, st.n0) == (k, l_max, n0)
         for x in (4.0, 8.0, 17.5, 1e3, 1e7):
             want = math.ceil(math.log(1e-17 / k)
                              / (math.log(0.5 * l_max) - math.log(x)))
             for e in (-0.999, 0.0, 0.5, 1.999):
                 assert kernels._term_count(k, l_max, x, e, n0) == want
+
+
+class _Reads(tuple):
+    """A stencil's moments that count the terms a tail sum reads."""
+
+    reads = 0
+
+    def __getitem__(self, n):
+        self.reads += 1
+        return super().__getitem__(n)
+
+
+def test_tail_sums_a_third_of_the_terms():
+    """Just past x = 8, for e in (-1, 2), the centred tail sums at most 8
+    terms for theta and box and 11 for big_theta (21 and 32 about 0), and
+    agrees there with the series about 0."""
+    x = math.nextafter(8.0, 9.0)
+    for st, weights, most in ((kernels._THETA, (1.0, -2.0, 1.0), 8),
+                              (kernels._BOX, (1.0, 0.0, -1.0), 8),
+                              (kernels._BIG_THETA, D5, 11)):
+        for e in (-0.999, -0.5, 0.0, 0.5, 1.0, 1.5, 1.999):
+            y = np.array([x, 1e3]) - st.centre
+            counted = st._replace(moments=_Reads(st.moments))
+            got = np.power(y, e) * kernels._tail(y, e, counted)
+            assert counted.moments.reads <= most, (st.centre, e)
+            want = uncentred_stencil_sum(weights, [x, 1e3], e)
+            # at e = 0 and (theta) e = 1 both sums are exactly 0
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), \
+                (st.centre, e)
+    # about 0 the same tail read 21 and 32 terms
+    for weights, terms in (((1.0, -2.0, 1.0), 21), (D5, 32)):
+        counted = uncentred_stencil(weights)
+        counted = counted._replace(moments=_Reads(counted.moments))
+        uncentred_tail(np.array([x]), 0.5, counted)
+        assert counted.moments.reads == terms
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(alpha=st.floats(1.01, 1.99), v_frac=st.floats(0.0, 1.0),
+       x=st.floats(8.0, 1e6, exclude_min=True), k=st.floats(17.0, 1e6),
+       R=st.integers(1, 30))
+@example(alpha=1.01, v_frac=0.0, x=math.nextafter(8.0, 9.0), k=17.0, R=30)
+@example(alpha=1.99, v_frac=1.0, x=1e6, k=1e6, R=1)
+def test_centred_tail_matches_the_series_about_zero(alpha, v_frac, x, k, R):
+    """All five kernels and the theta_taylor rows on the tail, x in (8,
+    1e6], v from 1/alpha + 1e-3 to 1 - 1e-9, within 1e-12 of the tail
+    series expanded about 0 over integer moments."""
+    params = KernelParams(alpha)
+    lo = 1.0 / alpha + 1e-3
+    v = lo + v_frac * (1.0 - 1e-9 - lo)
+    xs = np.array([x, math.nextafter(8.0, 9.0)])
+    for f, weights, divide in STENCILS:
+        e = 1.0 + v - 1.0 / alpha if divide else v - 1.0 / alpha
+        want = uncentred_stencil_sum(weights, xs, e) / (e if divide else 1.0)
+        rel = np.abs(f(xs, v, params) / want - 1.0)
+        assert np.max(rel) <= 1e-12, f.__name__
+    q = 1.0 + v - 1.0 / alpha
+    got = theta_taylor(np.array([k]), v, R, params)[:, 0]
+    about_zero = uncentred_stencil((1.0, -2.0, 1.0))
+    c = 1.0  # C(q,r)/q
+    for r in range(1, R + 1):
+        want = c * k ** (q - r) * uncentred_tail(np.array([k]), q - r,
+                                                 about_zero)[0]
+        assert abs(got[r - 1] / want - 1.0) <= 1e-12, r
+        c = c * (q - r) / (r + 1.0)
+
+
+def test_tail_call_makes_no_array_for_y():
+    """A 2**16-element tail call holds at its peak at most 12.5 arrays of
+    its size with one v per point and 8.5 with one v: the shift y = x - c
+    takes the copy that selects the tail's arguments."""
+    n = 2 ** 16
+    params = KernelParams(1.5)
+    x = np.linspace(9.0, 1e3, n)
+    for v, most in ((np.linspace(0.7, 0.95, n), 12.5), (0.8, 8.5)):
+        for f in (theta, big_theta):
+            f(x, v, params)
+            peak = traced_peak(lambda: f(x, v, params))
+            assert peak <= most * 8 * n, (f.__name__, np.ndim(v),
+                                          peak / (8 * n))
 
 
 # (big_theta, dbig_theta_dx) at tail arguments, keyed (alpha, v, x): the
@@ -529,7 +614,7 @@ def test_theta_pair_keeps_its_frozen_bits():
     tail arguments, one and per-point exponents.  Taken with numpy 2.4 on
     x86-64 with AVX-512; numpy's SIMD power may round differently on
     other CPU features."""
-    assert _theta_digest() == "a20a395dc40bbfb8"
+    assert _theta_digest() == "7cdfa32d55b62ae6"
 
 
 def _big_theta_digest():
@@ -555,4 +640,4 @@ def test_big_theta_pair_keeps_its_frozen_bits():
     and tail arguments, the exact kinks 0, 1/2, 1, 3/2 and 2, x <= 0, one
     and per-point exponents.  Taken with numpy 2.4 on x86-64 with AVX-512;
     numpy's SIMD power may round differently on other CPU features."""
-    assert _big_theta_digest() == "00dfa3e9920cc873"
+    assert _big_theta_digest() == "52fb9acc1aa6e1aa"
