@@ -59,8 +59,9 @@ SLOPE_TOLERANCE = 0.15
 # entries/s of a J_hf 12 hf half on a 2-core host)
 MAX_TABLE_ENTRIES = 2 ** 28
 
-# stable draws priced as one kernel table entry by the work estimates (on
-# two cores 2**24 draws took 0.95 s, 2**24 entries about 4 s)
+# stable draws priced as one kernel table entry by the work estimates: on
+# two cores 2**24 draws took 0.46-0.63 s, so the budget's 2**30 draws take
+# about 35 s (2**24 entries of a J_hf 12 simulate took 0.8-1.1 s)
 DRAWS_PER_ENTRY = 4
 
 

@@ -162,9 +162,10 @@ _BIG_THETA = _stencil(tuple((l, w) for l, w in enumerate(D5) if w), 1.0)
 _BOX = _stencil(((0, 1.0), (2, -1.0)), 0.5)
 
 
-def _tail(y, e, st: _Stencil):
+def _tail(y, e, st: _Stencil, power: bool = False):
     """sum_n C(e,n) (-1/y)^n M_n over n = n0, n0 + 2, ..., summed forward:
-    the stencil sum_l w_l (x - l/2)^e over y^e, at y = x - c.
+    the stencil sum_l w_l (x - l/2)^e over y^e, at y = x - c; with
+    ``power``, times y^e, so the stencil sum itself.
 
     This is the bracket sum_l w_l (1 - (l/2 - c) / y)^e with the vanishing
     moments cancelled analytically, so no cancelling head remains.  The
@@ -180,6 +181,13 @@ def _tail(y, e, st: _Stencil):
     still running are a suffix of the table.  The loop updates them in
     place, and every element sees the same operations in the same order in
     any table.
+
+    The leading coefficient carries (1/y)^n0, which comes within 2^53 of
+    the subnormals where y^n0 passes 2^969.  With ``power`` (one exponent,
+    or one per element), y^e multiplies those elements' leading
+    coefficient first, as lead (1/y) y^e (1/y)^(n0 - 1), which stays
+    normal while their sum does; every other element is multiplied by y^e
+    at the end.
     """
     # c_n = (e)_n y^-n with the falling factorial (e)_n = e (e - 1) ...
     # (e - n + 1), against the stored (-1)^n M_n / n!
@@ -191,6 +199,17 @@ def _tail(y, e, st: _Stencil):
     c = lead * (b if st.n0 % 2 else z)
     for _ in range((st.n0 - 1) // 2):
         c *= z
+    deep = None  # the elements whose y^n0 passes 2^969
+    far = 2.0 ** (969.0 / st.n0)
+    if power and np.max(y, initial=0.0) > far:
+        deep = np.flatnonzero(y > far)
+        bd = b[deep]
+        cd = (lead[deep] if np.ndim(lead) else lead) * bd
+        cd *= np.power(y[deep], e[deep] if np.ndim(e) else e)
+        for _ in range(st.n0 - 1):
+            cd *= bd
+        c[deep] = cd
+        del bd, cd
     del b, lead
     total = c * st.moments[st.n0]
     # an empty y needs no terms: its bound shrinks at y = inf
@@ -222,6 +241,11 @@ def _tail(y, e, st: _Stencil):
             cf *= z
             tot += np.multiply(cf, st.moments[n + 2], out=s)
         start = max(start, end)
+    if power:
+        kept = None if deep is None else total[deep]
+        total *= np.power(y, e, out=scratch)
+        if deep is not None:
+            total[deep] = kept
     return total
 
 
@@ -262,9 +286,7 @@ def _stencil_sum(x, v, params: KernelParams, st: _Stencil, integrated: bool):
             y = flat[hi]
             y -= st.centre
             eh = e[hi] if np.ndim(e) else e
-            acc = _tail(y, eh, st)
-            acc *= np.power(y, eh)
-            out[hi] = acc
+            out[hi] = _tail(y, eh, st, power=True)
     # a NaN or -inf x gives 0, so x is checked too (min and max keep NaN)
     if flat.size and not (np.isfinite(flat.min()) and np.isfinite(flat.max())
                           and np.isfinite(out).all()):

@@ -20,13 +20,15 @@ Every draw takes a counter-based (Philox) generator, and every grid or row
 gets its own spawned stream, so results are reproducible from a single
 integer seed and independent of evaluation order.  A stable draw of n
 values reads all n uniform angles and then all n exponentials from its
-stream, in blocks; large draws are split across two threads with identical
-bits, and a draw can hand its blocks, in order, to a consumer instead of
-returning them (see ``sample_sas``).  A split draw that fails joins both
-threads and then raises the first exception either met, as a serial draw
-raises it.  Both grids of ``consistent`` mode are running sums of one such
-draw, summed as it is drawn (``_walk``), and ``analysis``'s Monte Carlo
-never holds a chunk of draws.
+stream, in blocks, and evaluates the Chambers-Mallows-Stuck formula with
+one SIMD tangent per sine or cosine (``_cms``); large draws are split
+across two threads with identical bits, and a draw can hand its blocks, in
+order, to a consumer instead of returning them (see ``sample_sas``).  A
+split draw that fails joins both threads and then raises the first
+exception either met, as a serial draw raises it.  Both grids of
+``consistent`` mode are running sums of one such draw, summed as it is
+drawn (``_walk``), and ``analysis``'s Monte Carlo never holds a chunk of
+draws.
 
 Every depth and count of the package is held against the memory budget
 ``MAX_VALUES`` here, by ``check_depth`` and ``check_size``.
@@ -57,11 +59,18 @@ MAX_DEPTH = MAX_VALUES.bit_length()
 # sample_sas streams every draw through blocks of _BLOCK values, so that a
 # worker's block of angles with its exponentials and two scratch buffers
 # (256 KiB) stays in cache, and splits a draw of at least _SPLIT_MIN values
-# across two threads.  On two cores a split draw of 2**15 values took 0.72x
-# the serial wall time but 1.11x its CPU time, one of 2**16 0.63x the wall
-# and 1.08x the CPU, and one of 2**21 0.55x the wall and 1.03x the CPU.
+# across two threads.  On two cores (numpy 2.4.6, AVX-512) a split draw of
+# 2**15 values took about 0.85x the serial wall time but 1.25x its CPU
+# time, one of 2**16 0.8x the wall and 1.25x the CPU, and one of 2**21 0.7x
+# the wall and 1.17x the CPU.  The angles and exponentials are drawn under
+# the stream's lock, and they are a larger share of a block's cost since
+# the formula runs on tangents.
 _SPLIT_MIN = 2 ** 16
 _BLOCK = 8192
+
+# pi/2 as fl(pi/2) plus the rounding of fl(pi/2)
+_HALF_PI = np.pi / 2.0
+_HALF_PI_LOW = 6.123233995736766e-17
 
 # seeds _philox_after's throwaway Philox, whose state is overwritten
 _THROWAWAY_SEED = np.random.SeedSequence(0)
@@ -118,23 +127,50 @@ def make_rng(seed: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(check_seed(seed))))
 
 
+def _sin_half_tan(x, t) -> None:
+    """sin(2x) = 2 tan(x) / (1 + tan(x)**2) in x, for |x| <= pi/2; t is
+    scratch of x's size."""
+    np.tan(x, out=x)
+    np.multiply(x, x, out=t)
+    t += 1.0
+    x += x
+    x /= t
+
+
+def _cos_as_sin(theta, out, t) -> None:
+    """cos(theta) for |theta| <= pi/2, into out, as sin(d) with d = pi/2 -
+    |theta|; t is scratch.  d is formed as (fl(pi/2) - |theta|) + the
+    rounding of fl(pi/2), so it keeps its relative digits as |theta| nears
+    pi/2, where the law's heavy tail lives.  t may be theta itself."""
+    np.abs(theta, out=out)
+    np.subtract(_HALF_PI, out, out=out)
+    out += _HALF_PI_LOW
+    out *= 0.5
+    _sin_half_tan(out, t)
+
+
 def _cms(a: float, scale: float, u, w, x, c) -> None:
-    """The trigonometric formula, times the scale, left to right in place.
+    """The trigonometric formula, times the scale, in place:
+
+        sin(a U) / cos(U)**(1/a) * (cos((1-a) U) / W)**((1-a)/a)
 
     Takes angles u and exponentials w and leaves the variates in u; x and c
-    are scratch of u's size.  Every step is elementwise, so any split of the
-    arrays into blocks gives the same bits.
+    are scratch of u's size.  Each sine and cosine is one SIMD tangent of
+    the half angle (numpy's sin and cos run scalar libm, several times
+    slower): sin(a U) = 2t / (1 + t**2) at t = tan(a U / 2), and each
+    cosine is the sine of its complement (``_cos_as_sin``).  Every step is
+    elementwise, so any split of the arrays into blocks gives the same bits.
     """
-    np.multiply(a, u, out=x)
-    np.sin(x, out=x)
-    np.cos(u, out=c)
-    c **= 1.0 / a
-    x /= c
-    np.multiply(1.0 - a, u, out=u)
-    np.cos(u, out=u)
-    u /= w
-    u **= (1.0 - a) / a
-    np.multiply(x, u, out=u)
+    np.multiply(1.0 - a, u, out=x)
+    _cos_as_sin(x, c, x)
+    c /= w
+    c **= (1.0 - a) / a
+    _cos_as_sin(u, w, x)
+    w **= 1.0 / a
+    c /= w
+    np.multiply(0.5 * a, u, out=x)
+    _sin_half_tan(x, w)
+    np.multiply(x, c, out=u)
     u *= scale
 
 
@@ -226,6 +262,7 @@ class _BlockStream:
                     if self.error is not None:
                         return
                 self.consume(i, u.reshape((m,) + self.shape[1:]))
+                del u  # before the next block's angles are drawn
                 with self.turn:
                     self.consumed = i + m
                     self.turn.notify_all()
@@ -244,6 +281,10 @@ def sample_sas(law: StableLaw, rng: np.random.Generator, size=None, *,
 
         X = sin(alpha*U) / cos(U)**(1/alpha)
             * (cos((1-alpha)*U) / W)**((1-alpha)/alpha)
+
+    Each sine and cosine is a tangent of a half angle (see ``_cms``):
+    within 4e-15 relative of the formula written with numpy's sin and cos,
+    and as near 40-digit values as that formula is.
 
     Stream contract: ``rng`` must be a Philox generator; a draw of n values
     reads all n angles from it, then all n exponentials, and leaves it

@@ -793,19 +793,19 @@ def test_commands_load_no_scipy(argv, tmp_path):
 _FROZEN_OUTPUTS = [
     (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
       "--mode", "consistent"],
-     {".csv": "791c9818a1a20e07", ".svg": "26c1fc4c0974c0de"}),
+     {".csv": "7f3fcce347459a01", ".svg": "26c1fc4c0974c0de"}),
     (["simulate", "--preset", "fig1-row3", "--J-hf", "5", "--J-lf", "3",
       "--mode", "independent"],
-     {".csv": "253c06f24042adcd", ".svg": "9e67f0b1152bb570"}),
+     {".csv": "9a66ba359b7b311d", ".svg": "9e67f0b1152bb570"}),
     (["field", "--which", "total", "--alpha", "1.5", "--J", "4",
       "--u-points", "9", "--v-values", "0.7,0.9"],
-     {".csv": "c27a25227b9fe31f"}),
+     {".csv": "7402f33feb4a32b2"}),
     (["converge", "--which", "lf", "--alpha", "1.5", "--v", "0.75",
       "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
-     {".csv": "5a892e667cc2941d"}),
+     {".csv": "4a079f5607acacad"}),
     (["converge", "--which", "hf", "--alpha", "1.5", "--v", "0.75",
       "--Jmin", "3", "--Jmax", "6", "--replicates", "8"],
-     {".csv": "b62915ba6b99a08c"}),
+     {".csv": "4b7535d79e705d3a"}),
 ]
 
 
@@ -813,7 +813,7 @@ def test_outputs_keep_their_frozen_bits(tmp_path, capsys):
     """Every file of a small simulate (both modes), field and converge
     run is frozen end to end, so a change meant to keep every bit shows
     it by passing.  Taken with numpy 2.4 on x86-64 with AVX-512; numpy's
-    SIMD power may round differently on other CPU features."""
+    SIMD tan and power may round differently on other CPU features."""
     got, want = {}, {}
     for i, (argv, digests) in enumerate(_FROZEN_OUTPUTS):
         out = tmp_path / str(i)

@@ -515,6 +515,30 @@ def test_big_theta_tail_matches_high_precision_values():
                 (f.__name__, alpha, v, x)
 
 
+# kernels at alpha 1.5, v 0.75, far enough out that (1/y)^n0 leaves the
+# normal floats, keyed (kernel, x): the mpmath 1.3.0 value of sum_l w_l (x -
+# l/2)^e (over e for big_theta and theta) at the float exponents the
+# kernels form, worked at 400 digits (the stencil cancels about 330 at
+# 1e110), rounded to double
+DEEP_TAIL_400_DIGITS = {
+    (big_theta, 1e110): -2.8030888791394784e-213,
+    (theta, 1e170): 3.057915140879494e-158,
+    (dbig_theta_dx, 1e104): 1.698961190544045e-305,
+}
+
+
+def test_tail_keeps_its_digits_where_the_leading_power_underflows():
+    """Where (1/y)^n0 underflows, y^e multiplies the leading coefficient
+    first: the kernels hold 1e-12 of the exact stencil sum there, and give
+    the correctly rounded subnormal where the value is one."""
+    params = KernelParams(1.5)
+    for (f, x), want in DEEP_TAIL_400_DIGITS.items():
+        got = f(x, 0.75, params)
+        assert abs(got / want - 1.0) <= 1e-12, (f.__name__, x)
+    # 5.3725870183505091e-323 at 400 digits, 10.87 units of 2**-1074
+    assert dbig_theta_dx(1e110, 0.75, params) == 11 * 2.0 ** -1074
+
+
 # box, (x_+^q - (x-1)_+^q) / q, keyed (alpha, v, x), and the average of
 # s -> (u - s)_+^(q - 1) over the cell [a, b] = [i, i+1] 2**-J, 2**J ((u -
 # a)_+^q - (u - b)_+^q) / q, keyed (alpha, v, u, J, i), at the float

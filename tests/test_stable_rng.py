@@ -30,6 +30,10 @@ M1_15 = 1.705465240152
 # median of |X| at alpha = 1.5, unit scale
 MED_15 = 0.9689331817
 
+# relative distance allowed between the sampler and the formula written as
+# one expression, from the same angles and exponentials
+FORMULA_RTOL = 4e-15
+
 
 def test_law_validation():
     with pytest.raises(ParameterError):
@@ -69,15 +73,20 @@ def _advance(gen, ahead):
     return gen
 
 
+def _one_expression(alpha, u, w):
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 @pytest.mark.parametrize("size", [None, 1000, (40, 25),
                                   stable_rng._SPLIT_MIN + 1, (257, 300),
                                   8191, 8192, 8193])
 def test_sampler_matches_one_expression_formula(alpha, size, monkeypatch):
-    # the in-place evaluation keeps the formula's operation order, so it
-    # gives the same bits as the formula written as one expression; sizes
-    # 65537 and (257, 300) take the two-thread route, and 8191..8193 end
-    # just inside one block or just past it: each must also leave the
+    # the half-angle evaluation stays within 4e-15 relative of the formula
+    # written as one expression, from the same angles and exponentials;
+    # sizes 65537 and (257, 300) take the two-thread route, and 8191..8193
+    # end just inside one block or just past it: each must also leave the
     # generator where the serial draws would, whatever it had buffered
     law = StableLaw(alpha, 1.7)
     n = 1 if size is None else size
@@ -85,17 +94,17 @@ def test_sampler_matches_one_expression_formula(alpha, size, monkeypatch):
         ref = _advance(make_rng(5), ahead)
         u = ref.uniform(-np.pi / 2.0, np.pi / 2.0, size=n)
         w = ref.standard_exponential(size=n)
-        want = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-                * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-                * 1.7)
+        want = _one_expression(alpha, u, w) * 1.7
         threads = threading.active_count()
         gen = _advance(make_rng(5), ahead)
         got = sample_sas(law, gen, size)
         assert threading.active_count() == threads
         if size is None:
-            assert isinstance(got, float) and got == float(want[0])
+            assert isinstance(got, float)
+            assert abs(got - want[0]) <= FORMULA_RTOL * abs(want[0])
         else:
-            assert got.shape == want.shape and np.array_equal(got, want)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= FORMULA_RTOL * np.abs(want))
         assert gen.random() == ref.random()
         assert gen.random(dtype=np.float32) == ref.random(dtype=np.float32)
     if want.size >= stable_rng._SPLIT_MIN:
@@ -110,7 +119,7 @@ def test_sampler_matches_one_expression_formula(alpha, size, monkeypatch):
 
         monkeypatch.setattr(threading, "Thread", no_thread)
         serial = sample_sas(law, _advance(make_rng(5), ahead), size)
-        assert np.array_equal(serial, want)
+        assert np.array_equal(serial, got)
 
 
 def test_split_draws_from_more_threads_than_cores():
@@ -151,6 +160,73 @@ def test_draw_holds_only_its_output(cpus, monkeypatch):
     peak = _traced_peak(lambda: sample_sas(StableLaw(1.5), make_rng(7), n))
     assert threading.active_count() == threads
     assert peak <= 8 * n + 2 ** 20
+
+
+def test_draw_holds_its_output_and_three_scratch_blocks_per_worker(cpus):
+    # each worker holds three scratch blocks (exponentials and two for the
+    # formula) and the block of angles Generator.uniform returns; the slack
+    # is 64 KiB, so one more block-sized buffer per worker fails the bound
+    n = 2 ** 20
+    block = 8 * stable_rng._BLOCK
+    peak = _traced_peak(lambda: sample_sas(StableLaw(1.5), make_rng(7), n))
+    assert peak <= 8 * n + cpus * (3 * block + block) + 2 ** 16
+
+
+def _formula(alpha, u, w):
+    """The sampler's formula, at unit scale, on copies of u and w."""
+    u, w = u.copy(), w.copy()
+    x, c = np.empty_like(u), np.empty_like(u)
+    stable_rng._cms(alpha, 1.0, u, w, x, c)
+    return u
+
+
+# the sampler's angles lie in [-pi/2, pi/2): both ends, and near the top
+EDGE_ANGLES = (-np.pi / 2.0, math.nextafter(np.pi / 2.0, 0.0),
+               np.pi / 2.0 - 1e-12, -math.nextafter(np.pi / 2.0, 0.0),
+               -np.pi / 2.0 + 1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0001, 1.1, 1.5, 1.9, 1.95, 1.9999])
+def test_formula_matches_40_digit_values(alpha):
+    """Over fixed angles (the edges among them) and exponentials from
+    1e-15 to 30, the half-angle evaluation's largest relative error
+    against the formula worked at 40 digits is at most max(2x that of the
+    one-expression formula, 4e-15); about 1e-12 at alpha 1.9999 for both,
+    where sin(alpha U) near U = pi/2 amplifies the rounding of alpha U."""
+    mpmath = pytest.importorskip("mpmath")
+    gen = np.random.Generator(np.random.Philox(20))
+    u = np.concatenate([np.repeat(EDGE_ANGLES, 3),
+                        gen.uniform(-np.pi / 2.0, np.pi / 2.0, 300)])
+    w = np.concatenate([np.tile([1e-15, 1.0, 30.0], len(EDGE_ANGLES)),
+                        np.exp(gen.uniform(math.log(1e-15), math.log(30.0),
+                                           300))])
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        want = np.array([float(
+            mpmath.sin(a * ui) / mpmath.cos(ui) ** (1 / a)
+            * (mpmath.cos((1 - a) * ui) / wi) ** ((1 - a) / a))
+            for ui, wi in zip(map(mpmath.mpf, u), map(mpmath.mpf, w))])
+    assert np.all(want != 0.0)
+    new = np.max(np.abs(_formula(alpha, u, w) / want - 1.0))
+    old = np.max(np.abs(_one_expression(alpha, u, w) / want - 1.0))
+    assert new <= max(2.0 * old, 4e-15), (new, old)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.9])
+def test_formula_bits_do_not_depend_on_the_block_split(alpha):
+    """_cms is elementwise: blocks of 1, 7 and 8191 values give the
+    whole array's bits."""
+    gen = make_rng(3)
+    n = 2 * 8191 + 9
+    u = np.concatenate([EDGE_ANGLES,
+                        gen.uniform(-np.pi / 2.0, np.pi / 2.0, n)])
+    w = np.concatenate([np.full(len(EDGE_ANGLES), 1e-15),
+                        gen.standard_exponential(n)])
+    whole = _formula(alpha, u, w)
+    for size in (1, 7, 8191):
+        got = np.concatenate([_formula(alpha, u[i:i + size], w[i:i + size])
+                              for i in range(0, u.size, size)])
+        assert np.array_equal(got, whole), size
 
 
 @pytest.mark.parametrize("shape", [(100_000,), (300, 700), (9, 20_000),
@@ -396,26 +472,26 @@ def test_hf_walk_matches_the_whole_grid(J_hf, cpus):
 
 
 # sha256 (first 16 hex digits) of each pyramid's rows, z1 and process
-# values, frozen while the far-past grid was still drawn as one array.
-# Taken with numpy 2.4 on x86-64 with AVX-512: numpy's SIMD loops for sin,
-# cos and power may round differently on other CPU features.
+# values, re-taken when the sampler's sines and cosines became half-angle
+# tangents.  Taken with numpy 2.4 on x86-64 with AVX-512: numpy's SIMD
+# loops for tan and power may round differently on other CPU features.
 PYRAMID_DIGESTS = {
-    ("consistent", 1, 2, 1): "e1c10a91b94f74c5",
-    ("consistent", 1, 2, 2): "6584a4dcb6a008d9",
-    ("consistent", 4, 3, 1): "dd3500ec47bda411",
-    ("consistent", 4, 3, 2): "2d60b4070533ae80",
-    ("consistent", 3, 5, 1): "1e616ae18a7b9c47",
-    ("consistent", 3, 5, 2): "16179b3094601a04",
-    ("consistent", 2, 9, 1): "ba232dcf854dae1c",
-    ("consistent", 2, 9, 2): "39330e1995966620",
-    ("independent", 1, 2, 1): "cdb8c95a53dd2d6d",
-    ("independent", 1, 2, 2): "1622dc1fa8f440d3",
-    ("independent", 4, 3, 1): "634d437624a34d8e",
-    ("independent", 4, 3, 2): "40ca2de9052a4c79",
-    ("independent", 3, 5, 1): "33e750bbea718a89",
-    ("independent", 3, 5, 2): "ea38aac6c810b380",
-    ("independent", 2, 9, 1): "5d9f910a7386f95a",
-    ("independent", 2, 9, 2): "151cb6833a6e4fd0",
+    ("consistent", 1, 2, 1): "b49273edd0f87007",
+    ("consistent", 1, 2, 2): "9f2d70c9bc25644e",
+    ("consistent", 4, 3, 1): "a4f17aaca22883a4",
+    ("consistent", 4, 3, 2): "0d9e21eeb77393e8",
+    ("consistent", 3, 5, 1): "494c5c9141c789e3",
+    ("consistent", 3, 5, 2): "906edefae0b37a54",
+    ("consistent", 2, 9, 1): "6174ed1d07c6896d",
+    ("consistent", 2, 9, 2): "a3ab6ec4a203145e",
+    ("independent", 1, 2, 1): "0a56e855de94f966",
+    ("independent", 1, 2, 2): "ba3db4695aee55da",
+    ("independent", 4, 3, 1): "6224744eb1210359",
+    ("independent", 4, 3, 2): "f286e27b10738c03",
+    ("independent", 3, 5, 1): "14c0073c4e004cd4",
+    ("independent", 3, 5, 2): "d113b1fefde04567",
+    ("independent", 2, 9, 1): "27221764eda2a96d",
+    ("independent", 2, 9, 2): "2d6e0bf918eeb92c",
 }
 
 
